@@ -240,6 +240,7 @@ class CacheDirectory:
             return None
         entry.last_access = now
         entry.hits += 1
+        self.policy.on_access(entry)
         self.stats.hits += 1
         if self.insight is not None:
             self.insight.record_access(canonical, hit=True)
@@ -287,20 +288,48 @@ class CacheDirectory:
         )
         self._entries[canonical] = entry
         self._valid_by_key[key] = entry
+        self.policy.on_insert(entry)
         self.stats.insertions += 1
         if self.insight is not None:
             self.insight.record_insert(canonical)
         return entry
 
     def _evict_one(self, now: float) -> None:
+        """Free one dpcKey by evicting the policy's victim.
+
+        A victim whose ``isValid`` flag was cleared without the freeList
+        bookkeeping (a desynced row, see ``faults.injectors``) is not
+        evicted: it is repaired in place, which frees its key, so no valid
+        entry has to go.
+        """
         victim = self.policy.select_victim(self._valid_by_key.values(), now)
         if victim is None:
             raise DirectoryFullError(
                 "directory is full and no entry is eligible for eviction"
             )
+        if not victim.is_valid:
+            self._quarantine_desynced(victim)
+            return
         self.stats.evictions += 1
         self.policy.record_victim(victim, now)
         self._invalidate_entry(victim, reason="evicted_capacity")
+
+    def _quarantine_desynced(self, entry: DirectoryEntry) -> None:
+        """Finish the bookkeeping a bare ``isValid`` flip skipped.
+
+        Drops the row's valid-by-key mapping, returns its dpcKey to the
+        freeList and drops its directory record (unless a newer entry for
+        the fragment replaced it), as :meth:`audit_and_repair` would.  Not
+        counted as an eviction or an invalidation.
+        """
+        del self._valid_by_key[entry.dpc_key]
+        self.policy.on_remove(entry)
+        self.free_list.push(entry.dpc_key)
+        canonical = entry.fragment_id.canonical()
+        if self._entries.get(canonical) is entry:
+            del self._entries[canonical]
+            if self.insight is not None:
+                self.insight.record_removal(canonical, "fault_quarantine")
 
     # -- invalidation ----------------------------------------------------------------
 
@@ -354,6 +383,7 @@ class CacheDirectory:
             return
         entry.is_valid = False
         del self._valid_by_key[entry.dpc_key]
+        self.policy.on_remove(entry)
         self.free_list.push(entry.dpc_key)
         # Drop the stale record entirely: the paper keeps it only until the
         # fragment is re-requested, and removing it bounds directory memory.
@@ -400,6 +430,7 @@ class CacheDirectory:
         for key, entry in list(self._valid_by_key.items()):
             if not entry.is_valid or entry.dpc_key != key:
                 del self._valid_by_key[key]
+                self.policy.on_remove(entry)
                 stale_mappings += 1
         orphaned_records = 0
         for canonical, entry in list(self._entries.items()):

@@ -9,10 +9,21 @@ and compared in an ablation bench (LRU wins under Zipf-skewed request
 streams, as expected).  A policy sees the candidate directory entries and
 picks a victim; the directory handles the mechanics of marking the victim
 invalid and recycling its dpcKey.
+
+The directory also reports each entry's lifecycle to its policy through
+three hooks -- ``on_insert``, ``on_access`` (a fresh lookup hit) and
+``on_remove`` (the entry left the valid set) -- so a policy can keep its
+own index instead of scanning every entry per eviction.  LRU does: it keeps
+a heap ordered by ``(last_access, dpc_key)``, so an insert costs O(log n),
+a hit O(1) and an eviction amortized O(log n) instead of O(n).  LFU, FIFO,
+TTL-aware and GreedyDual-Size ignore the hooks and scan the candidates.  A
+policy instance serves one directory.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import count
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from ..errors import ConfigurationError
@@ -37,6 +48,15 @@ class ReplacementPolicy:
         """Choose one entry to evict, or None if no candidates."""
         raise NotImplementedError
 
+    def on_insert(self, entry: "DirectoryEntry") -> None:
+        """Hook: ``entry`` was inserted and is now valid.  No-op here."""
+
+    def on_access(self, entry: "DirectoryEntry") -> None:
+        """Hook: a lookup hit just moved ``entry.last_access``.  No-op here."""
+
+    def on_remove(self, entry: "DirectoryEntry") -> None:
+        """Hook: ``entry`` left the directory's valid set.  No-op here."""
+
     def record_victim(self, victim: "DirectoryEntry", now: float) -> None:
         """Report one eviction's diagnostics to the attached insight layer.
 
@@ -57,13 +77,87 @@ class ReplacementPolicy:
 
 
 class LruPolicy(ReplacementPolicy):
-    """Evict the least-recently-used entry."""
+    """Evict the least-recently-used entry (ties go to the lower dpcKey).
+
+    The victim is the top of a heap of ``(last_access, dpc_key, seq, entry)``
+    records, one live record per valid entry, kept by the lifecycle hooks.
+    A record counts only while ``_live[entry]`` is that very record: a
+    removal just forgets the entry, and its record is dropped when it
+    reaches the top.  A record's key is a lower bound on its entry's key,
+    because a hit that moves ``last_access`` forward leaves the record in
+    place; a record that reaches the top with an out-of-date key is pushed
+    back with the current one, so the first up-to-date record on top is the
+    exact minimum.  Each entry therefore costs at most one push per time it
+    reaches the top, not one per hit.  Once the heap holds more than twice
+    as many records as there are live entries it is rebuilt from them.
+    ``seq`` breaks ties between records with equal keys, so entries are
+    never compared.
+
+    The index is built from ``entries`` on the first ``select_victim`` call
+    and ignores ``entries`` after that.  Until then the hooks do nothing, so
+    a directory that never fills pays one no-op call per access.
+    """
 
     name = "lru"
 
+    #: Records the heap may hold beyond twice the live count before it is
+    #: rebuilt.
+    SLACK = 32
+
+    def __init__(self) -> None:
+        self._heap: Optional[list] = None  # built by the first select_victim
+        self._live: dict = {}  # entry -> its current heap record
+        self._seq = count()
+
+    def _record(self, entry: "DirectoryEntry") -> tuple:
+        return (entry.last_access, entry.dpc_key, next(self._seq), entry)
+
+    def _push(self, entry: "DirectoryEntry") -> None:
+        live = self._live
+        record = live[entry] = self._record(entry)
+        heap = self._heap
+        heappush(heap, record)
+        if len(heap) > 2 * len(live) + self.SLACK:
+            heap[:] = live.values()
+            heapify(heap)
+
+    def on_insert(self, entry):
+        """Index the new entry at its creation time."""
+        if self._heap is not None:
+            self._push(entry)
+
+    def on_access(self, entry):
+        """Re-index the entry only if its last access moved back in time."""
+        if self._heap is not None:
+            record = self._live.get(entry)
+            if record is not None and entry.last_access < record[0]:
+                self._push(entry)
+
+    def on_remove(self, entry):
+        """Forget the entry; its record goes stale."""
+        if self._heap is not None:
+            self._live.pop(entry, None)
+
     def select_victim(self, entries, now):
-        """Pick the entry with the oldest last access."""
-        return min(entries, key=lambda e: (e.last_access, e.dpc_key), default=None)
+        """Pick the entry with the oldest last access (lowest dpcKey on ties)."""
+        heap = self._heap
+        live = self._live
+        if heap is None:
+            for entry in entries:
+                live[entry] = self._record(entry)
+            heap = self._heap = list(live.values())
+            heapify(heap)
+        while heap:
+            record = heap[0]
+            entry = record[3]
+            if live.get(entry) is not record:
+                heappop(heap)
+            elif entry.last_access != record[0]:
+                record = live[entry] = self._record(entry)
+                heapreplace(heap, record)
+            else:
+                return entry
+        return None
 
 
 class LfuPolicy(ReplacementPolicy):
@@ -168,7 +262,7 @@ _POLICIES = {
 
 
 def make_policy(name: str) -> ReplacementPolicy:
-    """Instantiate a policy by name ('lru', 'lfu', 'fifo', 'ttl')."""
+    """Instantiate a policy by name ('lru', 'lfu', 'fifo', 'ttl', 'gds')."""
     try:
         return _POLICIES[name]()
     except KeyError:

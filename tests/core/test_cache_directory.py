@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cache_directory import CacheDirectory, FreeList
 from repro.core.fragments import FragmentID, FragmentMetadata
-from repro.core.replacement import FifoPolicy, LruPolicy
+from repro.core.replacement import FifoPolicy, LruPolicy, make_policy
 from repro.errors import ConfigurationError, DirectoryFullError
 
 
@@ -198,3 +198,63 @@ class TestReplacement:
             directory.insert(fid("f", i=i), META, 1, now=float(i))
             assert directory.valid_count() <= 3
             directory.check_invariants()
+
+
+class RemovalLog:
+    """Insight stand-in that keeps every removal reason."""
+
+    def __init__(self):
+        self.removals = []
+        self.evictions = 0
+
+    def record_access(self, canonical, hit):
+        pass
+
+    def record_insert(self, canonical):
+        pass
+
+    def record_removal(self, canonical, reason):
+        self.removals.append((canonical, reason))
+
+    def record_eviction(self, policy_name, idle_s, hits, size_bytes):
+        self.evictions += 1
+
+
+class TestDesyncedVictim:
+    """A row whose isValid flag was flipped without bookkeeping (the
+    ``flip_valid`` corruption) is repaired, not evicted, when the policy
+    picks it."""
+
+    @pytest.mark.parametrize("policy", ["lru", "lfu", "fifo", "ttl", "gds"])
+    def test_insert_repairs_desynced_victim(self, policy):
+        directory = CacheDirectory(2, policy=make_policy(policy))
+        log = RemovalLog()
+        directory.attach_insight(log)
+        directory.insert(fid("a"), META, 1, now=0.0)  # key 0
+        directory.insert(fid("b"), META, 1, now=1.0)  # key 1
+        directory.peek(fid("a")).is_valid = False
+        entry = directory.insert(fid("c"), META, 1, now=2.0)
+        assert entry.dpc_key == 0  # a's leaked key came back
+        assert directory.stats.evictions == 0
+        assert directory.stats.invalidations == 0
+        assert log.evictions == 0
+        assert log.removals == [(fid("a").canonical(), "fault_quarantine")]
+        assert sorted(e.fragment_id.canonical() for e in directory.valid_entries()) == [
+            fid("b").canonical(), fid("c").canonical()
+        ]
+        assert directory.peek(fid("a")) is None
+        directory.check_invariants()
+
+    def test_desynced_row_replaced_by_newer_entry_keeps_that_entry(self):
+        directory = CacheDirectory(2)
+        directory.insert(fid("a"), META, 1, now=0.0)  # key 0
+        directory.insert(fid("b"), META, 1, now=1.0)  # key 1
+        directory.peek(fid("a")).is_valid = False
+        # Re-inserting "a" needs a key; the flipped row still holds key 0
+        # and is the oldest candidate, so it is repaired, and the repair
+        # must leave the newer entry for "a" in place.
+        newer = directory.insert(fid("a"), META, 1, now=2.0)
+        assert directory.peek(fid("a")) is newer and newer.is_valid
+        assert directory.stats.evictions == 0
+        directory.check_invariants()
+        assert directory.valid_count() == 2

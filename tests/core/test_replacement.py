@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core.cache_directory import DirectoryEntry
-from repro.core.fragments import FragmentID
+from repro.core.cache_directory import CacheDirectory, DirectoryEntry
+from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.replacement import (
     FifoPolicy,
     LfuPolicy,
@@ -131,3 +131,68 @@ class TestGreedyDualSize:
             )
             directory.check_invariants()
         assert directory.valid_count() == 2
+
+
+class NotIterable:
+    """Stands in for ``entries`` once the LRU index is built."""
+
+    def __iter__(self):
+        raise AssertionError("select_victim iterated its candidates")
+
+
+def full_lru_directory(capacity):
+    """A full LRU directory whose index has been built by one eviction."""
+    policy = LruPolicy()
+    directory = CacheDirectory(capacity, policy=policy)
+    for i in range(capacity + 1):
+        directory.insert(
+            FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, now=float(i)
+        )
+    assert directory.stats.evictions == 1
+    return directory, policy
+
+
+class TestLruIndex:
+    def test_hooks_are_noops_until_first_selection(self):
+        policy = LruPolicy()
+        a = entry("a", 0, accessed=1.0)
+        policy.on_insert(a)
+        policy.on_access(a)
+        policy.on_remove(a)
+        assert policy._heap is None and policy._live == {}
+
+    def test_built_index_never_iterates_entries(self):
+        directory, policy = full_lru_directory(8)
+        for i in (3, 5, 2):
+            directory.lookup(FragmentID.create("f", {"i": i}), now=100.0 + i)
+        expected = min(
+            directory.valid_entries(), key=lambda e: (e.last_access, e.dpc_key)
+        )
+        assert policy.select_victim(NotIterable(), now=200.0) is expected
+        directory.invalidate(expected.fragment_id)
+        assert policy.select_victim(NotIterable(), now=200.0) is min(
+            directory.valid_entries(), key=lambda e: (e.last_access, e.dpc_key)
+        )
+
+    def test_heap_stays_bounded_under_hit_only_traffic(self):
+        capacity = 64
+        directory, policy = full_lru_directory(capacity)
+        ids = [FragmentID.create("f", {"i": i}) for i in range(1, capacity + 1)]
+        now = float(capacity)
+        for n in range(100_000):
+            now += 0.001
+            assert directory.lookup(ids[n % capacity], now) is not None
+            assert len(policy._heap) <= 2 * directory.valid_count() + LruPolicy.SLACK
+        assert directory.stats.evictions == 1
+        assert policy.select_victim(NotIterable(), now) is directory.peek(
+            ids[100_000 % capacity]
+        )
+
+    def test_access_back_in_time_reindexes(self):
+        """A hit at an earlier ``now`` lowers the entry's key; a record left
+        at the old key would hide it behind entries in between."""
+        directory = CacheDirectory(3)
+        for i, t in enumerate((4.0, 5.0, 6.0, 7.0)):  # the 4th insert evicts
+            directory.insert(FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, t)
+        late = directory.lookup(FragmentID.create("f", {"i": 3}), now=1.0)
+        assert directory.policy.select_victim(NotIterable(), now=1.0) is late
