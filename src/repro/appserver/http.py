@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..core.template import utf8_len
 from ..errors import ConfigurationError
 
 #: Table 2 baseline: "average size of header information (f)".
@@ -103,7 +104,7 @@ class HttpResponse:
     @property
     def body_bytes(self) -> int:
         """UTF-8 byte length of the body alone."""
-        return len(self.body.encode("utf-8"))
+        return utf8_len(self.body)
 
     @property
     def payload_bytes(self) -> int:

@@ -19,7 +19,7 @@ entire coordination protocol: no explicit BEM->DPC control messages exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..errors import (
     AssemblyError,
@@ -37,11 +37,14 @@ from .template import (
     SENTINEL,
     GetInstruction,
     Literal,
+    PlanOp,
     SetInstruction,
     Template,
     TemplateCache,
     TemplateConfig,
+    compile_wire,
     parse_template,
+    utf8_len,
 )
 
 
@@ -105,11 +108,12 @@ class DynamicProxyCache:
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
         self.scanner = TagScanner(SENTINEL)
-        #: LRU parse cache for the fast lane: wire string -> parsed
-        #: template.  A warm proxy repeatedly receives identical GET-only
-        #: wire forms; re-parsing them is avoidable interpreter cost.  The
-        #: cache only affects *how* a template is obtained — scanned-byte
-        #: accounting, stats, and assembled pages are byte-identical.
+        #: LRU parse cache for the fast lane: SET-free wire string ->
+        #: compiled plan.  A warm proxy repeatedly receives identical
+        #: GET-only wire forms; re-compiling them is avoidable interpreter
+        #: cost.  The cache only affects *how* a plan is obtained —
+        #: scanned-byte accounting, stats, and assembled pages are
+        #: byte-identical.
         self.parse_cache = TemplateCache()
         self.stats = DpcStats()
         #: Generation counter: bumped every time the slot array is wiped
@@ -137,15 +141,11 @@ class DynamicProxyCache:
         build :class:`Template` objects programmatically.
         """
         self._check_key(key)
-        if len(content.encode("utf-8")) > self.template_config.max_fragment_bytes:
+        size = utf8_len(content)
+        if size > self.template_config.max_fragment_bytes:
             raise OversizedFragmentError(
                 "fragment for dpcKey %d is %d bytes (max %d) on %r"
-                % (
-                    key,
-                    len(content.encode("utf-8")),
-                    self.template_config.max_fragment_bytes,
-                    self.name,
-                )
+                % (key, size, self.template_config.max_fragment_bytes, self.name)
             )
         self._slots[key] = content
 
@@ -180,82 +180,104 @@ class DynamicProxyCache:
         """Scan an origin response and assemble the user-deliverable page.
 
         This is the ISAPI-filter equivalent: one pass over the bytes, tags
-        dispatched as encountered, literals copied through.  On the fast
-        lanes a wire form the proxy has already parsed is served from the
-        LRU parse cache; the scan-cost counter is still charged for every
-        response byte (:meth:`TagScanner.charge`), so Result 1 accounting
-        is identical in both lanes.
+        dispatched as encountered, literals copied through.  The fast lane
+        compiles the wire straight to an assembly plan
+        (:func:`~repro.core.template.compile_wire`); a SET-free wire form
+        the proxy has already compiled is served from the LRU parse cache.
+        The whole response compiles before any SET is stored, so a
+        malformed wire mutates no slot.  The scan-cost counter is charged
+        for every response byte, cached or not (:meth:`TagScanner.charge`),
+        so Result 1 accounting is identical in both lanes.
         """
         if fastpath.enabled():
-            template = self.parse_cache.get(wire)
-            if template is None:
-                template = parse_template(
-                    wire, self.template_config, scanner=self.scanner
-                )
-                self.parse_cache.put(wire, template)
-            else:
-                self.scanner.charge(len(wire))
-            return self.assemble(template, wire_bytes=len(wire.encode("utf-8")))
+            self.scanner.charge(len(wire))
+            entry = self.parse_cache.get(wire)
+            if entry is None:
+                entry = compile_wire(wire, self.template_config)
+                if not entry[2]:
+                    self.parse_cache.put(wire, entry)
+            return self._run_plan(entry[0], entry[1], utf8_len(wire))
         template = parse_template(wire, self.template_config, scanner=self.scanner)
-        return self.assemble(template, wire_bytes=len(wire.encode("utf-8")))
+        return self.assemble(template, wire_bytes=utf8_len(wire))
 
     def assemble(self, template: Template, wire_bytes: Optional[int] = None) -> AssembledPage:
         """Execute a parsed template against the slot array.
 
         The fast lane runs the template's precompiled plan
-        (:meth:`~repro.core.template.Template.compiled`) — literal splices
-        and slot reads collected into one list, joined once — while the
-        reference lane keeps the original per-instruction ``isinstance``
-        walk.  Both produce the same page bytes, stats, and errors in the
-        same order.
+        (:meth:`~repro.core.template.Template.compiled`) through the same
+        loop :meth:`process_response` uses, while the reference lane keeps
+        the original per-instruction ``isinstance`` walk.  Both produce the
+        same page bytes, stats, and errors in the same order.
         """
         if wire_bytes is None:
             wire_bytes = template.wire_bytes()
+        if fastpath.enabled():
+            return self._run_plan(
+                template.compiled(), template.literal_bytes, wire_bytes
+            )
         parts: List[str] = []
         sets = 0
         gets = 0
-        if fastpath.enabled():
-            slots = self._slots
-            store = self.store
-            append = parts.append
-            for op in template.compiled():
-                kind = op[0]
-                if kind == OP_TEXT:
-                    append(op[1])
-                elif kind == OP_GET:
-                    key = op[1]
-                    content = slots[key] if 0 <= key < self.capacity else None
-                    if content is None:
-                        # Fall back to fetch() for the exact typed error.
-                        content = self.fetch(key)
-                    append(content)
-                    gets += 1
-                else:  # OP_SET
-                    store(op[1], op[2])
-                    append(op[2])
-                    sets += 1
-        else:
-            for instruction in template.instructions:
-                if isinstance(instruction, Literal):
-                    parts.append(instruction.text)
-                elif isinstance(instruction, SetInstruction):
-                    self.store(instruction.key, instruction.content)
-                    parts.append(instruction.content)
-                    sets += 1
-                elif isinstance(instruction, GetInstruction):
-                    parts.append(self.fetch(instruction.key))
-                    gets += 1
-                else:  # pragma: no cover - exhaustive over Instruction
-                    raise AssemblyError("unknown instruction %r" % (instruction,))
-        html = "".join(parts)
-        page_bytes = len(html.encode("utf-8"))
+        for instruction in template.instructions:
+            if isinstance(instruction, Literal):
+                parts.append(instruction.text)
+            elif isinstance(instruction, SetInstruction):
+                self.store(instruction.key, instruction.content)
+                parts.append(instruction.content)
+                sets += 1
+            elif isinstance(instruction, GetInstruction):
+                parts.append(self.fetch(instruction.key))
+                gets += 1
+            else:  # pragma: no cover - exhaustive over Instruction
+                raise AssemblyError("unknown instruction %r" % (instruction,))
+        return self._emit(parts, sets, gets, template.literal_bytes, wire_bytes)
 
+    def _run_plan(
+        self, plan: Tuple[PlanOp, ...], literal_bytes: int, wire_bytes: int
+    ) -> AssembledPage:
+        """Execute an assembly plan: splices collected, joined once."""
+        parts: List[str] = []
+        append = parts.append
+        slots = self._slots
+        capacity = self.capacity
+        store = self.store
+        sets = 0
+        gets = 0
+        for op in plan:
+            kind = op[0]
+            if kind == OP_TEXT:
+                append(op[1])
+            elif kind == OP_GET:
+                key = op[1]
+                content = slots[key] if 0 <= key < capacity else None
+                if content is None:
+                    # Fall back to fetch() for the exact typed error.
+                    content = self.fetch(key)
+                append(content)
+                gets += 1
+            else:  # OP_SET
+                store(op[1], op[2])
+                append(op[2])
+                sets += 1
+        return self._emit(parts, sets, gets, literal_bytes, wire_bytes)
+
+    def _emit(
+        self,
+        parts: List[str],
+        sets: int,
+        gets: int,
+        literal_bytes: int,
+        wire_bytes: int,
+    ) -> AssembledPage:
+        """Join the spliced parts, count the response, build the page."""
+        html = "".join(parts)
+        page_bytes = utf8_len(html)
         self.stats.responses_processed += 1
         self.stats.template_bytes_in += wire_bytes
         self.stats.page_bytes_out += page_bytes
         self.stats.fragments_set += sets
         self.stats.fragments_get += gets
-        self.stats.literal_bytes += template.literal_bytes
+        self.stats.literal_bytes += literal_bytes
         return AssembledPage(
             html=html,
             template_bytes=wire_bytes,

@@ -3,18 +3,23 @@
 The serve path has two interchangeable implementations of its hot
 operations:
 
-* **fast lanes** — ``str.find``-based sentinel scanning, the LRU template
-  parse cache, memoized serialization, and precompiled assembly plans.
-  This is the default: it is what a production deployment would run.
+* **fast lanes** — the single-pass wire codec: the origin renders a
+  template in one pass over its instructions (memoized), and the proxy
+  compiles each response straight to a flat assembly plan with a
+  ``str.find`` sentinel walk and one tag regex, never building
+  ``Template`` objects; an LRU parse cache keeps the plans of SET-free wire
+  forms, and one plan-execution loop assembles every page.  This is the
+  default: it is what a production deployment would run.
 * **reference lanes** — the per-character KMP scan and the uncached
-  parse/serialize/assemble paths that mirror the paper's description
-  operation for operation.
+  parse-to-``Template``/``normalized()``-serialize/per-instruction
+  assemble paths that mirror the paper's description operation for
+  operation.
 
 Both lanes are required to be *byte-identical* in every observable output:
 assembled pages, serialized templates, scanned-byte counters (the ``z``
 per-byte cost of Result 1), Sniffer totals, and metric rows.  The
 differential property tests in ``tests/properties/test_fastpath_equivalence.py``
-enforce that, and ``benchmarks/bench_hotpath.py`` measures the speedup by
+and ``tests/properties/test_wire_codec_equivalence.py`` enforce that, and ``benchmarks/bench_hotpath.py`` measures the speedup by
 running the same workload under each lane.
 
 The switch is process-global on purpose: the lanes differ only in constant

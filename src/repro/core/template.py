@@ -27,19 +27,32 @@ tag size" versus embedding the long fragmentID (§4.3.3).
 Fast lanes (see :mod:`repro.core.fastpath`)
 -------------------------------------------
 
+On the fast lanes the wire string is the only representation between the
+two ends of the link, and each end makes one pass over it:
+
+* the origin renders a template with one pass over its instructions
+  (:meth:`Template.serialize` merges each run of adjacent literals before
+  escaping it, so no ``normalized()`` copy is built), memoized until the
+  template is mutated;
+* the proxy compiles an origin response straight to the flat assembly plan
+  with :func:`compile_wire` — a ``str.find`` walk over the sentinels with
+  one precompiled tag regex — without building :class:`Literal` /
+  :class:`Template` objects.  The plan is exactly what
+  :meth:`Template.compiled` yields for ``parse_template(wire)``, and the
+  DPC executes it with one ``str.join``;
+* :class:`TemplateCache` is the LRU parse cache of compiled plans, keyed
+  on the wire string, for the SET-free wire forms a warm proxy sees again.
+
 The instruction classes carry ``__slots__`` (they are allocated per block
-per request), :meth:`Template.serialize`/:meth:`Template.wire_bytes` are
-memoized until the template is mutated, :meth:`Template.compiled` bakes the
-instruction stream into a flat assembly plan the DPC executes with one
-``str.join``, and :class:`TemplateCache` is the LRU parse cache — keyed on
-the wire string — that lets a warm proxy skip re-parsing a template it has
-already seen.  None of these change any observable byte: the differential
+per request).  None of this changes any observable byte: the differential
 property tests pin fast-lane output to the reference lane's.
 """
 
 from __future__ import annotations
 
+import re
 from collections import OrderedDict
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
@@ -49,6 +62,15 @@ from .scanner import TagScanner
 SENTINEL = "<~"
 TAG_CLOSE = "~>"
 ESCAPE_TAG = "<~Q~>"
+
+
+def utf8_len(text: str) -> int:
+    """UTF-8 byte length of ``text`` without encoding pure-ASCII strings.
+
+    ``str.isascii`` reads a flag CPython keeps on every string, so the
+    common all-ASCII page costs O(1) instead of a copy of the whole page.
+    """
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 class TemplateConfig:
@@ -262,7 +284,7 @@ class Template:
         """Total UTF-8 bytes of literal text (memoized until mutation)."""
         if self._literal_bytes is None:
             self._literal_bytes = sum(
-                len(i.text.encode("utf-8"))
+                utf8_len(i.text)
                 for i in self.instructions
                 if type(i) is Literal
             )
@@ -306,10 +328,13 @@ class Template:
         """Render the wire form sent from the BEM to the DPC.
 
         Memoized: repeated calls return the cached string until the
-        template is mutated.  On the reference lanes the render runs fresh
+        template is mutated.  The fast lane renders in one pass over the
+        instructions; the reference lane renders ``normalized()`` fresh on
         every call, mirroring the pre-optimization behavior.
         """
-        if fastpath.enabled() and self._serialized is not None:
+        if fastpath.enabled():
+            if self._serialized is None:
+                self._serialized = self._render()
             return self._serialized
         parts: List[str] = []
         for instruction in self.normalized().instructions:
@@ -327,11 +352,43 @@ class Template:
         self._serialized = wire
         return wire
 
+    def _render(self) -> str:
+        """One-pass render: the same wire as the ``normalized()`` walk.
+
+        Each run of adjacent literals is joined before it is escaped, so a
+        sentinel split across two literals (``"<"`` + ``"~"``) is escaped
+        exactly as the merged literal would be, and empty literals vanish.
+        """
+        format_key = self.config.format_key
+        parts: List[str] = []
+        append = parts.append
+        run: List[str] = []     # adjacent literal texts awaiting one escape
+        for instruction in self.instructions:
+            kind = type(instruction)
+            if kind is Literal:
+                run.append(instruction.text)
+                continue
+            if run:
+                append(_escape("".join(run)))
+                run.clear()
+            if kind is GetInstruction:
+                append("<~G:" + format_key(instruction.key) + "~>")
+            elif kind is SetInstruction:
+                key = format_key(instruction.key)
+                append("<~S:" + key + "~>")
+                append(_escape(instruction.content))
+                append("<~E:" + key + "~>")
+            else:  # pragma: no cover - exhaustive over Instruction
+                raise TemplateError("unknown instruction %r" % (instruction,))
+        if run:
+            append(_escape("".join(run)))
+        return "".join(parts)
+
     def wire_bytes(self) -> int:
         """Size of the serialized template in bytes (memoized)."""
         if fastpath.enabled() and self._wire_bytes is not None:
             return self._wire_bytes
-        size = len(self.serialize().encode("utf-8"))
+        size = utf8_len(self.serialize())
         self._wire_bytes = size
         return size
 
@@ -369,24 +426,28 @@ def _tag(config: TemplateConfig, kind: str, key: int) -> str:
 
 
 def _escape(text: str) -> str:
-    return text.replace(SENTINEL, ESCAPE_TAG)
+    # A one-character "~" test runs on memchr; most text has no "~", so it
+    # skips the slower two-character search inside replace().
+    return text.replace(SENTINEL, ESCAPE_TAG) if "~" in text else text
+
+
+#: What :func:`compile_wire` returns: ``(plan, literal_bytes, set_count)``.
+CompiledWire = Tuple[Tuple[PlanOp, ...], int, int]
 
 
 class TemplateCache:
-    """LRU parse cache: wire string -> parsed (normalized) template.
+    """LRU parse cache: wire string -> compiled assembly plan.
 
     A warm proxy sees the same serialized template again and again — every
     full-hit exchange for a page ships an identical GET-only wire form.
-    Re-parsing it is pure interpreter overhead the paper's design never
-    asks for, so the DPC keeps this cache in front of
-    :func:`parse_template`.  Cached templates are treated as immutable by
-    their owner (the DPC never mutates a parsed template); anything that
-    needs a private copy should parse fresh.
+    Re-compiling it is pure interpreter overhead the paper's design never
+    asks for, so the DPC keeps this cache in front of :func:`compile_wire`
+    and stores the :data:`CompiledWire` tuples it returns.  The DPC caches
+    SET-free wires only: a SET-bearing wire carries fresh fragment content
+    and never repeats, so caching it would only pin its payload.
 
     Capacity is bounded (LRU eviction) and single wire strings larger than
-    ``max_wire_bytes`` are never cached — cold-miss templates carrying full
-    fragment payloads are usually unique, so caching them would only churn
-    memory.
+    ``max_wire_bytes`` (UTF-8 bytes) are never cached.
     """
 
     def __init__(self, maxsize: int = 256, max_wire_bytes: int = 1 << 20) -> None:
@@ -396,35 +457,138 @@ class TemplateCache:
             raise ConfigurationError("max_wire_bytes must be positive")
         self.maxsize = maxsize
         self.max_wire_bytes = max_wire_bytes
-        self._entries: "OrderedDict[str, Template]" = OrderedDict()
+        self._entries: "OrderedDict[str, CompiledWire]" = OrderedDict()
         self.hits = 0
         self.misses = 0
 
-    def get(self, wire: str) -> Optional[Template]:
-        """The cached parse of ``wire``, refreshed to most-recently-used."""
-        template = self._entries.get(wire)
-        if template is None:
+    def get(self, wire: str) -> Optional[CompiledWire]:
+        """The cached plan for ``wire``, refreshed to most-recently-used."""
+        entry = self._entries.get(wire)
+        if entry is None:
             self.misses += 1
             return None
         self._entries.move_to_end(wire)
         self.hits += 1
-        return template
+        return entry
 
-    def put(self, wire: str, template: Template) -> None:
-        """Remember the parse of ``wire``, evicting the LRU entry if full."""
-        if len(wire) > self.max_wire_bytes:
+    def put(self, wire: str, entry: CompiledWire) -> None:
+        """Remember the plan for ``wire``, evicting the LRU entry if full."""
+        if utf8_len(wire) > self.max_wire_bytes:
             return
-        self._entries[wire] = template
+        self._entries[wire] = entry
         self._entries.move_to_end(wire)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
 
     def clear(self) -> None:
-        """Drop every cached parse (e.g. on a proxy restart)."""
+        """Drop every cached plan (e.g. on a proxy restart)."""
         self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+@lru_cache(maxsize=16)
+def _tag_matcher(key_width: int):
+    """``match`` of the regex for one well-formed tag at ``key_width``.
+
+    Group 1 is the kind (``None`` for the ``<~Q~>`` escape), group 2 the
+    key digits.  ``[0-9]`` admits ASCII digits only, as :func:`_read_tag`
+    does, so the two decoders accept exactly the same tags.
+    """
+    return re.compile(
+        r"<~(?:([GSE]):([0-9]{%d})~>|Q~>)" % key_width
+    ).match
+
+
+def compile_wire(wire: str, config: TemplateConfig = DEFAULT_CONFIG) -> CompiledWire:
+    """Compile a serialized template straight to its assembly plan.
+
+    One ``str.find`` walk over the sentinels, each tag decoded by one
+    precompiled regex match.  Returns ``(plan, literal_bytes, set_count)``
+    where ``plan`` and ``literal_bytes`` equal ``parse_template(wire)``'s
+    :meth:`Template.compiled` and :attr:`Template.literal_bytes`.  A
+    malformed wire raises the same exception, with the same message, as
+    :func:`parse_template`: a tag the regex rejects is handed to the
+    reference decoder :func:`_read_tag`, which raises the exact error.
+    Scanned bytes are not charged here; the DPC charges every response.
+    """
+    match = _tag_matcher(config.key_width)
+    max_fragment_bytes = config.max_fragment_bytes
+    find = wire.find
+    plan: List[PlanOp] = []
+    emit = plan.append
+    pieces: List[str] = []  # text split by <~Q~> escapes, awaiting a join
+    literal_bytes = 0
+    set_count = 0
+    open_key = -1           # the SET's key while inside its body
+    cursor = 0
+    while True:
+        # Find the next sentinel: memchr for its "~" is several times
+        # faster than the two-character search, and "~" is rare outside
+        # tags.  If that "~" is not a sentinel's, fall back to the pair
+        # search from there, so hostile "~"-laden text costs one extra
+        # memchr per tag, never a Python step per "~".
+        position = find("~", cursor)
+        if position > cursor and wire[position - 1] == "<":
+            position -= 1
+        elif position != -1:
+            position = find(SENTINEL, position)
+        if position == -1:
+            break
+        tag = match(wire, position)
+        if tag is None:
+            _read_tag(wire, position, config)  # raises the parser's error
+        kind, key_text = tag.groups()
+        text = wire[cursor:position]
+        cursor = tag.end()
+        if kind is None:    # <~Q~>: a literal "<~"
+            pieces.append(text)
+            pieces.append(SENTINEL)
+            continue
+        if pieces:
+            pieces.append(text)
+            text = "".join(pieces)
+            pieces.clear()
+        key = int(key_text)
+        if open_key >= 0:
+            if kind != "E" or key != open_key:
+                raise TemplateError(
+                    "unexpected %s tag inside SET body for key %d at offset %d"
+                    % (kind, open_key, position)
+                )
+            size = utf8_len(text)
+            if size > max_fragment_bytes:
+                raise OversizedFragmentError(
+                    "SET body for key %d is %d bytes (max %d)"
+                    % (open_key, size, max_fragment_bytes)
+                )
+            emit((OP_SET, key, text))
+            set_count += 1
+            open_key = -1
+        elif kind == "E":
+            raise TemplateError(
+                "END tag for key %d without a matching SET at offset %d"
+                % (key, position)
+            )
+        else:
+            if text:
+                emit((OP_TEXT, text))
+                literal_bytes += utf8_len(text)
+            if kind == "G":
+                emit((OP_GET, key))
+            else:
+                open_key = key
+    if open_key >= 0:
+        raise TemplateError("unterminated SET body for key %d" % open_key)
+    text = wire[cursor:]
+    if pieces:
+        pieces.append(text)
+        text = "".join(pieces)
+    if text:
+        emit((OP_TEXT, text))
+        literal_bytes += utf8_len(text)
+    return tuple(plan), literal_bytes, set_count
 
 
 def parse_template(
@@ -521,7 +685,13 @@ def _read_tag(wire: str, position: int, config: TemplateConfig) -> Tuple[str, in
     key_start = after + 2
     key_end = key_start + config.key_width
     key_text = wire[key_start:key_end]
-    if len(key_text) != config.key_width or not key_text.isdigit():
+    # ASCII digits only: str.isdigit() alone admits "²" and "١", which
+    # int() then rejects or reads as a different key.
+    if (
+        len(key_text) != config.key_width
+        or not key_text.isascii()
+        or not key_text.isdigit()
+    ):
         raise TemplateError(
             "malformed dpcKey %r at offset %d" % (key_text, position)
         )

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.template import (
     SENTINEL,
@@ -31,7 +32,8 @@ from repro.errors import (
 
 #: Alphabet biased toward protocol framing so mutations hit tag machinery.
 WIRE_ALPHABET = st.sampled_from(
-    list("<~>GSEQ:0123456789") + ["<~", "~>", "<~G:", "<~S:", "<~E:", "<~Q~>"]
+    list("<~>GSEQ:0123456789²١５")
+    + ["<~", "~>", "<~G:", "<~S:", "<~E:", "<~Q~>"]
 )
 WIRE_TEXT = st.lists(WIRE_ALPHABET, max_size=60).map("".join)
 
@@ -132,6 +134,26 @@ class TestKnownMalformations:
         wire = "<~S:0001~>early<~E:0001~><~E:0005~>"
         with pytest.raises(TemplateError):
             dpc.process_response(wire)
+        assert dpc.occupied_slots() == 0
+
+
+class TestDpcKeyDigits:
+    """dpcKeys are ASCII ``0-9`` only, in every decoder and lane.
+
+    ``str.isdigit`` also admits superscripts (which ``int`` rejects with a
+    bare ``ValueError``) and other scripts' digits (which ``int`` reads as
+    a different key), so neither may get past the tag decoder.
+    """
+
+    @pytest.mark.parametrize("wire", ["<~G:000²~>", "<~G:١٢٣٤~>", "<~S:٠٠٠١~>x<~E:٠٠٠١~>"])
+    @pytest.mark.parametrize("lane", [fastpath.fast_lanes, fastpath.reference_lanes])
+    def test_non_ascii_digits_are_a_malformed_key(self, wire, lane):
+        dpc = DynamicProxyCache(capacity=16)
+        with lane():
+            with pytest.raises(TemplateError, match="malformed dpcKey"):
+                parse_template(wire)
+            with pytest.raises(TemplateError, match="malformed dpcKey"):
+                dpc.process_response(wire)
         assert dpc.occupied_slots() == 0
 
 

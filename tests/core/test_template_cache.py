@@ -86,6 +86,13 @@ class TestTemplateCache:
         assert len(cache) == 0
         assert cache.get("longwire") is None
 
+    def test_wire_limit_counts_utf8_bytes(self):
+        cache = TemplateCache(max_wire_bytes=4)
+        cache.put("ééé", ((), 0, 0))  # 3 characters, 6 UTF-8 bytes
+        assert len(cache) == 0
+        cache.put("éé", ((), 0, 0))   # 4 bytes: at the limit
+        assert len(cache) == 1
+
     def test_clear(self):
         cache = TemplateCache()
         cache.put("w", Template())
@@ -122,10 +129,32 @@ class TestDpcParseCache:
             dpc.process_response(wire)  # parse-cache hit
         assert dpc.bytes_scanned == before + len(wire)
 
+    def test_set_bearing_wire_is_not_cached(self):
+        dpc = DynamicProxyCache(capacity=16)
+        wire = Template().literal("a").set(1, "frag").serialize()
+        with fastpath.fast_lanes():
+            dpc.process_response(wire)
+            dpc.process_response(wire)
+        assert len(dpc.parse_cache) == 0
+        assert dpc.parse_cache.hits == 0
+        assert dpc.parse_cache.misses == 2
+
+    def test_get_only_wire_is_cached_as_its_plan(self):
+        dpc = DynamicProxyCache(capacity=16)
+        wire = Template().literal("a").get(1).serialize()
+        with fastpath.fast_lanes():
+            dpc.process_response(Template().set(1, "frag").serialize())
+            dpc.process_response(wire)
+        assert len(dpc.parse_cache) == 1
+        plan, literal_bytes, set_count = dpc.parse_cache.get(wire)
+        assert plan == parse_template(wire).compiled()
+        assert (literal_bytes, set_count) == (1, 0)
+
     def test_clear_drops_parse_cache(self):
         dpc = DynamicProxyCache(capacity=16)
         with fastpath.fast_lanes():
             dpc.process_response(Template().set(1, "frag").serialize())
+            dpc.process_response(Template().get(1).serialize())
         assert len(dpc.parse_cache) >= 1
         dpc.clear()
         assert len(dpc.parse_cache) == 0

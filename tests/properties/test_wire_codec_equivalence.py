@@ -1,0 +1,177 @@
+"""Differential properties of the single-pass wire codec.
+
+The fast lane never builds :class:`Template` objects for an origin
+response: :func:`compile_wire` turns the wire straight into the assembly
+plan, and :meth:`Template.serialize` renders in one pass without a
+``normalized()`` copy.  These tests pin both ends to the reference lane:
+
+* ``compile_wire(wire)`` equals ``parse_template(wire).compiled()`` and its
+  ``literal_bytes``/``set_count``, or raises the same exception type with
+  the same message;
+* a sequence of responses through ``process_response`` yields the same
+  pages, :class:`DpcStats`, scanned bytes and slot array on both lanes, and
+  on an error the same exception with the same slots left behind;
+* the one-pass render equals the ``normalized()`` render, including a
+  sentinel split across two adjacent literals.
+
+Wires come from ``serialize()`` of random instruction streams (text heavy
+in ``<``, ``~`` and ``<~``) and from raw strings over the protocol-fuzz
+alphabet, including non-ASCII digits that must not pass as a dpcKey.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import fastpath
+from repro.core.dpc import DynamicProxyCache
+from repro.core.template import (
+    GetInstruction,
+    Literal,
+    SetInstruction,
+    Template,
+    TemplateConfig,
+    compile_wire,
+    parse_template,
+)
+
+#: Small fragment limit on a narrow key width, so oversized SET bodies and
+#: malformed widths both occur; and the default framing.
+CONFIGS = st.sampled_from(
+    [TemplateConfig(), TemplateConfig(key_width=2, max_fragment_bytes=24)]
+)
+CAPACITY = 6
+
+# Boundary-heavy text: sentinel halves, a whole sentinel, and non-ASCII.
+text = st.lists(
+    st.sampled_from(list("ab<~>Q:G09 é") + ["<~", "~>", "<~Q~>"]),
+    max_size=12,
+).map("".join)
+# Keys 0..7 against 6 slots: GETs mostly hit, and some are out of range.
+keys = st.integers(min_value=0, max_value=7)
+instructions = st.one_of(
+    text.map(Literal),
+    keys.map(GetInstruction),
+    st.tuples(keys, text).map(lambda kv: SetInstruction(*kv)),
+)
+
+#: The protocol-fuzz alphabet (see tests/core/test_protocol_fuzz.py).
+RAW_WIRE = st.lists(
+    st.sampled_from(
+        list("<~>GSEQ:0123456789²١５")
+        + ["<~", "~>", "<~G:", "<~S:", "<~E:", "<~Q~>"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+def _serialized(config):
+    return st.lists(instructions, max_size=10).map(
+        lambda stream: _reference_wire(Template(stream, config))
+    )
+
+
+def _reference_wire(template):
+    with fastpath.reference_lanes():
+        return template.serialize()
+
+
+def _outcome(call):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return ("ok", call())
+    except Exception as exc:  # compared, never swallowed: both sides must agree
+        return ("raised", type(exc), str(exc))
+
+
+def _wires(config):
+    return st.one_of(_serialized(config), RAW_WIRE)
+
+
+@st.composite
+def config_and_wire(draw):
+    config = draw(CONFIGS)
+    return config, draw(_wires(config))
+
+
+@st.composite
+def config_and_wires(draw):
+    """A response sequence; one wire is repeated so parse-cache hits occur."""
+    config = draw(CONFIGS)
+    wires = draw(st.lists(_wires(config), min_size=1, max_size=5))
+    wires.append(draw(st.sampled_from(wires)))
+    return config, wires
+
+
+# -- DPC side: the compiler ----------------------------------------------------
+
+
+@given(config_and_wire())
+@settings(max_examples=400, deadline=None)
+def test_compiler_matches_parse_then_compile(case):
+    config, wire = case
+
+    def reference():
+        with fastpath.reference_lanes():
+            template = parse_template(wire, config)
+        return template.compiled(), template.literal_bytes, template.set_count
+
+    assert _outcome(lambda: compile_wire(wire, config)) == _outcome(reference)
+
+
+# -- DPC side: whole responses -------------------------------------------------
+
+
+def _slots(dpc):
+    return [
+        dpc.fetch(key) if dpc.slot_in_use(key) else None
+        for key in range(dpc.capacity)
+    ]
+
+
+def _serve(config, wires, lane):
+    """Each response's page or error, and the slots after it, on one lane."""
+    dpc = DynamicProxyCache(capacity=CAPACITY, template_config=config)
+    trail = []
+    with lane():
+        for wire in wires:
+            result = _outcome(lambda: dpc.process_response(wire))
+            if result[0] == "ok":
+                page = result[1]
+                result = ("ok", page.html, page.template_bytes, page.page_bytes,
+                          page.fragments_set, page.fragments_get, page.epoch)
+            trail.append((result, _slots(dpc)))
+    return trail, dpc
+
+
+@given(config_and_wires())
+@settings(max_examples=300, deadline=None)
+def test_process_response_identical_across_lanes(case):
+    config, wires = case
+    fast_trail, fast_dpc = _serve(config, wires, fastpath.fast_lanes)
+    reference_trail, reference_dpc = _serve(config, wires, fastpath.reference_lanes)
+    assert fast_trail == reference_trail
+    assert fast_dpc.stats == reference_dpc.stats
+    assert fast_dpc.bytes_scanned == reference_dpc.bytes_scanned
+    assert fast_dpc.bytes_scanned == sum(len(wire) for wire in wires)
+
+
+# -- origin side: the one-pass render ------------------------------------------
+
+
+@given(CONFIGS, st.lists(instructions, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_one_pass_render_matches_normalized_render(config, stream):
+    with fastpath.fast_lanes():
+        fast = _outcome(Template(stream, config).serialize)
+    with fastpath.reference_lanes():
+        reference = _outcome(Template(stream, config).serialize)
+    assert fast == reference
+
+
+def test_sentinel_split_across_adjacent_literals_is_escaped():
+    template = Template().literal("a<").literal("~b").get(1).literal("").literal("<~")
+    with fastpath.fast_lanes():
+        wire = template.serialize()
+    assert wire == "a<~Q~>b<~G:0001~><~Q~>"
+    assert wire == _reference_wire(Template(template.instructions))
+    assert parse_template(wire) == template.normalized()
