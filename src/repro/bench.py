@@ -1,15 +1,15 @@
 """Uniform benchmark runner: ``python -m repro bench``.
 
 The library benchmarks in :mod:`repro.perf` all follow one contract — a
-callable that runs a paired fast-vs-reference measurement and returns a
+callable that runs a paired measurement of two variants and returns a
 JSON-serializable dict with a ``speedup`` block.  This module is the single
 front door to them, so individual bench scripts stop duplicating argparse
 and JSON plumbing::
 
     python -m repro bench --list              # what can I run?
-    python -m repro bench hotpath             # run, print the result
-    python -m repro bench hotpath --smoke     # small run + regression gate
-    python -m repro bench hotpath --json BENCH_HOTPATH.json --record
+    python -m repro bench scan                # run, print the result
+    python -m repro bench scan --smoke        # small run + regression gate
+    python -m repro bench scan --json BENCH_SCAN.json --record
     python -m repro bench all                 # every registered benchmark
 
 Results files (``BENCH_*.json``) hold a ``full`` and a ``smoke`` entry.
@@ -27,7 +27,6 @@ import sys
 import time
 from typing import Callable, Dict, List, Optional
 
-from .perf import hotpath as _hotpath
 from .perf import insight as _insight
 from .perf import scan as _scan
 
@@ -54,13 +53,6 @@ class BenchSpec:
 
 #: Every benchmark reachable from the CLI, in display order.
 REGISTRY: Dict[str, BenchSpec] = {
-    "hotpath": BenchSpec(
-        name="hotpath",
-        description="end-to-end Figure 4 testbed, fast vs reference lanes",
-        runner=_hotpath.run_hotpath,
-        default_json="BENCH_HOTPATH.json",
-        smoke_settings=_hotpath.SMOKE_SETTINGS,
-    ),
     "scan": BenchSpec(
         name="scan",
         description="sentinel scan microbenchmark, str.find vs KMP",

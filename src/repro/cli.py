@@ -7,7 +7,7 @@
     python -m repro fig3b --requests 800       # testbed-backed
     python -m repro case-study edge
     python -m repro all                        # everything
-    python -m repro bench --list               # perf benchmarks (repro.bench)
+    python -m repro bench --list               # scan/insight benchmarks (repro.bench)
     python -m repro doctor                     # cache diagnosis (repro.insight)
 
 Each command prints the same rows the corresponding figure/table reports

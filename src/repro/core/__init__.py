@@ -7,11 +7,12 @@ Run-time flow (reverse-proxy configuration, Figure 4):
    directory: hit -> ``GET`` tag, miss -> run the block, allocate a dpcKey,
    ``SET`` tag with the content.
 3. The serialized template crosses the origin link (small when warm).
-4. The :class:`DynamicProxyCache` scans the template (KMP, one pass),
+4. The :class:`DynamicProxyCache` scans the template (one linear pass),
    executes the instructions against its slot array, and delivers the
    assembled page.
 """
 
+from . import fastpath  # rejects the retired REPRO_FASTPATH=0 at import
 from .bem import BackEndMonitor, BemStats, ObjectCache
 from .cache_directory import (
     CacheDirectory,

@@ -6,7 +6,7 @@ the array index."
 
 The DPC sits outside the site infrastructure.  For every response coming
 from the origin it scans the byte stream for instruction tags (one linear
-KMP pass — the ``z``-per-byte cost of the Section 5 analysis), executes the
+pass — the ``z``-per-byte cost of the Section 5 analysis), executes the
 SET/GET instructions against its slot array, and emits the assembled page.
 
 Note the deliberate asymmetry with the BEM: the DPC holds no metadata at
@@ -27,8 +27,7 @@ from ..errors import (
     OversizedFragmentError,
     SlotError,
 )
-from . import fastpath
-from .scanner import TagScanner
+from .scanner import TagScanner, utf8_len
 from .template import (
     DEFAULT_CONFIG,
     OP_GET,
@@ -43,8 +42,6 @@ from .template import (
     TemplateCache,
     TemplateConfig,
     compile_wire,
-    parse_template,
-    utf8_len,
 )
 
 
@@ -108,12 +105,11 @@ class DynamicProxyCache:
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
         self.scanner = TagScanner(SENTINEL)
-        #: LRU parse cache for the fast lane: SET-free wire string ->
-        #: compiled plan.  A warm proxy repeatedly receives identical
-        #: GET-only wire forms; re-compiling them is avoidable interpreter
-        #: cost.  The cache only affects *how* a plan is obtained —
-        #: scanned-byte accounting, stats, and assembled pages are
-        #: byte-identical.
+        #: LRU parse cache: SET-free wire string -> compiled plan.  A warm
+        #: proxy repeatedly receives identical GET-only wire forms;
+        #: re-compiling them is avoidable interpreter cost.  The cache only
+        #: affects *how* a plan is obtained — scanned-byte accounting,
+        #: stats, and assembled pages are byte-identical.
         self.parse_cache = TemplateCache()
         self.stats = DpcStats()
         #: Generation counter: bumped every time the slot array is wiped
@@ -180,41 +176,35 @@ class DynamicProxyCache:
         """Scan an origin response and assemble the user-deliverable page.
 
         This is the ISAPI-filter equivalent: one pass over the bytes, tags
-        dispatched as encountered, literals copied through.  The fast lane
-        compiles the wire straight to an assembly plan
+        dispatched as encountered, literals copied through.  The wire
+        compiles straight to an assembly plan
         (:func:`~repro.core.template.compile_wire`); a SET-free wire form
         the proxy has already compiled is served from the LRU parse cache.
         The whole response compiles before any SET is stored, so a
         malformed wire mutates no slot.  The scan-cost counter is charged
-        for every response byte, cached or not (:meth:`TagScanner.charge`),
-        so Result 1 accounting is identical in both lanes.
+        the response's UTF-8 bytes whether or not the plan was cached
+        (:meth:`TagScanner.charge`).
         """
-        if fastpath.enabled():
-            self.scanner.charge(len(wire))
-            entry = self.parse_cache.get(wire)
-            if entry is None:
-                entry = compile_wire(wire, self.template_config)
-                if not entry[2]:
-                    self.parse_cache.put(wire, entry)
-            return self._run_plan(entry[0], entry[1], utf8_len(wire))
-        template = parse_template(wire, self.template_config, scanner=self.scanner)
-        return self.assemble(template, wire_bytes=utf8_len(wire))
+        wire_bytes = utf8_len(wire)
+        self.scanner.charge(wire_bytes)
+        entry = self.parse_cache.get(wire)
+        if entry is None:
+            entry = compile_wire(wire, self.template_config)
+            if not entry[2]:
+                self.parse_cache.put(wire, entry)
+        return self._run_plan(entry[0], entry[1], wire_bytes)
 
     def assemble(self, template: Template, wire_bytes: Optional[int] = None) -> AssembledPage:
         """Execute a parsed template against the slot array.
 
-        The fast lane runs the template's precompiled plan
-        (:meth:`~repro.core.template.Template.compiled`) through the same
-        loop :meth:`process_response` uses, while the reference lane keeps
-        the original per-instruction ``isinstance`` walk.  Both produce the
-        same page bytes, stats, and errors in the same order.
+        The per-instruction reference walk: ``parse_template`` followed by
+        this method is the oracle :meth:`process_response` is tested
+        against, and both produce the same page bytes, stats, and errors
+        in the same order.  ``wire_bytes`` defaults to the template's own
+        serialized size.
         """
         if wire_bytes is None:
             wire_bytes = template.wire_bytes()
-        if fastpath.enabled():
-            return self._run_plan(
-                template.compiled(), template.literal_bytes, wire_bytes
-            )
         parts: List[str] = []
         sets = 0
         gets = 0
@@ -305,7 +295,7 @@ class DynamicProxyCache:
 
     @property
     def bytes_scanned(self) -> int:
-        """Total response bytes KMP-scanned so far."""
+        """Total response bytes (UTF-8) scanned so far."""
         return self.scanner.bytes_scanned
 
     def metric_rows(self) -> List[tuple]:

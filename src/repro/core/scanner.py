@@ -2,23 +2,17 @@
 
 The paper justifies its scan-cost assumption by noting that "string matching
 algorithms (e.g., KMP [18]) are linear-time algorithms" (§5).  The DPC must
-scan every response byte exactly once looking for instruction tags; this
-module provides that linear-time scan in two interchangeable lanes:
+scan every response byte exactly once looking for instruction tags.  The
+serve path runs that linear scan with ``str.find`` (:func:`find_positions`,
+:meth:`TagScanner.positions`), inside the interpreter's C string machinery.
+The classic per-character KMP loop (:func:`kmp_find_all`,
+:meth:`TagScanner.kmp_positions`) is kept as the executable oracle the
+differential tests hold the ``str.find`` scan to: same match positions,
+same scanned-byte charge.
 
-* the **fast lane** walks the text with ``str.find``, which runs the same
-  linear scan inside the interpreter's C string machinery.  This is what
-  the serve path uses (see :mod:`repro.core.fastpath`).
-* the **reference lane** is the classic per-character KMP loop, kept as the
-  executable oracle the fast lane is differentially tested against.
-
-Both lanes report identical match positions and identical scanned-byte
-counts — the per-byte ``z`` cost of the Section 5 analysis is charged on
-``len(text)`` either way, so Result 1's accounting does not depend on which
-lane ran.
-
-:func:`kmp_find_all` is the general algorithm; :class:`TagScanner` applies
-it to the template tag sentinel and reports scanned-byte counts so that the
-scan-cost analysis (Result 1) can be measured rather than assumed.
+:class:`TagScanner` charges the UTF-8 byte length of every text it scans
+(the per-byte ``z`` cost of the Section 5 analysis), so the scan-cost
+analysis (Result 1) can be measured rather than assumed.
 """
 
 from __future__ import annotations
@@ -27,7 +21,15 @@ from functools import lru_cache
 from typing import Iterator, List, Tuple
 
 from ..errors import ConfigurationError
-from . import fastpath
+
+
+def utf8_len(text: str) -> int:
+    """UTF-8 byte length of ``text`` without encoding pure-ASCII strings.
+
+    ``str.isascii`` reads a flag CPython keeps on every string, so the
+    common all-ASCII page costs O(1) instead of a copy of the whole page.
+    """
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 @lru_cache(maxsize=256)
@@ -99,7 +101,7 @@ def kmp_find(text: str, pattern: str, start: int = 0) -> int:
 def find_positions(text: str, pattern: str) -> List[int]:
     """All (possibly overlapping) match positions, via ``str.find``.
 
-    The fast lane's scan: the same linear pass as KMP, executed by the
+    The serve path's scan: the same linear pass as KMP, executed by the
     interpreter's C substring search instead of a per-character Python
     loop.  Overlapping matches are included (the search resumes one
     character past each match start), so the output is position-for-position
@@ -121,9 +123,8 @@ class TagScanner:
 
     One scanner instance accumulates ``bytes_scanned`` across calls so a
     DPC can report total scanning work (the ``z`` per-byte cost in the
-    Section 5 comparison).  With the fast lanes active (the default) the
-    scan runs on ``str.find``; on the reference lanes it runs the KMP loop.
-    Either way every byte of the text is charged to ``bytes_scanned``.
+    Section 5 comparison).  Every scan charges the text's UTF-8 byte
+    length, whichever loop ran.
     """
 
     def __init__(self, sentinel: str) -> None:
@@ -134,22 +135,17 @@ class TagScanner:
         self.bytes_scanned = 0
 
     def positions(self, text: str) -> List[int]:
-        """Scan ``text`` once, returning all sentinel start positions."""
-        self.bytes_scanned += len(text)
-        if fastpath.enabled():
-            return find_positions(text, self.sentinel)
-        return self._kmp_positions(text)
+        """Scan ``text`` once with ``str.find``; all sentinel start positions."""
+        self.bytes_scanned += utf8_len(text)
+        return find_positions(text, self.sentinel)
 
     def kmp_positions(self, text: str) -> List[int]:
         """Reference scan: the per-character KMP loop, charging the counter.
 
         Kept as the executable oracle for the differential property tests;
-        :meth:`positions` routes here when the reference lanes are active.
+        the serve path never calls it.
         """
-        self.bytes_scanned += len(text)
-        return self._kmp_positions(text)
-
-    def _kmp_positions(self, text: str) -> List[int]:
+        self.bytes_scanned += utf8_len(text)
         matches: List[int] = []
         matched = 0
         pattern = self.sentinel
@@ -167,11 +163,11 @@ class TagScanner:
     def charge(self, nbytes: int) -> None:
         """Account ``nbytes`` of scan work without re-walking the text.
 
-        Used by the template parse cache: a cache hit skips the physical
-        re-scan of a wire string the DPC has already parsed, but the
-        scan-cost model (Result 1) still charges ``z`` per response byte —
-        the bytes did cross the proxy and were matched against the cache.
-        Counter semantics are therefore identical in both lanes.
+        Used by the DPC, whose wire compiler finds the sentinels itself and
+        whose parse cache skips the walk entirely on a hit.  The scan-cost
+        model (Result 1) still charges ``z`` per response byte: the bytes
+        did cross the proxy and were matched, by the compiler or against
+        the cache.  Callers pass the UTF-8 byte length.
         """
         if nbytes < 0:
             raise ConfigurationError("cannot charge a negative byte count")

@@ -24,16 +24,15 @@ the analysis' miss cost of ``s + 2g``.  dpcKeys are zero-padded integers,
 which is precisely why the paper introduces the integer key: "it reduces the
 tag size" versus embedding the long fragmentID (§4.3.3).
 
-Fast lanes (see :mod:`repro.core.fastpath`)
--------------------------------------------
+Single-pass codec
+-----------------
 
-On the fast lanes the wire string is the only representation between the
-two ends of the link, and each end makes one pass over it:
+The wire string is the only representation between the two ends of the
+link, and each end makes one pass over it:
 
 * the origin renders a template with one pass over its instructions
   (:meth:`Template.serialize` merges each run of adjacent literals before
-  escaping it, so no ``normalized()`` copy is built), memoized until the
-  template is mutated;
+  escaping it, so no ``normalized()`` copy is built);
 * the proxy compiles an origin response straight to the flat assembly plan
   with :func:`compile_wire` — a ``str.find`` walk over the sentinels with
   one precompiled tag regex — without building :class:`Literal` /
@@ -43,9 +42,12 @@ two ends of the link, and each end makes one pass over it:
 * :class:`TemplateCache` is the LRU parse cache of compiled plans, keyed
   on the wire string, for the SET-free wire forms a warm proxy sees again.
 
-The instruction classes carry ``__slots__`` (they are allocated per block
-per request).  None of this changes any observable byte: the differential
-property tests pin fast-lane output to the reference lane's.
+:func:`parse_template`, :meth:`Template.compiled` and
+:meth:`Template.render_normalized` are the reference decoder and renderer
+the differential property tests hold the codec to; the DPC never calls
+them (the BEM's dead-letter recovery still parses an undelivered wire to
+find its SET keys).  The instruction classes carry ``__slots__`` (they are
+allocated per block per request).
 """
 
 from __future__ import annotations
@@ -56,21 +58,11 @@ from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
-from . import fastpath
-from .scanner import TagScanner
+from .scanner import TagScanner, utf8_len
 
 SENTINEL = "<~"
 TAG_CLOSE = "~>"
 ESCAPE_TAG = "<~Q~>"
-
-
-def utf8_len(text: str) -> int:
-    """UTF-8 byte length of ``text`` without encoding pure-ASCII strings.
-
-    ``str.isascii`` reads a flag CPython keeps on every string, so the
-    common all-ASCII page costs O(1) instead of a copy of the whole page.
-    """
-    return len(text) if text.isascii() else len(text.encode("utf-8"))
 
 
 class TemplateConfig:
@@ -222,10 +214,8 @@ PlanOp = Tuple
 class Template:
     """An ordered instruction stream plus its serialization/parsing.
 
-    Serialization, wire size, literal-byte totals, and the compiled
-    assembly plan are memoized on the instance and invalidated whenever an
-    instruction is appended, so read-heavy callers (the serve path, the
-    benches) never pay for the same traversal twice.
+    Nothing is memoized: the origin serializes each template once, so a
+    memo would never hit and every :meth:`add` would pay to invalidate it.
     """
 
     def __init__(
@@ -235,17 +225,12 @@ class Template:
     ) -> None:
         self.instructions: List[Instruction] = list(instructions)
         self.config = config
-        self._serialized: Optional[str] = None
-        self._wire_bytes: Optional[int] = None
-        self._literal_bytes: Optional[int] = None
-        self._plan: Optional[Tuple[PlanOp, ...]] = None
 
     # -- construction -----------------------------------------------------------
 
     def add(self, instruction: Instruction) -> "Template":
-        """Append one instruction (chainable); invalidates memoized views."""
+        """Append one instruction (chainable)."""
         self.instructions.append(instruction)
-        self._invalidate()
         return self
 
     def literal(self, text: str) -> "Template":
@@ -259,13 +244,6 @@ class Template:
     def set(self, key: int, content: str) -> "Template":
         """Append a SET instruction with content (chainable)."""
         return self.add(SetInstruction(key, content))
-
-    def _invalidate(self) -> None:
-        """Drop every memoized view after a mutation."""
-        self._serialized = None
-        self._wire_bytes = None
-        self._literal_bytes = None
-        self._plan = None
 
     # -- inspection --------------------------------------------------------------
 
@@ -281,14 +259,10 @@ class Template:
 
     @property
     def literal_bytes(self) -> int:
-        """Total UTF-8 bytes of literal text (memoized until mutation)."""
-        if self._literal_bytes is None:
-            self._literal_bytes = sum(
-                utf8_len(i.text)
-                for i in self.instructions
-                if type(i) is Literal
-            )
-        return self._literal_bytes
+        """Total UTF-8 bytes of literal text."""
+        return sum(
+            utf8_len(i.text) for i in self.instructions if type(i) is Literal
+        )
 
     def normalized(self) -> "Template":
         """Merge adjacent literals and drop empty ones.
@@ -325,39 +299,13 @@ class Template:
     # -- serialization --------------------------------------------------------------
 
     def serialize(self) -> str:
-        """Render the wire form sent from the BEM to the DPC.
-
-        Memoized: repeated calls return the cached string until the
-        template is mutated.  The fast lane renders in one pass over the
-        instructions; the reference lane renders ``normalized()`` fresh on
-        every call, mirroring the pre-optimization behavior.
-        """
-        if fastpath.enabled():
-            if self._serialized is None:
-                self._serialized = self._render()
-            return self._serialized
-        parts: List[str] = []
-        for instruction in self.normalized().instructions:
-            if type(instruction) is Literal:
-                parts.append(_escape(instruction.text))
-            elif type(instruction) is GetInstruction:
-                parts.append(_tag(self.config, "G", instruction.key))
-            elif type(instruction) is SetInstruction:
-                parts.append(_tag(self.config, "S", instruction.key))
-                parts.append(_escape(instruction.content))
-                parts.append(_tag(self.config, "E", instruction.key))
-            else:  # pragma: no cover - exhaustive over Instruction
-                raise TemplateError("unknown instruction %r" % (instruction,))
-        wire = "".join(parts)
-        self._serialized = wire
-        return wire
-
-    def _render(self) -> str:
-        """One-pass render: the same wire as the ``normalized()`` walk.
+        """Render the wire form sent from the BEM to the DPC, in one pass.
 
         Each run of adjacent literals is joined before it is escaped, so a
         sentinel split across two literals (``"<"`` + ``"~"``) is escaped
-        exactly as the merged literal would be, and empty literals vanish.
+        exactly as the merged literal would be, and empty literals vanish:
+        the wire equals :meth:`render_normalized`'s, without building the
+        ``normalized()`` copy.
         """
         format_key = self.config.format_key
         parts: List[str] = []
@@ -384,28 +332,42 @@ class Template:
             append(_escape("".join(run)))
         return "".join(parts)
 
+    def render_normalized(self) -> str:
+        """Reference render: ``normalized()``, then one tag per instruction.
+
+        The oracle the differential tests hold :meth:`serialize` to; the
+        serve path never calls it.
+        """
+        parts: List[str] = []
+        for instruction in self.normalized().instructions:
+            if type(instruction) is Literal:
+                parts.append(_escape(instruction.text))
+            elif type(instruction) is GetInstruction:
+                parts.append(_tag(self.config, "G", instruction.key))
+            elif type(instruction) is SetInstruction:
+                parts.append(_tag(self.config, "S", instruction.key))
+                parts.append(_escape(instruction.content))
+                parts.append(_tag(self.config, "E", instruction.key))
+            else:  # pragma: no cover - exhaustive over Instruction
+                raise TemplateError("unknown instruction %r" % (instruction,))
+        return "".join(parts)
+
     def wire_bytes(self) -> int:
-        """Size of the serialized template in bytes (memoized)."""
-        if fastpath.enabled() and self._wire_bytes is not None:
-            return self._wire_bytes
-        size = utf8_len(self.serialize())
-        self._wire_bytes = size
-        return size
+        """Size of the serialized template in UTF-8 bytes."""
+        return utf8_len(self.serialize())
 
     # -- assembly plan ---------------------------------------------------------------
 
     def compiled(self) -> Tuple[PlanOp, ...]:
-        """The flat assembly plan for this instruction stream (memoized).
+        """The flat assembly plan for this instruction stream.
 
         Each op is a tuple starting with one of :data:`OP_TEXT`,
         :data:`OP_GET`, :data:`OP_SET`.  Executing the ops in order against
-        a slot array and joining the spliced parts reproduces, byte for
-        byte, what the per-instruction ``isinstance`` walk produced — the
-        DPC's fast-lane :meth:`~repro.core.dpc.DynamicProxyCache.assemble`
-        runs this plan with one ``''.join`` over the collected parts.
+        a slot array reproduces, byte for byte, what the per-instruction
+        walk of :meth:`~repro.core.dpc.DynamicProxyCache.assemble` produces.
+        ``parse_template(wire).compiled()`` is the reference
+        :func:`compile_wire` is tested against.
         """
-        if self._plan is not None:
-            return self._plan
         ops: List[PlanOp] = []
         for instruction in self.instructions:
             kind = type(instruction)
@@ -417,8 +379,7 @@ class Template:
                 ops.append((OP_SET, instruction.key, instruction.content))
             else:  # pragma: no cover - exhaustive over Instruction
                 raise TemplateError("unknown instruction %r" % (instruction,))
-        self._plan = tuple(ops)
-        return self._plan
+        return tuple(ops)
 
 
 def _tag(config: TemplateConfig, kind: str, key: int) -> str:
@@ -599,10 +560,10 @@ def parse_template(
     """Parse a serialized template back into an instruction stream.
 
     The scan for tags is a single linear pass (the cost the Section 5
-    analysis charges at ``z`` per byte) — ``str.find``-based on the fast
-    lanes, the KMP reference loop otherwise.  Passing a shared
-    :class:`TagScanner` lets a DPC accumulate scanned-byte counts across
-    responses.
+    analysis charges at ``z`` per byte), via :meth:`TagScanner.positions`.
+    Passing a shared :class:`TagScanner` accumulates scanned-byte counts
+    across calls.  This is the reference decoder :func:`compile_wire` is
+    tested against; the DPC's serve path does not call it.
     """
     if scanner is None:
         scanner = TagScanner(SENTINEL)

@@ -1,14 +1,15 @@
-"""Performance measurement harnesses for the wire-path fast lanes.
+"""Performance measurement harnesses.
 
-The modules here are *library* benchmarks: importable functions that run a
-workload under both the fast lanes and the reference lanes
-(:mod:`repro.core.fastpath`), verify the two are byte-identical, and return
-JSON-serializable result dicts.  The scripts in ``benchmarks/`` and the
-``python -m repro bench`` CLI are thin wrappers around them.
+The modules here are *library* benchmarks: importable functions that time
+two variants of one operation in paired runs, verify their observable
+output is identical, and return JSON-serializable result dicts —
+:mod:`~repro.perf.scan` times the ``str.find`` sentinel scan against its
+KMP oracle, :mod:`~repro.perf.insight` the Figure 4 testbed with the
+insight layer attached against detached.  The scripts in ``benchmarks/``
+and the ``python -m repro bench`` CLI are thin wrappers around them.
 """
 
-from .hotpath import SMOKE_SETTINGS, run_hotpath
 from .insight import run_insight
 from .scan import run_scan
 
-__all__ = ["run_hotpath", "run_insight", "run_scan", "SMOKE_SETTINGS"]
+__all__ = ["run_insight", "run_scan"]

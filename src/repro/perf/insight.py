@@ -8,13 +8,13 @@ observability layer costs.  Since insight is pure observation, the two
 runs must also produce byte-identical measured results; the benchmark
 refuses to report otherwise.
 
-Measurement method (same scheme as :mod:`repro.perf.hotpath`): wall time
-on a shared box is noisy, so the two configurations run as back-to-back
-*pairs* with the order alternating between pairs, GC disabled, and the
-gated numbers are quartiles of the per-pair ratios.  The hard gate is
-``overhead.lower_quartile < bound`` (default 5%): a real overhead
-regression slows every pair and still trips it, while a co-tenant burst
-inflates only some pairs and cannot manufacture a failure.
+Measurement method: wall time on a shared box is noisy, so the two
+configurations run as back-to-back *pairs* with the order alternating
+between pairs, GC disabled, and the gated numbers are quartiles of the
+per-pair ratios.  The hard gate is ``overhead.lower_quartile < bound``
+(default 5%): a real overhead regression slows every pair and still
+trips it, while a co-tenant burst inflates only some pairs and cannot
+manufacture a failure.
 
 What is gated is the *serve-path* observation cost — the per-lookup hooks.
 The profiler's Fenwick folding is deferred to diagnosis time by design
@@ -31,7 +31,28 @@ from typing import Dict, List, Tuple
 from ..harness.testbed import Testbed, TestbedConfig, TestbedResult
 from ..insight.layer import InsightLayer
 from ..sites.synthetic import SyntheticParams
-from .hotpath import ACCOUNTING_FIELDS, DEFAULT_WORKLOAD
+
+#: The workload: Figure 4 topology at paper-scale pages (16 fragments of
+#: 4 KB — the tens-of-kilobytes regime the paper's site survey reports) and
+#: a warm cache (target hit ratio 0.9).
+DEFAULT_WORKLOAD: Dict[str, object] = {
+    "num_pages": 20,
+    "fragments_per_page": 16,
+    "fragment_size": 4096,
+    "cacheability": 0.8,
+}
+
+#: Result fields that must be bit-identical between the two configurations.
+ACCOUNTING_FIELDS = (
+    "response_payload_bytes",
+    "response_wire_bytes",
+    "request_payload_bytes",
+    "request_wire_bytes",
+    "dpc_scanned_bytes",
+    "firewall_bytes",
+    "measured_hit_ratio",
+    "fragments_invalidated",
+)
 
 #: Maximum tolerated lower-quartile fractional overhead of an attached
 #: insight layer (the acceptance bar: "<5% on the Figure 4 testbed").

@@ -1,10 +1,8 @@
-"""Microbenchmark: sentinel scan throughput, fast lane vs KMP reference.
+"""Microbenchmark: sentinel scan throughput, ``str.find`` vs KMP reference.
 
-Isolates the single hottest operation of the serve path — the linear scan
-of a response body for the tag sentinel — from everything else the testbed
-does.  Useful for attributing an end-to-end regression: if ``hotpath``
-regresses but ``scan`` does not, the problem is in parsing/assembly or the
-network model, not the scanner.
+Isolates the linear scan of a response body for the tag sentinel from
+everything else the testbed does, and times the serve path's ``str.find``
+scan against the per-character KMP oracle it is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import random
 import time
 from typing import Dict, List
 
-from ..core import fastpath
 from ..core.scanner import TagScanner
 from ..core.template import SENTINEL
 
@@ -32,41 +29,33 @@ def _make_text(seed: int) -> str:
         rng.choice("abcdefghijklmnopqrstuvwxyz <>~:") for _ in range(512)
     )
     body = (filler * (TEXT_BYTES // len(filler) + 1))[:TEXT_BYTES]
-    # Splice in a handful of real sentinels so both lanes do match work.
+    # Splice in a handful of real sentinels so both scans do match work.
     chunk = TEXT_BYTES // 8
     return SENTINEL.join(body[i : i + chunk] for i in range(0, TEXT_BYTES, chunk))
 
 
 def _timed_scan(kmp: bool, text: str, iterations: int) -> float:
-    """Wall seconds for ``iterations`` scans on one lane.
-
-    ``kmp_positions`` always runs the reference loop; the fast branch pins
-    the fast lanes so the measurement is independent of the ambient
-    :mod:`repro.core.fastpath` state.
-    """
+    """Wall seconds for ``iterations`` scans with KMP or ``str.find``."""
     scanner = TagScanner(SENTINEL)
     scan = scanner.kmp_positions if kmp else scanner.positions
-    with fastpath.fast_lanes():
-        start = time.perf_counter()
-        for _ in range(iterations):
-            scan(text)
-        return time.perf_counter() - start
+    start = time.perf_counter()
+    for _ in range(iterations):
+        scan(text)
+    return time.perf_counter() - start
 
 
 def run_scan(iterations: int = 100, pairs: int = 7, seed: int = 7) -> Dict[str, object]:
     """Measure scan speedup (fast over KMP); returns a JSON-ready dict.
 
-    Uses the same paired, order-alternating, lower-quartile scheme as the
-    end-to-end ``hotpath`` benchmark.  Also asserts both lanes report the
-    same match positions on the benchmark text.
+    Runs paired, order-alternating timings with GC disabled and reports
+    the lower quartile of the per-pair ratios.  Also asserts both scans
+    report the same match positions on the benchmark text.
     """
     text = _make_text(seed)
-    reference_scanner = TagScanner(SENTINEL)
-    fast_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_positions = fast_scanner.positions(text)
-    if reference_scanner.kmp_positions(text) != fast_positions:
-        raise AssertionError("scan lanes disagree on match positions")
+    scanner = TagScanner(SENTINEL)
+    fast_positions = scanner.positions(text)
+    if scanner.kmp_positions(text) != fast_positions:
+        raise AssertionError("find and KMP scans disagree on match positions")
 
     ratios: List[float] = []
     gc_was_enabled = gc.isenabled()

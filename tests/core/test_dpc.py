@@ -102,6 +102,18 @@ class TestAssembly:
         dpc.process_response(wire)
         assert dpc.bytes_scanned == len(wire)
 
+    def test_scanner_counts_utf8_bytes_not_characters(self, dpc):
+        """The §5 scan cost ``z`` is per byte: 86 bytes, though 75 characters."""
+        wire = Template().literal("café " * 10).set(1, "naïve").serialize()
+        dpc.process_response(wire)
+        assert dpc.stats.template_bytes_in == 86
+        assert dpc.bytes_scanned == dpc.stats.template_bytes_in
+        warm = Template().literal("café ").get(1).serialize()
+        dpc.process_response(warm)
+        dpc.process_response(warm)  # parse-cache hit
+        assert dpc.parse_cache.hits == 1
+        assert dpc.bytes_scanned == dpc.stats.template_bytes_in
+
     def test_escaped_sentinel_in_content_survives(self, dpc):
         wire = Template().set(1, "tag-ish <~ content").serialize()
         page = dpc.process_response(wire)

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.template import (
     SENTINEL,
     Template,
     TemplateConfig,
+    compile_wire,
     parse_template,
 )
 from repro.errors import (
@@ -138,22 +138,25 @@ class TestKnownMalformations:
 
 
 class TestDpcKeyDigits:
-    """dpcKeys are ASCII ``0-9`` only, in every decoder and lane.
+    """dpcKeys are ASCII ``0-9`` only, in both decoders.
 
     ``str.isdigit`` also admits superscripts (which ``int`` rejects with a
     bare ``ValueError``) and other scripts' digits (which ``int`` reads as
-    a different key), so neither may get past the tag decoder.
+    a different key), so neither may get past the tag decoder: not the
+    serve path's wire compiler, and not the reference parser.
     """
 
     @pytest.mark.parametrize("wire", ["<~G:000²~>", "<~G:١٢٣٤~>", "<~S:٠٠٠١~>x<~E:٠٠٠١~>"])
-    @pytest.mark.parametrize("lane", [fastpath.fast_lanes, fastpath.reference_lanes])
-    def test_non_ascii_digits_are_a_malformed_key(self, wire, lane):
+    @pytest.mark.parametrize("decode", [compile_wire, parse_template])
+    def test_non_ascii_digits_are_a_malformed_key(self, wire, decode):
+        with pytest.raises(TemplateError, match="malformed dpcKey"):
+            decode(wire)
+
+    @pytest.mark.parametrize("wire", ["<~G:000²~>", "<~G:١٢٣٤~>", "<~S:٠٠٠١~>x<~E:٠٠٠١~>"])
+    def test_process_response_rejects_non_ascii_digits(self, wire):
         dpc = DynamicProxyCache(capacity=16)
-        with lane():
-            with pytest.raises(TemplateError, match="malformed dpcKey"):
-                parse_template(wire)
-            with pytest.raises(TemplateError, match="malformed dpcKey"):
-                dpc.process_response(wire)
+        with pytest.raises(TemplateError, match="malformed dpcKey"):
+            dpc.process_response(wire)
         assert dpc.occupied_slots() == 0
 
 

@@ -1,8 +1,7 @@
-"""Tests for the template fast lanes: memoization, plans, parse cache."""
+"""Tests for template serialization, assembly plans and the parse cache."""
 
 import pytest
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
 from repro.core.template import (
@@ -17,32 +16,21 @@ from repro.errors import ConfigurationError
 
 
 class TestSerializeMemo:
-    def test_serialize_cached_until_mutation(self):
+    """``serialize()`` and ``wire_bytes()`` reflect every mutation."""
+
+    def test_serialize_tracks_mutation(self):
         template = Template().literal("a").get(1)
-        with fastpath.fast_lanes():
-            first = template.serialize()
-            assert template.serialize() is first  # memo returns same object
-            template.literal("b")
-            second = template.serialize()
+        first = template.serialize()
+        template.literal("b")
+        second = template.serialize()
         assert second != first
-        with fastpath.reference_lanes():
-            assert template.serialize() == second
+        assert second == template.render_normalized()
 
     def test_wire_bytes_tracks_mutation(self):
         template = Template().get(1)
-        with fastpath.fast_lanes():
-            before = template.wire_bytes()
-            template.literal("xyz")
-            assert template.wire_bytes() == before + 3
-
-    def test_reference_lane_skips_memo(self):
-        """On the reference lanes every call renders fresh."""
-        template = Template().literal("a").get(1)
-        with fastpath.reference_lanes():
-            first = template.serialize()
-            second = template.serialize()
-        assert first == second
-        assert first is not second
+        before = template.wire_bytes()
+        template.literal("xyz")
+        assert template.wire_bytes() == before + 3
 
 
 class TestCompiledPlan:
@@ -50,7 +38,6 @@ class TestCompiledPlan:
         template = Template().literal("a").get(2).set(3, "zz")
         plan = template.compiled()
         assert plan == ((OP_TEXT, "a"), (OP_GET, 2), (OP_SET, 3, "zz"))
-        assert template.compiled() is plan  # memoized
 
     def test_plan_invalidated_by_mutation(self):
         template = Template().get(1)
@@ -109,32 +96,29 @@ class TestTemplateCache:
 class TestDpcParseCache:
     def test_warm_wire_served_from_cache(self):
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
-            wire = Template().get(1).serialize()
-            dpc.process_response(wire)
-            misses = dpc.parse_cache.misses
-            dpc.process_response(wire)
+        dpc.process_response(Template().set(1, "frag").serialize())
+        wire = Template().get(1).serialize()
+        dpc.process_response(wire)
+        misses = dpc.parse_cache.misses
+        dpc.process_response(wire)
         assert dpc.parse_cache.hits >= 1
         assert dpc.parse_cache.misses == misses
 
     def test_cache_hit_still_charges_scan_bytes(self):
-        """Result 1: scanned bytes grow by len(wire) even on a cache hit."""
+        """Result 1: scanned bytes grow by the wire's bytes on a cache hit."""
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
-            wire = Template().get(1).serialize()
-            dpc.process_response(wire)
-            before = dpc.bytes_scanned
-            dpc.process_response(wire)  # parse-cache hit
+        dpc.process_response(Template().set(1, "frag").serialize())
+        wire = Template().get(1).serialize()
+        dpc.process_response(wire)
+        before = dpc.bytes_scanned
+        dpc.process_response(wire)  # parse-cache hit
         assert dpc.bytes_scanned == before + len(wire)
 
     def test_set_bearing_wire_is_not_cached(self):
         dpc = DynamicProxyCache(capacity=16)
         wire = Template().literal("a").set(1, "frag").serialize()
-        with fastpath.fast_lanes():
-            dpc.process_response(wire)
-            dpc.process_response(wire)
+        dpc.process_response(wire)
+        dpc.process_response(wire)
         assert len(dpc.parse_cache) == 0
         assert dpc.parse_cache.hits == 0
         assert dpc.parse_cache.misses == 2
@@ -142,9 +126,8 @@ class TestDpcParseCache:
     def test_get_only_wire_is_cached_as_its_plan(self):
         dpc = DynamicProxyCache(capacity=16)
         wire = Template().literal("a").get(1).serialize()
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
-            dpc.process_response(wire)
+        dpc.process_response(Template().set(1, "frag").serialize())
+        dpc.process_response(wire)
         assert len(dpc.parse_cache) == 1
         plan, literal_bytes, set_count = dpc.parse_cache.get(wire)
         assert plan == parse_template(wire).compiled()
@@ -152,9 +135,8 @@ class TestDpcParseCache:
 
     def test_clear_drops_parse_cache(self):
         dpc = DynamicProxyCache(capacity=16)
-        with fastpath.fast_lanes():
-            dpc.process_response(Template().set(1, "frag").serialize())
-            dpc.process_response(Template().get(1).serialize())
+        dpc.process_response(Template().set(1, "frag").serialize())
+        dpc.process_response(Template().get(1).serialize())
         assert len(dpc.parse_cache) >= 1
         dpc.clear()
         assert len(dpc.parse_cache) == 0

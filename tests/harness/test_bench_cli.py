@@ -1,18 +1,28 @@
 """Tests for the uniform benchmark runner (``python -m repro bench``)."""
 
 import json
+import os
 
 import pytest
 
 from repro import bench
+from repro.perf.insight import OVERHEAD_BOUND
+
+#: The committed ``BENCH_*.json`` files live at the repository root.
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _committed(name):
+    with open(os.path.join(ROOT, name), "r", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class TestRegistry:
-    def test_hotpath_registered(self):
-        assert "hotpath" in bench.REGISTRY
-        spec = bench.REGISTRY["hotpath"]
-        assert spec.default_json == "BENCH_HOTPATH.json"
-        assert set(spec.smoke_settings) <= {"requests", "pairs", "warmup"}
+    def test_scan_registered(self):
+        assert "scan" in bench.REGISTRY
+        spec = bench.REGISTRY["scan"]
+        assert spec.default_json == "BENCH_SCAN.json"
+        assert set(spec.smoke_settings) <= {"iterations", "pairs"}
 
     def test_every_spec_is_complete(self):
         for spec in bench.REGISTRY.values():
@@ -69,44 +79,49 @@ class TestRegressionGate:
 
 
 class TestCommittedBaseline:
-    def test_bench_hotpath_json_is_valid(self):
-        """The committed baseline parses and records a >=3x speedup."""
-        with open("BENCH_HOTPATH.json", "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+    def test_bench_insight_json_is_valid(self):
+        """The committed baseline sits under the overhead gate, accounting equal."""
+        payload = _committed("BENCH_INSIGHT.json")
         for entry in ("full", "smoke"):
-            speedup = payload[entry]["speedup"]["lower_quartile"]
-            assert speedup >= 3.0
+            assert payload[entry]["overhead"]["lower_quartile"] < OVERHEAD_BOUND
             assert payload[entry]["identical_accounting"] is True
+
+    def test_bench_scan_json_is_valid(self):
+        """The committed baseline records str.find well ahead of KMP."""
+        payload = _committed("BENCH_SCAN.json")
+        for entry in ("full", "smoke"):
+            assert payload[entry]["speedup"]["lower_quartile"] >= 10.0
+            assert payload[entry]["sentinels_found"] > 0
 
 
 class TestCliPlumbing:
     def test_list_exits_cleanly(self, capsys):
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "hotpath" in out and "scan" in out
+        assert "scan" in out and "insight" in out
 
     def test_unknown_benchmark_rejected(self, capsys):
         assert bench.main(["nonsense"]) == 2
 
     def test_run_smoke_with_stub_runner(self, tmp_path, capsys, monkeypatch):
         """End-to-end CLI path with a stubbed-out runner: run, gate, record."""
-        path = str(tmp_path / "BENCH_HOTPATH.json")
+        path = str(tmp_path / "BENCH_SCAN.json")
         calls = {}
 
         def stub_runner(**settings):
             calls.update(settings)
-            return {"benchmark": "hotpath", "speedup": {"lower_quartile": 5.0}}
+            return {"benchmark": "scan", "speedup": {"lower_quartile": 5.0}}
 
         monkeypatch.setattr(
-            bench.REGISTRY["hotpath"], "runner", stub_runner
+            bench.REGISTRY["scan"], "runner", stub_runner
         )
-        code = bench.main(["hotpath", "--smoke", "--json", path, "--record"])
+        code = bench.main(["scan", "--smoke", "--json", path, "--record"])
         assert code == 0
-        assert calls == bench.REGISTRY["hotpath"].smoke_settings
+        assert calls == bench.REGISTRY["scan"].smoke_settings
         assert bench.load_results(path)["smoke"]["speedup"]["lower_quartile"] == 5.0
         # A second, slower run against the recorded baseline fails the gate.
         monkeypatch.setattr(
-            bench.REGISTRY["hotpath"], "runner",
+            bench.REGISTRY["scan"], "runner",
             lambda **settings: {"speedup": {"lower_quartile": 4.0}},
         )
-        assert bench.main(["hotpath", "--smoke", "--json", path]) == 1
+        assert bench.main(["scan", "--smoke", "--json", path]) == 1

@@ -1,12 +1,15 @@
-"""Differential properties: the fast lanes are byte-identical to reference.
+"""Differential properties: the serve path is byte-identical to its oracles.
 
-The wire-path optimizations (:mod:`repro.core.fastpath`) promise that the
-``str.find`` scanner, the template parse cache, memoized serialization, and
-the compiled assembly plan change *constant factors only*.  These tests pin
-that promise on randomized inputs: every observable — match positions,
-parsed instruction streams, assembled pages, DPC stats, and the scanned-byte
-counter behind Result 1 — must be equal under both lanes, including escaped
-sentinels, adjacent tags, and oversized fragments.
+The serve path scans with ``str.find``, compiles each response straight to
+an assembly plan (behind a parse cache) and renders templates in one pass.
+The reference code it replaced is kept only as test oracles: the KMP scan
+(:meth:`TagScanner.kmp_positions`), :func:`parse_template` followed by the
+per-instruction :meth:`DynamicProxyCache.assemble`, and
+:meth:`Template.render_normalized`.  "Lanes" in the test names means those
+two sides.  Every observable — match positions, decoded plans, assembled
+pages, DPC stats, and the scanned-byte counter behind Result 1 — must be
+equal on randomized inputs, including escaped sentinels, adjacent tags,
+and oversized fragments.
 """
 
 import string
@@ -15,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
-from repro.core.scanner import TagScanner, find_positions, kmp_find_all
+from repro.core.scanner import TagScanner, find_positions, kmp_find_all, utf8_len
 from repro.core.template import (
     SENTINEL,
     GetInstruction,
@@ -25,9 +27,10 @@ from repro.core.template import (
     SetInstruction,
     Template,
     TemplateConfig,
+    compile_wire,
     parse_template,
 )
-from repro.errors import OversizedFragmentError
+from repro.errors import AssemblyError, OversizedFragmentError
 
 # Sentinel-heavy alphabet so escaping and near-miss prefixes get exercised.
 text = st.text(
@@ -49,7 +52,7 @@ instructions = st.one_of(
 @given(text)
 @settings(max_examples=300)
 def test_find_scan_matches_kmp_on_sentinel(body):
-    """Both scan lanes report identical sentinel positions."""
+    """Both scans report identical sentinel positions."""
     assert find_positions(body, SENTINEL) == kmp_find_all(body, SENTINEL)
 
 
@@ -63,17 +66,14 @@ def test_find_scan_matches_kmp_on_arbitrary_patterns(body, pattern):
     assert find_positions(body, pattern) == kmp_find_all(body, pattern)
 
 
-@given(text)
+@given(st.text(alphabet="ab<~é€", max_size=80))
 def test_scanner_lanes_charge_identical_bytes(body):
-    """Result 1 accounting: both lanes charge len(text) per scan."""
+    """Result 1 accounting: both scans charge the text's UTF-8 bytes."""
     fast_scanner = TagScanner(SENTINEL)
     reference_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_positions = fast_scanner.positions(body)
-    with fastpath.reference_lanes():
-        reference_positions = reference_scanner.positions(body)
-    assert fast_positions == reference_positions
+    assert fast_scanner.positions(body) == reference_scanner.kmp_positions(body)
     assert fast_scanner.bytes_scanned == reference_scanner.bytes_scanned
+    assert fast_scanner.bytes_scanned == utf8_len(body)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -82,57 +82,65 @@ def test_scanner_lanes_charge_identical_bytes(body):
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_parse_identical_across_lanes(instruction_list):
-    """Fast-lane parsing yields the same template and scan charge.
+    """The wire compiler decodes what the reference parser decodes.
 
     The generated streams include adjacent tags (consecutive GET/SET with
     no literal between them) and literals containing the raw sentinel,
-    which serialization escapes.
+    which serialization escapes.  The DPC charges the scan counter what
+    the reference parser's scanner charges.
     """
-    with fastpath.reference_lanes():
-        wire = Template(instruction_list).serialize()
-    fast_scanner = TagScanner(SENTINEL)
+    wire = Template(instruction_list).render_normalized()
     reference_scanner = TagScanner(SENTINEL)
-    with fastpath.fast_lanes():
-        fast_parse = parse_template(wire, scanner=fast_scanner)
-    with fastpath.reference_lanes():
-        reference_parse = parse_template(wire, scanner=reference_scanner)
-    assert fast_parse == reference_parse
-    assert fast_scanner.bytes_scanned == reference_scanner.bytes_scanned
+    reference_parse = parse_template(wire, scanner=reference_scanner)
+    assert reference_parse == Template(instruction_list).normalized()
+    plan, literal_bytes, set_count = compile_wire(wire)
+    assert plan == reference_parse.compiled()
+    assert literal_bytes == reference_parse.literal_bytes
+    assert set_count == reference_parse.set_count
+    dpc = DynamicProxyCache(capacity=256)
+    try:
+        dpc.process_response(wire)
+    except AssemblyError:
+        pass  # a GET of a slot the stream never SET
+    assert dpc.bytes_scanned == reference_scanner.bytes_scanned
 
 
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_serialize_identical_across_lanes_and_after_mutation(instruction_list):
-    """Memoized serialization never drifts from the uncached render."""
-    fast_template = Template(list(instruction_list))
-    reference_template = Template(list(instruction_list))
-    with fastpath.fast_lanes():
-        first = fast_template.serialize()
-        again = fast_template.serialize()  # memoized path
-        fast_template.get(7)               # mutation invalidates the memo
-        mutated = fast_template.serialize()
-        fast_wire_bytes = fast_template.wire_bytes()
-    with fastpath.reference_lanes():
-        assert first == reference_template.serialize()
-        assert again == first
-        reference_template.get(7)
-        assert mutated == reference_template.serialize()
-        assert fast_wire_bytes == reference_template.wire_bytes()
+    """The one-pass render never drifts from the reference render."""
+    template = Template(list(instruction_list))
+    first = template.serialize()
+    assert first == template.render_normalized()
+    assert template.serialize() == first
+    template.get(7)
+    mutated = template.serialize()
+    assert mutated == template.render_normalized()
+    assert mutated == first + "<~G:0007~>"
+    assert template.wire_bytes() == utf8_len(template.render_normalized())
 
 
 # -- assembly -----------------------------------------------------------------
 
 
-def _serve_all(wires, fast):
-    """Assemble a wire sequence on a fresh DPC under one lane."""
-    lane = fastpath.fast_lanes() if fast else fastpath.reference_lanes()
+def _page(page):
+    return (page.html, page.template_bytes, page.page_bytes,
+            page.fragments_set, page.fragments_get)
+
+
+def _serve_all(wires):
+    """Assemble a wire sequence on a fresh DPC via the serve path."""
+    dpc = DynamicProxyCache(capacity=256)
+    return [_page(dpc.process_response(wire)) for wire in wires], dpc
+
+
+def _reference_all(wires):
+    """The oracle: parse each wire, then walk its instructions."""
     dpc = DynamicProxyCache(capacity=256)
     pages = []
-    with lane:
-        for wire in wires:
-            page = dpc.process_response(wire)
-            pages.append((page.html, page.template_bytes, page.page_bytes,
-                          page.fragments_set, page.fragments_get))
+    for wire in wires:
+        template = parse_template(wire, scanner=dpc.scanner)
+        pages.append(_page(dpc.assemble(template, wire_bytes=utf8_len(wire))))
     return pages, dpc
 
 
@@ -141,9 +149,9 @@ def _serve_all(wires, fast):
 def test_assembly_identical_across_lanes(fragments, data):
     """SET-then-GET exchanges produce identical pages, stats, and counters.
 
-    The GET-only wire is served twice so the fast lane's parse cache takes
-    a hit — the lane where :meth:`TagScanner.charge` must keep the Result 1
-    counter in lockstep with the reference lane's physical re-scan.
+    The GET-only wire is served twice so the serve path's parse cache takes
+    a hit — where :meth:`TagScanner.charge` must keep the Result 1 counter
+    in lockstep with the oracle's physical re-scan.
     """
     seen = {}
     for key, content in fragments:
@@ -153,36 +161,38 @@ def test_assembly_identical_across_lanes(fragments, data):
     for key, content in seen.items():
         set_template.literal(data.draw(text)).set(key, content)
         get_template.literal(data.draw(text)).get(key)
-    with fastpath.reference_lanes():
-        wires = [set_template.serialize()] + [get_template.serialize()] * 2
-    fast_pages, fast_dpc = _serve_all(wires, fast=True)
-    reference_pages, reference_dpc = _serve_all(wires, fast=False)
+    wires = [set_template.render_normalized()] + [get_template.render_normalized()] * 2
+    fast_pages, fast_dpc = _serve_all(wires)
+    reference_pages, reference_dpc = _reference_all(wires)
+    assert fast_dpc.parse_cache.hits == 1
     assert fast_pages == reference_pages
     assert fast_dpc.bytes_scanned == reference_dpc.bytes_scanned
     assert fast_dpc.stats == reference_dpc.stats
 
 
 def test_oversized_fragment_rejected_identically():
-    """Both lanes raise the same typed error on an oversized SET body."""
+    """Both decoders raise the same typed error on an oversized SET body."""
     config = TemplateConfig(max_fragment_bytes=64)
-    wire = Template(config=config).set(3, "x" * 65)
-    with fastpath.reference_lanes():
-        oversized = wire.serialize()
-    for lane in (fastpath.fast_lanes, fastpath.reference_lanes):
-        with lane():
-            with pytest.raises(OversizedFragmentError):
-                parse_template(oversized, config)
+    oversized = Template(config=config).set(3, "x" * 65).render_normalized()
+    with pytest.raises(OversizedFragmentError) as reference:
+        parse_template(oversized, config)
+    with pytest.raises(OversizedFragmentError) as fast:
+        compile_wire(oversized, config)
+    assert str(fast.value) == str(reference.value)
+    dpc = DynamicProxyCache(capacity=8, template_config=config)
+    with pytest.raises(OversizedFragmentError):
+        dpc.process_response(oversized)
+    assert dpc.occupied_slots() == 0
 
 
 @given(text, text)
 @settings(max_examples=100)
 def test_escaped_sentinel_content_identical(prefix, suffix):
-    """Content containing the raw sentinel survives both lanes unchanged."""
+    """Content containing the raw sentinel survives both sides unchanged."""
     content = prefix + SENTINEL + suffix + SENTINEL
-    with fastpath.reference_lanes():
-        wires = [Template().set(1, content).serialize(),
-                 Template().get(1).serialize()]
-    fast_pages, _ = _serve_all(wires, fast=True)
-    reference_pages, _ = _serve_all(wires, fast=False)
+    wires = [Template().set(1, content).render_normalized(),
+             Template().get(1).render_normalized()]
+    fast_pages, _ = _serve_all(wires)
+    reference_pages, _ = _reference_all(wires)
     assert fast_pages == reference_pages
     assert fast_pages[1][0] == content

@@ -1,18 +1,22 @@
 """Differential properties of the single-pass wire codec.
 
-The fast lane never builds :class:`Template` objects for an origin
+The serve path never builds :class:`Template` objects for an origin
 response: :func:`compile_wire` turns the wire straight into the assembly
 plan, and :meth:`Template.serialize` renders in one pass without a
-``normalized()`` copy.  These tests pin both ends to the reference lane:
+``normalized()`` copy.  These tests pin both ends to the reference code
+kept as oracles:
 
 * ``compile_wire(wire)`` equals ``parse_template(wire).compiled()`` and its
   ``literal_bytes``/``set_count``, or raises the same exception type with
   the same message;
 * a sequence of responses through ``process_response`` yields the same
-  pages, :class:`DpcStats`, scanned bytes and slot array on both lanes, and
-  on an error the same exception with the same slots left behind;
-* the one-pass render equals the ``normalized()`` render, including a
-  sentinel split across two adjacent literals.
+  pages, :class:`DpcStats`, scanned bytes and slot array as
+  ``parse_template`` + ``assemble`` on a second DPC, and on an error the
+  same exception with the same slots left behind;
+* the one-pass render equals :meth:`Template.render_normalized`, including
+  a sentinel split across two adjacent literals.
+
+"Lanes" in a test name means the serve path and its oracle.
 
 Wires come from ``serialize()`` of random instruction streams (text heavy
 in ``<``, ``~`` and ``<~``) and from raw strings over the protocol-fuzz
@@ -22,7 +26,6 @@ alphabet, including non-ASCII digits that must not pass as a dpcKey.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import fastpath
 from repro.core.dpc import DynamicProxyCache
 from repro.core.template import (
     GetInstruction,
@@ -32,6 +35,7 @@ from repro.core.template import (
     TemplateConfig,
     compile_wire,
     parse_template,
+    utf8_len,
 )
 
 #: Small fragment limit on a narrow key width, so oversized SET bodies and
@@ -66,13 +70,8 @@ RAW_WIRE = st.lists(
 
 def _serialized(config):
     return st.lists(instructions, max_size=10).map(
-        lambda stream: _reference_wire(Template(stream, config))
+        lambda stream: Template(stream, config).render_normalized()
     )
-
-
-def _reference_wire(template):
-    with fastpath.reference_lanes():
-        return template.serialize()
 
 
 def _outcome(call):
@@ -111,8 +110,7 @@ def test_compiler_matches_parse_then_compile(case):
     config, wire = case
 
     def reference():
-        with fastpath.reference_lanes():
-            template = parse_template(wire, config)
+        template = parse_template(wire, config)
         return template.compiled(), template.literal_bytes, template.set_count
 
     assert _outcome(lambda: compile_wire(wire, config)) == _outcome(reference)
@@ -128,18 +126,26 @@ def _slots(dpc):
     ]
 
 
-def _serve(config, wires, lane):
-    """Each response's page or error, and the slots after it, on one lane."""
+def _process(dpc, wire):
+    return dpc.process_response(wire)
+
+
+def _parse_then_assemble(dpc, wire):
+    template = parse_template(wire, dpc.template_config, scanner=dpc.scanner)
+    return dpc.assemble(template, wire_bytes=utf8_len(wire))
+
+
+def _serve(config, wires, serve):
+    """Each response's page or error, and the slots after it, on one DPC."""
     dpc = DynamicProxyCache(capacity=CAPACITY, template_config=config)
     trail = []
-    with lane():
-        for wire in wires:
-            result = _outcome(lambda: dpc.process_response(wire))
-            if result[0] == "ok":
-                page = result[1]
-                result = ("ok", page.html, page.template_bytes, page.page_bytes,
-                          page.fragments_set, page.fragments_get, page.epoch)
-            trail.append((result, _slots(dpc)))
+    for wire in wires:
+        result = _outcome(lambda: serve(dpc, wire))
+        if result[0] == "ok":
+            page = result[1]
+            result = ("ok", page.html, page.template_bytes, page.page_bytes,
+                      page.fragments_set, page.fragments_get, page.epoch)
+        trail.append((result, _slots(dpc)))
     return trail, dpc
 
 
@@ -147,12 +153,12 @@ def _serve(config, wires, lane):
 @settings(max_examples=300, deadline=None)
 def test_process_response_identical_across_lanes(case):
     config, wires = case
-    fast_trail, fast_dpc = _serve(config, wires, fastpath.fast_lanes)
-    reference_trail, reference_dpc = _serve(config, wires, fastpath.reference_lanes)
+    fast_trail, fast_dpc = _serve(config, wires, _process)
+    reference_trail, reference_dpc = _serve(config, wires, _parse_then_assemble)
     assert fast_trail == reference_trail
     assert fast_dpc.stats == reference_dpc.stats
     assert fast_dpc.bytes_scanned == reference_dpc.bytes_scanned
-    assert fast_dpc.bytes_scanned == sum(len(wire) for wire in wires)
+    assert fast_dpc.bytes_scanned == sum(utf8_len(wire) for wire in wires)
 
 
 # -- origin side: the one-pass render ------------------------------------------
@@ -161,17 +167,13 @@ def test_process_response_identical_across_lanes(case):
 @given(CONFIGS, st.lists(instructions, max_size=12))
 @settings(max_examples=300, deadline=None)
 def test_one_pass_render_matches_normalized_render(config, stream):
-    with fastpath.fast_lanes():
-        fast = _outcome(Template(stream, config).serialize)
-    with fastpath.reference_lanes():
-        reference = _outcome(Template(stream, config).serialize)
-    assert fast == reference
+    template = Template(stream, config)
+    assert _outcome(template.serialize) == _outcome(template.render_normalized)
 
 
 def test_sentinel_split_across_adjacent_literals_is_escaped():
     template = Template().literal("a<").literal("~b").get(1).literal("").literal("<~")
-    with fastpath.fast_lanes():
-        wire = template.serialize()
+    wire = template.serialize()
     assert wire == "a<~Q~>b<~G:0001~><~Q~>"
-    assert wire == _reference_wire(Template(template.instructions))
+    assert wire == template.render_normalized()
     assert parse_template(wire) == template.normalized()
