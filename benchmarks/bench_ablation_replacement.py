@@ -27,11 +27,10 @@ def drive_policy(policy_name: str, seed: int = 17) -> float:
     )
     zipf = ZipfDistribution(FRAGMENT_UNIVERSE, alpha=1.0)
     rng = random.Random(seed)
-    meta = FragmentMetadata()
     for _ in range(ACCESSES):
         rank = zipf.sample(rng)
         fragment_id = FragmentID.create("frag", {"rank": rank})
-        bem.process_block(fragment_id, meta, lambda rank=rank: "x" * 64)
+        bem.process_block(fragment_id, FragmentMetadata, lambda rank=rank: "x" * 64)
         clock.advance(0.01)
     return bem.hit_ratio
 

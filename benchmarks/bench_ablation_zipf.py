@@ -25,12 +25,11 @@ def achieved_hit_ratio(alpha: float, seed: int = 5) -> float:
     bem = BackEndMonitor(capacity=CAPACITY, clock=clock)
     zipf = ZipfDistribution(UNIVERSE, alpha=alpha)
     rng = random.Random(seed)
-    meta = FragmentMetadata()
     for _ in range(ACCESSES):
         rank = zipf.sample(rng)
         bem.process_block(
             FragmentID.create("frag", {"rank": rank}),
-            meta,
+            FragmentMetadata,
             lambda: "x" * 64,
         )
         clock.advance(0.001)

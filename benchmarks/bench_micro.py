@@ -71,10 +71,9 @@ def test_bem_block_hit_path(benchmark):
     """The full process_block hit path (probe + GET emission)."""
     bem = BackEndMonitor(capacity=1024)
     fragment_id = FragmentID.create("hot", {"k": 1})
-    meta = FragmentMetadata()
-    bem.process_block(fragment_id, meta, lambda: "x" * 512)
+    bem.process_block(fragment_id, FragmentMetadata, lambda: "x" * 512)
 
-    instruction = benchmark(bem.process_block, fragment_id, meta,
+    instruction = benchmark(bem.process_block, fragment_id, FragmentMetadata,
                             lambda: "never")
     assert instruction.key is not None
 
@@ -109,7 +108,7 @@ def test_invalidation_fanout(benchmark):
     for i in range(200):
         fragment_id = FragmentID.create("f", {"i": i})
         meta = FragmentMetadata(dependencies=(Dependency("t", key=i),))
-        bem.process_block(fragment_id, meta, lambda: "x")
+        bem.process_block(fragment_id, lambda: meta, lambda: "x")
 
     counter = iter(range(10**9))
 

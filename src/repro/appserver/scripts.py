@@ -93,28 +93,32 @@ class ScriptContext:
         if generate is None:
             raise ScriptError("block %r needs a generate callable" % name)
         hops_before = self.tiers.cross_tier_hops
+        work = []  # (rows, hops) of the generator run, if it ran
 
-        def costed_generate() -> str:
+        def measured_generate() -> str:
             rows_before = self.services.db.total_rows_read()
             content = generate()
-            rows = self.services.db.total_rows_read() - rows_before
-            hops = self.tiers.cross_tier_hops - hops_before
-            self.generation_cost_s += self.cost_model.block_generation_cost(
-                output_bytes=len(content.encode("utf-8")),
-                db_rows=rows,
-                cross_tier_hops=max(hops, 1),
-                needs_db_connection=rows > 0,
-            )
-            self.db_cost_s += self.cost_model.db_block_cost(
-                db_rows=rows, needs_db_connection=rows > 0
-            )
-            self.db_rows += rows
+            work.append((
+                self.services.db.total_rows_read() - rows_before,
+                self.tiers.cross_tier_hops - hops_before,
+            ))
             return content
 
-        hits_before = self.builder.stats.hits
-        self.builder.block(name, params, costed_generate)
-        if self.builder.stats.hits > hits_before:
+        output_bytes = self.builder.block(name, params, measured_generate)
+        if output_bytes is None:
             self.generation_cost_s += self.cost_model.block_hit_cost()
+            return self
+        rows, hops = work[0]
+        self.generation_cost_s += self.cost_model.block_generation_cost(
+            output_bytes=output_bytes,
+            db_rows=rows,
+            cross_tier_hops=max(hops, 1),
+            needs_db_connection=rows > 0,
+        )
+        self.db_cost_s += self.cost_model.db_block_cost(
+            db_rows=rows, needs_db_connection=rows > 0
+        )
+        self.db_rows += rows
         return self
 
     # -- intermediate objects ------------------------------------------------------

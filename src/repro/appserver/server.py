@@ -146,9 +146,8 @@ class ApplicationServer:
                 if self.bem is not None:
                     self.bem.deadline_at = None
 
-            template = builder.finish()
             if self.emit_templates:
-                body = template.serialize()
+                body = builder.response_body()
             else:
                 body = builder.full_page()
             if self.tracer.enabled:
@@ -200,8 +199,8 @@ class ApplicationServer:
                 "misses": builder.stats.misses,
                 "generated_bytes": builder.stats.generated_bytes,
                 "generation_s": ctx.generation_cost_s,
-                "get_count": template.get_count,
-                "set_count": template.set_count,
+                "get_count": builder.stats.gets,
+                "set_count": builder.stats.sets,
             },
         )
 
@@ -247,5 +246,4 @@ class ApplicationServer:
             bem=None,
         )
         script.run(ctx)
-        builder.finish()
         return builder.full_page()

@@ -23,6 +23,7 @@ from ..core.cache_directory import CacheDirectory
 from ..core.fragments import FragmentID, FragmentMetadata
 from ..core.invalidation import InvalidationManager
 from ..core.replacement import ReplacementPolicy
+from ..core.scanner import utf8_len
 from ..core.template import Instruction, Literal
 from ..network.clock import SimulatedClock
 
@@ -65,27 +66,23 @@ class BackendFragmentCache:
     def process_block(
         self,
         fragment_id: FragmentID,
-        metadata: FragmentMetadata,
+        describe: Callable[[], FragmentMetadata],
         generate: Callable[[], str],
     ) -> Instruction:
         """Same directory dance as the BEM, but output is always inline."""
         self.stats.blocks_processed += 1
         now = self.clock.now()
-        if not metadata.cacheable:
-            content = generate()
-            self.stats.bytes_generated += len(content.encode("utf-8"))
-            return Literal(content)
-
         entry = self.directory.lookup(fragment_id, now)
         if entry is not None:
             self.stats.hits += 1
             content = self._contents[entry.dpc_key]
-            self.stats.bytes_served_from_cache += len(content.encode("utf-8"))
+            self.stats.bytes_served_from_cache += entry.size_bytes
             return Literal(content)
 
+        metadata = describe()
         self.stats.misses += 1
         content = generate()
-        size = len(content.encode("utf-8"))
+        size = utf8_len(content)
         self.stats.bytes_generated += size
         entry = self.directory.insert(fragment_id, metadata, size, now)
         self._contents[entry.dpc_key] = content

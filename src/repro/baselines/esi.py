@@ -45,6 +45,7 @@ class _EsiCaptureMonitor:
     Every cacheable block is generated and returned as a SET instruction
     whose key indexes the fragment's *src* (its canonical fragmentID) —
     which is exactly what an ESI factoring would use as the include URL.
+    A src's TTL is described once, when its key is assigned.
     """
 
     def __init__(self, clock: SimulatedClock) -> None:
@@ -57,19 +58,17 @@ class _EsiCaptureMonitor:
     def process_block(
         self,
         fragment_id: FragmentID,
-        metadata: FragmentMetadata,
+        describe: Callable[[], FragmentMetadata],
         generate: Callable[[], str],
     ) -> Instruction:
         content = generate()
-        if not metadata.cacheable:
-            return Literal(content)
         src = fragment_id.canonical()
         key = self._key_by_src.get(src)
         if key is None:
             key = len(self._key_by_src)
             self._key_by_src[src] = key
             self.src_by_key[key] = src
-        self.ttl_by_src[src] = metadata.ttl
+            self.ttl_by_src[src] = describe().ttl
         return SetInstruction(key, content)
 
 

@@ -28,11 +28,11 @@ from .cache_directory import CacheDirectory
 from .fragments import FragmentID, FragmentMetadata
 from .invalidation import InvalidationManager
 from .replacement import ReplacementPolicy, make_policy
+from .scanner import utf8_len
 from .template import (
     DEFAULT_CONFIG,
     GetInstruction,
     Instruction,
-    Literal,
     SetInstruction,
     TemplateConfig,
 )
@@ -43,7 +43,6 @@ class BemStats:
     """Run-time counters for experiments and monitoring."""
 
     blocks_processed: int = 0
-    cacheable_blocks: int = 0
     fragment_hits: int = 0
     fragment_misses: int = 0
     bytes_generated: int = 0      # fragment bytes actually computed
@@ -163,24 +162,20 @@ class BackEndMonitor:
     def process_block(
         self,
         fragment_id: FragmentID,
-        metadata: FragmentMetadata,
+        describe: Callable[[], FragmentMetadata],
         generate: Callable[[], str],
     ) -> Instruction:
-        """Handle one tagged code block; returns the template instruction.
+        """Handle one tagged, cacheable code block; returns its instruction.
 
         ``generate`` is the block's body.  It is invoked *only* on a miss —
         skipping it on hits is where the server-side computation savings of
-        the approach come from.
+        the approach come from.  ``describe`` yields the block's metadata
+        (TTL, dependencies); it too runs only on a miss, once, before the
+        directory entry is inserted, so a hit costs one directory probe.
         """
-        self.stats.blocks_processed += 1
+        stats = self.stats
+        stats.blocks_processed += 1
         now = self.clock.now()
-        if not metadata.cacheable:
-            # Untagged block (X_j = 0): always executes, ships as literal.
-            content = generate()
-            self.stats.bytes_generated += len(content.encode("utf-8"))
-            return Literal(content)
-
-        self.stats.cacheable_blocks += 1
         if (
             self._degrader is not None
             and self.deadline_at is not None
@@ -196,20 +191,21 @@ class BackEndMonitor:
             # bookkeeping instead of becoming a preferential LRU victim.
             stale = self._degrader.stale_lookup(fragment_id, now)
             if stale is not None and not stale.fresh(now):
-                self.stats.stale_fragment_serves += 1
+                stats.stale_fragment_serves += 1
                 return GetInstruction(stale.dpc_key)
         entry = self.directory.lookup(fragment_id, now)
         if entry is not None:
             # Case 2: fresh hit -> GET instruction only.
-            self.stats.fragment_hits += 1
-            self.stats.bytes_served_from_dpc += entry.size_bytes
+            stats.fragment_hits += 1
+            stats.bytes_served_from_dpc += entry.size_bytes
             return GetInstruction(entry.dpc_key)
 
         # Case 1: miss or invalid -> generate, insert entry, SET instruction.
-        self.stats.fragment_misses += 1
+        metadata = describe()
+        stats.fragment_misses += 1
         content = generate()
-        size = len(content.encode("utf-8"))
-        self.stats.bytes_generated += size
+        size = utf8_len(content)
+        stats.bytes_generated += size
         entry = self.directory.insert(fragment_id, metadata, size, now, epoch=self.epoch)
         if metadata.dependencies:
             self.invalidation.watch(fragment_id, tuple(metadata.dependencies))

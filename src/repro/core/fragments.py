@@ -22,50 +22,133 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 from ..errors import ConfigurationError
 
 
-@dataclass(frozen=True, order=True)
+#: Percent-encodings of the characters that delimit a canonical fragmentID.
+#: Escaping them in the name, keys and values keeps the rendering
+#: injective: ``q="x&user=bob"`` cannot render like ``q="x", user="bob"``.
+_QUOTE = str.maketrans({"%": "%25", "&": "%26", "=": "%3D", "?": "%3F"})
+
+
+def _render(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
+    if not params:
+        return name
+    if len(params) == 1:
+        key, value = params[0]
+        return "%s?%s=%s" % (name, key, value)
+    return "%s?%s" % (name, "&".join(["%s=%s" % pair for pair in params]))
+
+
+def _quote(text: object) -> str:
+    return str(text).translate(_QUOTE)
+
+
+def _canonical(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
+    """``name?k1=v1&k2=v2``, escaping reserved characters in every part."""
+    if not params:
+        parts = name
+    elif len(params) == 1:
+        parts = "%s%s%s" % (name, params[0][0], params[0][1])
+    else:
+        parts = name + "".join(["%s%s" % pair for pair in params])
+    if "%" in parts or "&" in parts or "=" in parts or "?" in parts:
+        name = _quote(name)
+        params = tuple((_quote(k), _quote(v)) for k, v in params)
+    return _render(name, params)
+
+
 class FragmentID:
     """Unique fragment identifier: block name plus canonicalized parameters.
 
     Parameters are sorted by name so that logically identical invocations
     map to the same identifier regardless of call-site argument order.
+    Equality, ordering and hashing are those of the ``(name, params)``
+    pair.  Instances are immutable, and the canonical string and the hash
+    are computed once, at construction: each cacheable block builds one id
+    per request, and the directory, the invalidation manager and the
+    insight layer all key on :meth:`canonical`.
     """
 
-    name: str
-    params: Tuple[Tuple[str, str], ...] = ()
+    __slots__ = ("name", "params", "_canonical", "_hash")
+
+    def __init__(self, name: str, params: Tuple[Tuple[str, str], ...] = ()) -> None:
+        canonical = _canonical(name, params)
+        init = object.__setattr__
+        init(self, "name", name)
+        init(self, "params", params)
+        init(self, "_canonical", canonical)
+        # Equal ids have equal canonicals.  The string caches its hash, so
+        # the directory's dict probe on the canonical reuses this one.
+        init(self, "_hash", hash(canonical))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FragmentID is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FragmentID is immutable")
 
     @staticmethod
     def create(name: str, params: Optional[Mapping[str, object]] = None) -> "FragmentID":
         """Build a FragmentID from a name and a parameter mapping."""
         if not name:
             raise ConfigurationError("fragment name cannot be empty")
-        items: Tuple[Tuple[str, str], ...] = ()
-        if params:
-            items = tuple(sorted((str(k), str(v)) for k, v in params.items()))
-        return FragmentID(name=name, params=items)
+        if not params:
+            return FragmentID(name)
+        if len(params) == 1:
+            ((key, value),) = params.items()
+            return FragmentID(name, ((str(key), str(value)),))
+        return FragmentID(
+            name, tuple(sorted((str(k), str(v)) for k, v in params.items()))
+        )
 
     def canonical(self) -> str:
         """The string form stored in the cache directory.
 
-        ``name?k1=v1&k2=v2`` — this is also (deliberately) the quantity
-        whose byte length motivates the integer dpcKey: fragmentIDs "are
-        typically quite long, especially those that include a list of
-        parameters" (§4.3.3).  The rendering is memoized on the (frozen)
-        instance: identity is immutable, and the canonical form is
-        recomputed on every directory probe otherwise.
+        ``name?k1=v1&k2=v2``, with ``%``, ``&``, ``=`` and ``?`` inside the
+        name, keys and values percent-encoded so distinct ids never share
+        a canonical.  This is also (deliberately) the quantity whose byte
+        length motivates the integer dpcKey: fragmentIDs "are typically
+        quite long, especially those that include a list of parameters"
+        (§4.3.3).
         """
-        cached = self.__dict__.get("_canonical")
-        if cached is not None:
-            return cached
-        if not self.params:
-            canonical = self.name
-        else:
-            query = "&".join("%s=%s" % (k, v) for k, v in self.params)
-            canonical = "%s?%s" % (self.name, query)
-        object.__setattr__(self, "_canonical", canonical)
-        return canonical
+        return self._canonical
 
     def __str__(self) -> str:
-        return self.canonical()
+        return self._canonical
+
+    def __repr__(self) -> str:
+        return "FragmentID(name=%r, params=%r)" % (self.name, self.params)
+
+    def __reduce__(self):
+        # Rebuild rather than copy the slots: the stored hash is only
+        # valid in the process that computed it.
+        return (FragmentID, (self.name, self.params))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.name == other.name and self.params == other.params
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) < (other.name, other.params)
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) <= (other.name, other.params)
+
+    def __gt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) > (other.name, other.params)
+
+    def __ge__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.params) >= (other.name, other.params)
 
 
 @dataclass(frozen=True)
@@ -121,6 +204,12 @@ class Dependency:
         return True
 
 
+def check_ttl(ttl: Optional[float]) -> None:
+    """Reject a TTL that is given but not a positive number (NaN included)."""
+    if ttl is not None and not ttl > 0:
+        raise ConfigurationError("ttl must be positive when given, not %r" % (ttl,))
+
+
 @dataclass(frozen=True)
 class FragmentMetadata:
     """Cacheability settings attached to a tagged code block.
@@ -136,8 +225,7 @@ class FragmentMetadata:
     cacheable: bool = True
 
     def __post_init__(self) -> None:
-        if self.ttl is not None and self.ttl <= 0:
-            raise ConfigurationError("ttl must be positive when given")
+        check_ttl(self.ttl)
 
 
 @dataclass

@@ -17,6 +17,12 @@ Two pieces:
   skipped on hits); without one (caching disabled) it always runs the
   generator and emits plain literals, which doubles as the correctness
   oracle for the DPC assembly invariant.
+
+The monitor protocol is ``process_block(fragment_id, describe, generate)``.
+``describe`` materializes the block's :class:`FragmentMetadata` and is
+called only when a miss inserts a directory entry, so a hit pays for one
+fragment id and one directory probe.  Untagged and non-cacheable blocks
+never reach the monitor.
 """
 
 from __future__ import annotations
@@ -26,8 +32,16 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import TaggingError
 from .bem import BackEndMonitor
-from .fragments import Dependency, FragmentID, FragmentMetadata
-from .template import DEFAULT_CONFIG, Literal, Template, TemplateConfig
+from .fragments import Dependency, FragmentID, FragmentMetadata, check_ttl
+from .scanner import utf8_len
+from .template import (
+    DEFAULT_CONFIG,
+    GetInstruction,
+    Literal,
+    SetInstruction,
+    Template,
+    TemplateConfig,
+)
 
 #: Computes a block's data dependencies from its run-time parameters.
 DependencyFactory = Callable[[Mapping[str, object]], Tuple[Dependency, ...]]
@@ -41,6 +55,11 @@ class BlockTag:
     ttl: Optional[float] = None
     cacheable: bool = True
     dependency_factory: Optional[DependencyFactory] = None
+
+    def __post_init__(self) -> None:
+        # Validated here, at tagging time: metadata is only materialized
+        # on a miss, after the block has already run.
+        check_ttl(self.ttl)
 
     def metadata_for(self, params: Mapping[str, object]) -> FragmentMetadata:
         """Materialize FragmentMetadata for one invocation's params."""
@@ -134,6 +153,9 @@ class PageBuildStats:
     hits: int = 0
     misses: int = 0
     generated_bytes: int = 0
+    #: GET / SET instructions written to the template, tallied as added.
+    gets: int = 0
+    sets: int = 0
 
 
 class PageBuilder:
@@ -173,31 +195,34 @@ class PageBuilder:
         name: str,
         params: Optional[Mapping[str, object]] = None,
         generate: Callable[[], str] = None,
-    ) -> "PageBuilder":
+    ) -> Optional[int]:
         """Execute one (possibly tagged) code block.
 
         ``generate`` produces the block's HTML and is only invoked when the
         content cannot be served from the DPC.  Untagged names behave as
-        non-cacheable blocks.
+        non-cacheable blocks.  Returns the UTF-8 byte length of what
+        ``generate`` produced — measured once, here, for both the page
+        statistics and the caller's generation costing — or ``None`` when
+        the block was served without running it (a hit).
         """
         self._check_open()
         if generate is None:
             raise TaggingError("block %r needs a generate callable" % name)
-        params = dict(params or {})
+        if params is None:
+            params = {}
         tag = self.registry.lookup(name)
-        self.stats.blocks += 1
+        stats = self.stats
+        stats.blocks += 1
 
         if tag is None or not tag.cacheable or self.bem is None:
             content = generate()
-            self.stats.generated_bytes += len(content.encode("utf-8"))
+            size = utf8_len(content)
+            stats.generated_bytes += size
             if content:
                 self.template.literal(content)
-            return self
+            return size
 
-        self.stats.cacheable_blocks += 1
-        fragment_id = FragmentID.create(name, params)
-        metadata = tag.metadata_for(params)
-
+        stats.cacheable_blocks += 1
         generated = []
 
         def observed_generate() -> str:
@@ -205,28 +230,41 @@ class PageBuilder:
             generated.append(content)
             return content
 
-        instruction = self.bem.process_block(fragment_id, metadata, observed_generate)
-        if generated:
-            self.stats.misses += 1
-            self.stats.generated_bytes += len(generated[0].encode("utf-8"))
-        else:
-            self.stats.hits += 1
+        instruction = self.bem.process_block(
+            FragmentID.create(name, params),
+            lambda: tag.metadata_for(params),
+            observed_generate,
+        )
+        kind = type(instruction)
+        if kind is GetInstruction:
+            stats.gets += 1
+        elif kind is SetInstruction:
+            stats.sets += 1
         self.template.add(instruction)
-        return self
+        if not generated:
+            stats.hits += 1
+            return None
+        stats.misses += 1
+        size = utf8_len(generated[0])
+        stats.generated_bytes += size
+        return size
 
     # -- harvesting ------------------------------------------------------------------
 
     def finish(self) -> Template:
-        """Close the page and return the instruction stream."""
-        self._check_open()
-        self._finished = True
+        """Close the page and return the normalized instruction stream."""
+        self._close()
         self.template = self.template.normalized()
         return self.template
 
     def response_body(self) -> str:
-        """The bytes the origin ships: serialized template (both modes)."""
+        """The bytes the origin ships: serialized template (both modes).
+
+        Closes the page if still open.  :meth:`Template.serialize` merges
+        adjacent literals itself, so no ``normalized()`` copy is built.
+        """
         if not self._finished:
-            self.finish()
+            self._close()
         return self.template.serialize()
 
     def full_page(self) -> str:
@@ -236,7 +274,7 @@ class PageBuilder:
         literal; in cached mode the page exists only after DPC assembly.
         """
         if not self._finished:
-            self.finish()
+            self._close()
         parts = []
         for instruction in self.template.instructions:
             if not isinstance(instruction, Literal):
@@ -250,3 +288,7 @@ class PageBuilder:
     def _check_open(self) -> None:
         if self._finished:
             raise TaggingError("PageBuilder already finished")
+
+    def _close(self) -> None:
+        self._check_open()
+        self._finished = True

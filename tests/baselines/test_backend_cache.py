@@ -5,6 +5,7 @@ import pytest
 from repro.appserver import ApplicationServer, HttpRequest
 from repro.baselines.backend_cache import BackendFragmentCache
 from repro.core.fragments import FragmentID, FragmentMetadata
+from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import Literal
 from repro.network.clock import SimulatedClock
 from repro.network.latency import FREE
@@ -18,30 +19,37 @@ def fid(name, **params):
 class TestMonitorProtocol:
     def test_hit_returns_inline_literal(self):
         cache = BackendFragmentCache(capacity=8)
-        cache.process_block(fid("f"), FragmentMetadata(), lambda: "content")
+        cache.process_block(fid("f"), FragmentMetadata, lambda: "content")
         calls = []
         instruction = cache.process_block(
-            fid("f"), FragmentMetadata(), lambda: calls.append(1) or "regen"
+            fid("f"), FragmentMetadata, lambda: calls.append(1) or "regen"
         )
         assert instruction == Literal("content")  # inline bytes, not a tag
         assert calls == []  # computation still saved
         assert cache.stats.hits == 1
 
     def test_non_cacheable_passthrough(self):
+        """Non-cacheable blocks are routed around the cache by the builder."""
         cache = BackendFragmentCache(capacity=8)
-        meta = FragmentMetadata(cacheable=False)
-        assert cache.process_block(fid("x"), meta, lambda: "a") == Literal("a")
-        assert cache.process_block(fid("x"), meta, lambda: "b") == Literal("b")
+        registry = TagRegistry()
+        registry.tag("x", cacheable=False)
+        pages = []
+        for body in ("a", "b"):
+            builder = PageBuilder(registry, bem=cache)
+            builder.block("x", {}, lambda body=body: body)
+            pages.append(builder.full_page())
+        assert pages == ["a", "b"]
+        assert cache.stats.blocks_processed == 0
 
     def test_flush(self):
         cache = BackendFragmentCache(capacity=8)
-        cache.process_block(fid("f"), FragmentMetadata(), lambda: "x")
+        cache.process_block(fid("f"), FragmentMetadata, lambda: "x")
         assert cache.flush() == 1
         assert cache.directory.valid_count() == 0
 
     def test_explicit_invalidation(self):
         cache = BackendFragmentCache(capacity=8)
-        cache.process_block(fid("f", u="bob"), FragmentMetadata(), lambda: "x")
+        cache.process_block(fid("f", u="bob"), FragmentMetadata, lambda: "x")
         assert cache.invalidate_fragment("f", {"u": "bob"})
 
 

@@ -47,9 +47,9 @@ class TestIndependentCopies:
         entries with independent dpcKeys."""
         east_bem, _ = group.member("edge-east")
         west_bem, _ = group.member("edge-west")
-        east_bem.process_block(fid("f"), FragmentMetadata(), lambda: "v")
+        east_bem.process_block(fid("f"), FragmentMetadata, lambda: "v")
         # West has never seen it: a miss there, independent of east.
-        instruction = west_bem.process_block(fid("f"), FragmentMetadata(), lambda: "v")
+        instruction = west_bem.process_block(fid("f"), FragmentMetadata, lambda: "v")
         assert isinstance(instruction, SetInstruction)
 
 
@@ -63,13 +63,13 @@ class TestCoherency:
         meta = FragmentMetadata(dependencies=(Dependency("t", key=1),))
         for name in group.names():
             bem, _ = group.member(name)
-            bem.process_block(fid("f"), meta, lambda: "v0")
+            bem.process_block(fid("f"), lambda: meta, lambda: "v0")
 
         table.update({"v": 1}, key=1)
 
         for name in group.names():
             bem, _ = group.member(name)
-            instruction = bem.process_block(fid("f"), meta, lambda: "v1")
+            instruction = bem.process_block(fid("f"), lambda: meta, lambda: "v1")
             assert isinstance(instruction, SetInstruction), name
 
     def test_coherency_messages_counted(self, group):
@@ -88,29 +88,29 @@ class TestCoherency:
         g.add_proxy("late")
         bem, _ = g.member("late")
         meta = FragmentMetadata(dependencies=(Dependency("t", key=1),))
-        bem.process_block(fid("f"), meta, lambda: "v0")
+        bem.process_block(fid("f"), lambda: meta, lambda: "v0")
         table.update({"v": 1}, key=1)
         assert isinstance(
-            bem.process_block(fid("f"), meta, lambda: "v1"), SetInstruction
+            bem.process_block(fid("f"), lambda: meta, lambda: "v1"), SetInstruction
         )
 
     def test_explicit_fragment_broadcast(self, group):
         for name in group.names():
             bem, _ = group.member(name)
-            bem.process_block(fid("g", u="bob"), FragmentMetadata(), lambda: "x")
+            bem.process_block(fid("g", u="bob"), FragmentMetadata, lambda: "x")
         assert group.invalidate_fragment("g", {"u": "bob"}) == 2
 
     def test_block_broadcast(self, group):
         for name in group.names():
             bem, _ = group.member(name)
             for user in ("a", "b"):
-                bem.process_block(fid("g", u=user), FragmentMetadata(), lambda: "x")
+                bem.process_block(fid("g", u=user), FragmentMetadata, lambda: "x")
         assert group.invalidate_block("g") == 4
 
     def test_flush_all(self, group):
         for name in group.names():
             bem, dpc = group.member(name)
-            bem.process_block(fid("f"), FragmentMetadata(), lambda: "x")
+            bem.process_block(fid("f"), FragmentMetadata, lambda: "x")
             dpc.store(0, "x")
         assert group.flush_all() == 2
         for name in group.names():
@@ -119,8 +119,8 @@ class TestCoherency:
 
     def test_group_hit_ratio(self, group):
         east_bem, _ = group.member("edge-east")
-        east_bem.process_block(fid("f"), FragmentMetadata(), lambda: "x")
-        east_bem.process_block(fid("f"), FragmentMetadata(), lambda: "x")
+        east_bem.process_block(fid("f"), FragmentMetadata, lambda: "x")
+        east_bem.process_block(fid("f"), FragmentMetadata, lambda: "x")
         assert group.group_hit_ratio() == 0.5
 
     def test_control_plane_carries_invalidation_traffic(self, group):
@@ -130,7 +130,7 @@ class TestCoherency:
         group.use_control_plane(channel)
         for name in group.names():
             bem, _ = group.member(name)
-            bem.process_block(fid("g", u="bob"), FragmentMetadata(), lambda: "x")
+            bem.process_block(fid("g", u="bob"), FragmentMetadata, lambda: "x")
         assert group.invalidate_fragment("g", {"u": "bob"}) == 2
         assert channel.messages_sent == 2  # one control message per member
         assert group.dead_letter_flushes == 0
@@ -144,7 +144,7 @@ class TestCoherency:
         group.use_control_plane(channel)
         for name in group.names():
             bem, _ = group.member(name)
-            bem.process_block(fid("g", u="bob"), FragmentMetadata(), lambda: "x")
+            bem.process_block(fid("g", u="bob"), FragmentMetadata, lambda: "x")
         channel.close()  # the control plane partitions
 
         assert group.invalidate_fragment("g", {"u": "bob"}) == 0
@@ -173,7 +173,7 @@ class TestCoherency:
         )
         for name in group.names():
             bem, _ = group.member(name)
-            bem.process_block(fid("g", u="bob"), FragmentMetadata(), lambda: "x")
+            bem.process_block(fid("g", u="bob"), FragmentMetadata, lambda: "x")
 
         assert group.invalidate_fragment("g", {"u": "bob"}) == 2
         assert group.dead_letter_flushes == 0

@@ -36,6 +36,31 @@ class TestFragmentID:
         assert len(ids) == 2
         assert FragmentID.create("a") < FragmentID.create("b")
 
+    def test_reserved_characters_are_percent_encoded(self):
+        """``&``, ``=``, ``?`` and ``%`` in a part cannot forge structure."""
+        smuggled = FragmentID.create("search", {"q": "x&user=bob"})
+        honest = FragmentID.create("search", {"q": "x", "user": "bob"})
+        assert smuggled != honest
+        assert honest.canonical() == "search?q=x&user=bob"
+        assert smuggled.canonical() == "search?q=x%26user%3Dbob"
+        assert FragmentID.create("a?b", {"k%": "50%"}).canonical() == "a%3Fb?k%25=50%25"
+
+    def test_constructor_and_repr(self):
+        frag = FragmentID("f", (("k", "v"),))
+        assert frag == FragmentID.create("f", {"k": "v"})
+        assert FragmentID(name="f", params=(("k", "v"),)) == frag
+        assert repr(frag) == "FragmentID(name='f', params=(('k', 'v'),))"
+        assert str(frag) == "f?k=v"
+
+    def test_immutable(self):
+        frag = FragmentID.create("f", {"k": 1})
+        with pytest.raises(AttributeError):
+            frag.name = "g"
+        with pytest.raises(AttributeError):
+            frag.params = ()
+        with pytest.raises(AttributeError):
+            frag.extra = 1
+
 
 class TestFragmentMetadata:
     def test_defaults(self):
@@ -51,6 +76,14 @@ class TestFragmentMetadata:
     def test_negative_ttl_rejected(self):
         with pytest.raises(ConfigurationError):
             FragmentMetadata(ttl=-5)
+
+    def test_nan_ttl_rejected(self):
+        """``nan <= 0`` is False; a NaN TTL would expire on every lookup."""
+        with pytest.raises(ConfigurationError):
+            FragmentMetadata(ttl=float("nan"))
+
+    def test_infinite_ttl_accepted(self):
+        assert FragmentMetadata(ttl=float("inf")).ttl == float("inf")
 
 
 class TestFragment:

@@ -6,7 +6,7 @@ from repro.core.bem import BackEndMonitor
 from repro.core.fragments import Dependency
 from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import GetInstruction, Literal, SetInstruction
-from repro.errors import TaggingError
+from repro.errors import ConfigurationError, TaggingError
 
 
 @pytest.fixture
@@ -38,6 +38,20 @@ class TestTagRegistry:
 
     def test_cacheable_fraction_empty(self):
         assert TagRegistry().cacheable_fraction() == 0.0
+
+    @pytest.mark.parametrize("ttl", [float("nan"), 0.0, -1.0])
+    def test_bad_ttl_rejected_at_tag_time(self, ttl):
+        """Metadata is built only on a miss, so the tag itself is checked."""
+        registry = TagRegistry()
+        with pytest.raises(ConfigurationError):
+            registry.tag("x", ttl=ttl)
+        assert "x" not in registry
+
+    @pytest.mark.parametrize("ttl", [float("nan"), 0.0, -1.0])
+    def test_bad_ttl_rejected_at_retag_time(self, registry, ttl):
+        with pytest.raises(ConfigurationError):
+            registry.retag("navbar", ttl=ttl)
+        assert registry.lookup("navbar").ttl == 60.0
 
     def test_metadata_from_params(self, registry):
         meta = registry.lookup("listing").metadata_for({"cat": "books"})
@@ -88,7 +102,7 @@ class TestPageBuilderWithBem:
         builder = PageBuilder(registry, bem=bem)
         builder.block("mystery", {}, lambda: "X")
         assert builder.finish().instructions == [Literal("X")]
-        assert bem.stats.cacheable_blocks == 0
+        assert bem.stats.blocks_processed == 0
 
     def test_non_cacheable_tag_never_cached(self, registry):
         bem = BackEndMonitor(capacity=8)

@@ -139,7 +139,7 @@ class TestInvalidationSemantics:
         bem.attach_database(db.bus)
         meta = FragmentMetadata(dependencies=(Dependency("accounts", key="a"),))
         fragment_id = FragmentID.create("summary", {"k": "a"})
-        bem.process_block(fragment_id, meta, lambda: "v0")
+        bem.process_block(fragment_id, lambda: meta, lambda: "v0")
         return bem, fragment_id, meta
 
     def test_no_invalidation_before_commit(self, db):
@@ -148,11 +148,11 @@ class TestInvalidationSemantics:
         db.table("accounts").update({"balance": 1.0}, key="a")
         # Mid-transaction: fragment still valid.
         assert isinstance(
-            bem.process_block(fragment_id, meta, lambda: "X"), GetInstruction
+            bem.process_block(fragment_id, lambda: meta, lambda: "X"), GetInstruction
         )
         db.commit()
         assert isinstance(
-            bem.process_block(fragment_id, meta, lambda: "v1"), SetInstruction
+            bem.process_block(fragment_id, lambda: meta, lambda: "v1"), SetInstruction
         )
 
     def test_rolled_back_update_invalidates_nothing(self, db):
@@ -161,6 +161,6 @@ class TestInvalidationSemantics:
         db.table("accounts").update({"balance": 1.0}, key="a")
         db.rollback()
         assert isinstance(
-            bem.process_block(fragment_id, meta, lambda: "X"), GetInstruction
+            bem.process_block(fragment_id, lambda: meta, lambda: "X"), GetInstruction
         )
         assert bem.invalidation.fragments_invalidated == 0

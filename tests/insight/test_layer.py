@@ -86,7 +86,7 @@ class TestLiveDirectoryFeed:
 
         fid = FragmentID.create("frag", {"id": index})
         metadata = FragmentMetadata(ttl=ttl)
-        bem.process_block(fid, metadata, lambda: "x" * 16)
+        bem.process_block(fid, lambda: metadata, lambda: "x" * 16)
         return fid.canonical()
 
     def test_cold_then_hit_then_eviction(self):
