@@ -7,9 +7,9 @@ front door to them, so individual bench scripts stop duplicating argparse
 and JSON plumbing::
 
     python -m repro bench --list              # what can I run?
-    python -m repro bench scan                # run, print the result
-    python -m repro bench scan --smoke        # small run + regression gate
-    python -m repro bench scan --json BENCH_SCAN.json --record
+    python -m repro bench insight             # run, print the result
+    python -m repro bench insight --smoke     # small run + regression gate
+    python -m repro bench insight --json BENCH_INSIGHT.json --record
     python -m repro bench all                 # every registered benchmark
 
 Results files (``BENCH_*.json``) hold a ``full`` and a ``smoke`` entry.
@@ -28,7 +28,6 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from .perf import insight as _insight
-from .perf import scan as _scan
 
 
 class BenchSpec:
@@ -53,13 +52,6 @@ class BenchSpec:
 
 #: Every benchmark reachable from the CLI, in display order.
 REGISTRY: Dict[str, BenchSpec] = {
-    "scan": BenchSpec(
-        name="scan",
-        description="sentinel scan microbenchmark, str.find vs KMP",
-        runner=_scan.run_scan,
-        default_json="BENCH_SCAN.json",
-        smoke_settings=_scan.SMOKE_SETTINGS,
-    ),
     "insight": BenchSpec(
         name="insight",
         description="insight-layer overhead, attached vs detached (<5% gate)",

@@ -1,6 +1,7 @@
 """Chaos harness: a Figure 4 testbed run under a fault schedule.
 
-Replays a seeded workload through the standard testbed topology while a
+Replays a seeded workload through the testbed's Figure 4 path
+(:class:`~repro.harness.testbed.Figure4Path`) while a
 :class:`~repro.faults.injectors.FaultSchedule` crashes the DPC, partitions
 or degrades the origin link, drops messages, and corrupts directory
 bookkeeping.  The harness holds the line on the assembly-correctness
@@ -42,7 +43,7 @@ from ..errors import (
     RecoveryError,
 )
 from ..harness.testbed import Testbed, TestbedConfig
-from ..network import request_message, response_message
+from ..network import WireMessage
 from .degradation import DegradationStats, GracefulDegrader
 from .injectors import FaultContext, FaultInjector, FaultSchedule
 from .recovery import RecoveryEvent, RecoveryStats, ResyncProtocol
@@ -199,6 +200,10 @@ class ChaosHarness:
         )
         self._current: Optional[ChaosBucket] = None
         self._marks = (0, 0, 0)
+        # Every origin-link message goes through the retry policy, and the
+        # schedule fires at each arrival ahead of any later hook.
+        self.testbed.path.transfer = self._transfer
+        self.testbed.pre_request_hooks.append(self._tick_faults)
 
     # -- the run loop --------------------------------------------------------
 
@@ -214,9 +219,7 @@ class ChaosHarness:
         for index, timed in enumerate(workload):
             if index % config.bucket_requests == 0:
                 self._open_bucket(result, index)
-            tb.clock.advance_to(timed.at)
-            self.schedule.tick(self.context, tb.clock.now())
-            tb._churn_fragments(timed.request)
+            tb.arrive(index, timed)
             bucket = self._current
             try:
                 html, kind = self._serve(timed.request, bucket)
@@ -286,79 +289,34 @@ class ChaosHarness:
             bucket.recoveries += 1
         return assembled.html, "assembled"
 
+    def _tick_faults(self, testbed: Testbed, index: int, timed) -> None:
+        """Pre-request hook: fire the fault transitions due at this arrival."""
+        self.schedule.tick(self.context, testbed.clock.now())
+
+    def _transfer(self, message: WireMessage) -> float:
+        """The path's link transfer, retried under the seeded policy."""
+        link = self.testbed.origin_link
+        return self.delivery.deliver(lambda: link.send(message))
+
     def _serve_assembled(self, request) -> AssembledPage:
-        """The testbed pipeline with fault-aware, retried transfers."""
-        tb = self.testbed
-        config = self.config.testbed
-        with tb.tracer.span("firewall.scan", direction="request"):
-            tb.clock.advance(tb.firewall.scan_bytes(request.payload_bytes))
-        self.delivery.deliver(
-            lambda: tb.origin_link.send(
-                request_message(
-                    request.payload_bytes, source="external", destination="origin"
-                )
-            )
-        )
-        response = tb.server.handle(request)
+        """Both legs of the testbed path with fault-aware transfers."""
+        path = self.testbed.path
+        response = path.inbound(request)
         try:
-            self.delivery.deliver(
-                lambda: tb.origin_link.send(
-                    response_message(
-                        response.payload_bytes,
-                        source="origin",
-                        destination="external",
-                        page=request.url,
-                    )
-                )
-            )
+            return path.outbound(request, response.payload_bytes, response.body)
         except (NetworkError, DeliveryTimeoutError):
             # The template never reached the proxy: every SET on it is
             # unconfirmed and must be quarantined, or a recycled slot could
             # later serve a predecessor fragment's bytes.
-            self.resync.quarantine_undelivered(response.body, tb.clock.now())
+            self.resync.quarantine_undelivered(response.body, self.testbed.clock.now())
             raise
-        with tb.tracer.span("firewall.scan", direction="response"):
-            tb.clock.advance(tb.firewall.scan_bytes(response.payload_bytes))
-        with tb.tracer.span("dpc.assemble") as assemble_span:
-            scanned_before = tb.dpc.bytes_scanned
-            assembled = tb.dpc.process_response(response.body)
-            scan_bytes = tb.dpc.bytes_scanned - scanned_before
-            tb.clock.advance(
-                scan_bytes * tb.firewall.scan_cost_per_byte
-                + config.cost_model.assembly_cost(
-                    assembled.fragments_set + assembled.fragments_get
-                )
-            )
-            assemble_span.annotate(
-                fragments_set=assembled.fragments_set,
-                fragments_get=assembled.fragments_get,
-            )
-        return assembled
 
     def _serve_bypass(self, request) -> str:
         """The paper's fallback: origin generates the full page, uncached."""
-        tb = self.testbed
-        with tb.tracer.span("firewall.scan", direction="request"):
-            tb.clock.advance(tb.firewall.scan_bytes(request.payload_bytes))
-        self.delivery.deliver(
-            lambda: tb.origin_link.send(
-                request_message(
-                    request.payload_bytes, source="external", destination="origin"
-                )
-            )
-        )
-        html = tb.render_oracle(request)
+        path = self.testbed.path
+        html = path.inbound(request, origin=self.testbed.render_oracle)
         page_bytes = len(html.encode("utf-8"))
-        self.delivery.deliver(
-            lambda: tb.origin_link.send(
-                response_message(
-                    page_bytes, source="origin", destination="external",
-                    page=request.url, bypass=True,
-                )
-            )
-        )
-        with tb.tracer.span("firewall.scan", direction="response"):
-            tb.clock.advance(tb.firewall.scan_bytes(page_bytes))
+        path.outbound(request, page_bytes, html, bypass=True)
         self.degrader.record_bypass(page_bytes)
         return html
 

@@ -21,19 +21,12 @@ from typing import List, Tuple
 from ..core.bem import BackEndMonitor
 from ..core.dpc import DynamicProxyCache
 from ..errors import ConfigurationError
-from ..network import (
-    Channel,
-    Firewall,
-    LinkParameters,
-    ProtocolOverheadModel,
-    SimulatedClock,
-    request_message,
-    response_message,
-)
+from ..network import SimulatedClock
 from ..network.latency import GenerationCostModel
 from ..sites import books
 from ..workload import PageSpec, UserPopulation, WorkloadGenerator
 from ..workload.arrivals import PoissonProcess
+from .testbed import Figure4Path
 
 
 @dataclass
@@ -103,25 +96,24 @@ def _build_workload(config: RealisticConfig, services) -> WorkloadGenerator:
 
 
 def run_realistic(config: RealisticConfig) -> RealisticResult:
-    """Run BooksOnline through the topology in one mode."""
+    """Run BooksOnline through the Figure 4 path in one mode.
+
+    The DPC run pays the same proxy charge (scan plus assembly) as every
+    other Figure 4 run, because it serves through the same path.
+    """
     clock = SimulatedClock()
     services = books.build_services(seed=config.seed)
     bem = (
         BackEndMonitor(capacity=4096, clock=clock) if config.cached else None
     )
+    cost_model = GenerationCostModel()
     server = books.build_server(
-        services=services, clock=clock, bem=bem,
-        cost_model=GenerationCostModel(),
+        services=services, clock=clock, bem=bem, cost_model=cost_model,
     )
     if bem is not None:
         bem.attach_database(services.db.bus)
     dpc = DynamicProxyCache(capacity=4096) if config.cached else None
-    firewall = Firewall()
-    link = Channel(
-        "origin-link", "external", "origin",
-        link=LinkParameters(), overhead=ProtocolOverheadModel(), clock=clock,
-    )
-    sniffer = link.attach_sniffer()
+    path = Figure4Path(clock, server, dpc, cost_model=cost_model)
     update_rng = random.Random(config.seed + 99)
     product_ids = [str(k) for k in services.db.table(books.PRODUCTS_TABLE).keys()]
 
@@ -133,7 +125,7 @@ def run_realistic(config: RealisticConfig) -> RealisticResult:
 
     for index, timed in enumerate(workload):
         if index == config.warmup_requests:
-            sniffer.reset()
+            path.sniffer.reset()
             if bem is not None:
                 hits_at_cut = bem.stats.fragment_hits
                 misses_at_cut = bem.stats.fragment_misses
@@ -150,20 +142,7 @@ def run_realistic(config: RealisticConfig) -> RealisticResult:
                 result.catalog_updates += 1
 
         start = clock.now()
-        clock.advance(firewall.scan_bytes(timed.request.payload_bytes))
-        link.send(
-            request_message(timed.request.payload_bytes, "external", "origin")
-        )
-        response = server.handle(timed.request)
-        link.send(
-            response_message(response.payload_bytes, "origin", "external")
-        )
-        clock.advance(firewall.scan_bytes(response.payload_bytes))
-        if dpc is not None:
-            page = dpc.process_response(response.body)
-            html = page.html
-        else:
-            html = response.body
+        html, _ = path.serve(timed.request)
         elapsed = clock.now() - start
 
         if index >= config.warmup_requests:
@@ -178,7 +157,7 @@ def run_realistic(config: RealisticConfig) -> RealisticResult:
                 if html != oracle:
                     result.pages_incorrect += 1
 
-    responses = sniffer.counters("response")
+    responses = path.sniffer.counters("response")
     result.origin_payload_bytes = responses.payload_bytes
     result.origin_wire_bytes = responses.wire_bytes
     if bem is not None:

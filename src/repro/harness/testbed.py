@@ -13,6 +13,14 @@ reports.  The testbed replays one seeded workload against a chosen origin
 configuration (``no_cache``, ``dpc``, or ``backend``) and returns byte
 counts, measured hit ratio, and response-time statistics.
 
+This module holds the only implementation of the Figure 4 request path,
+:class:`Figure4Path`, and the only per-arrival step,
+:meth:`Testbed.arrive`.  The testbed, the chaos harness
+(:mod:`repro.faults.chaos`) and the overload harness
+(:mod:`repro.overload.harness`) use both; the BooksOnline run
+(:mod:`repro.harness.realistic`) serves through the path.  A harness adds
+its own policy around the two legs of the path instead of copying them.
+
 Hit-ratio control: the experiments of Figures 5/3(b)/6 are parameterized by
 a *target* hit ratio ``h``.  The testbed reaches it through the honest
 path — before each request, each cacheable fragment on the requested page
@@ -25,13 +33,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..appserver.http import HttpRequest
 from ..appserver.server import ApplicationServer
 from ..baselines.backend_cache import BackendFragmentCache
 from ..core.bem import BackEndMonitor
-from ..core.dpc import DynamicProxyCache
+from ..core.dpc import AssembledPage, DynamicProxyCache
 from ..core.template import TemplateConfig
 from ..errors import ConfigurationError
 from ..network import (
@@ -40,6 +48,7 @@ from ..network import (
     LinkParameters,
     ProtocolOverheadModel,
     SimulatedClock,
+    WireMessage,
     request_message,
     response_message,
 )
@@ -51,6 +60,7 @@ from ..sites.synthetic import SyntheticParams, touch_fragment
 from ..workload import (
     ArrivalProcess,
     DeterministicProcess,
+    TimedRequest,
     WorkloadGenerator,
     synthetic_pages,
 )
@@ -145,6 +155,120 @@ class TestbedResult:
         return percentile(self.response_times, q)
 
 
+class Figure4Path:
+    """The Figure 4 request path: two legs around the origin step.
+
+    Owns the firewall, the origin link and its Sniffer; drives the origin
+    server and, in DPC mode, the proxy cache.  :meth:`inbound` scans the
+    request, sends it on the link and runs the origin step;
+    :meth:`outbound` sends the response, scans it and, in DPC mode,
+    assembles it and charges the §5 proxy cost.  Every message reaches the
+    link through :meth:`transfer`, the one seam a harness may replace (the
+    chaos harness retries it).  Entry points are looked up at call time,
+    so wrappers put on the instances after construction see every call.
+    """
+
+    def __init__(
+        self,
+        clock: SimulatedClock,
+        server: ApplicationServer,
+        dpc: Optional[DynamicProxyCache],
+        cost_model: GenerationCostModel,
+        link: Optional[LinkParameters] = None,
+        overhead: Optional[ProtocolOverheadModel] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> None:
+        self.clock = clock
+        self.server = server
+        self.dpc = dpc
+        self.cost_model = cost_model
+        self.tracer = tracer if tracer is not None else Tracer(clock)
+        self.firewall = Firewall()
+        self.origin_link = Channel(
+            "origin-link",
+            endpoint_a="external",
+            endpoint_b="origin",
+            link=link,
+            overhead=overhead,
+            clock=clock,
+        )
+        self.origin_link.tracer = self.tracer
+        self.sniffer = self.origin_link.attach_sniffer()
+
+    def transfer(self, message: WireMessage) -> float:
+        """Put one message on the origin link; returns the transfer time."""
+        return self.origin_link.send(message)
+
+    def inbound(
+        self,
+        request: HttpRequest,
+        origin: Optional[Callable[[HttpRequest], object]] = None,
+    ):
+        """Client -> firewall -> origin link -> origin.
+
+        Returns what the origin step returns: the server's
+        :class:`HttpResponse`, or whatever ``origin`` renders in its place
+        (the chaos bypass renders the reference page).
+        """
+        payload_bytes = request.payload_bytes
+        self.tracer.advance(
+            "firewall.scan", self.firewall.scan_bytes(payload_bytes), direction="request"
+        )
+        self.transfer(
+            request_message(payload_bytes, source="external", destination="origin")
+        )
+        if origin is None:
+            return self.server.handle(request)
+        return origin(request)
+
+    def outbound(
+        self,
+        request: HttpRequest,
+        payload_bytes: int,
+        body: str,
+        bypass: bool = False,
+    ) -> Optional[AssembledPage]:
+        """Origin -> origin link -> firewall -> DPC.
+
+        Returns the assembled page, or ``None`` when no DPC step ran (no
+        proxy cache, or a ``bypass`` page that ships fully dynamic).
+        """
+        message = response_message(
+            payload_bytes, source="origin", destination="external", page=request.url
+        )
+        if bypass:
+            message.meta["bypass"] = True
+        self.transfer(message)
+        tracer = self.tracer
+        tracer.advance(
+            "firewall.scan", self.firewall.scan_bytes(payload_bytes), direction="response"
+        )
+        dpc = self.dpc
+        if dpc is None or bypass:
+            return None
+        with tracer.span("dpc.assemble") as assemble_span:
+            scanned_before = dpc.bytes_scanned
+            assembled = dpc.process_response(body)
+            scan_bytes = dpc.bytes_scanned - scanned_before
+            self.clock.advance(
+                scan_bytes * self.firewall.scan_cost_per_byte  # z ~= y (§5)
+                + self.cost_model.assembly_cost(
+                    assembled.fragments_set + assembled.fragments_get
+                )
+            )
+            assemble_span.annotate(
+                fragments_set=assembled.fragments_set,
+                fragments_get=assembled.fragments_get,
+            )
+        return assembled
+
+    def serve(self, request: HttpRequest) -> Tuple[str, Optional[AssembledPage]]:
+        """Both legs around ``server.handle``: (client HTML, assembled page)."""
+        response = self.inbound(request)
+        assembled = self.outbound(request, response.payload_bytes, response.body)
+        return (response.body if assembled is None else assembled.html), assembled
+
+
 class Testbed:
     """Builds the topology and replays a workload through it."""
 
@@ -170,7 +294,6 @@ class Testbed:
             self.monitor.attach_database(self.services.db.bus)
 
         # External side.
-        self.firewall = Firewall()
         self.dpc = (
             DynamicProxyCache(
                 capacity=config.dpc_capacity,
@@ -181,31 +304,34 @@ class Testbed:
             else None
         )
 
-        # The measured link.
-        self.origin_link = Channel(
-            "origin-link",
-            endpoint_a="external",
-            endpoint_b="origin",
-            link=config.origin_link,
-            overhead=config.overhead,
-            clock=self.clock,
-        )
-        self.sniffer = self.origin_link.attach_sniffer()
-
         # Observability: one tracer shared by every clock-advancing
         # component, so a request's span tree tiles its virtual latency.
         self.tracer = Tracer(self.clock, enabled=config.tracing)
         self.server.tracer = self.tracer
-        self.origin_link.tracer = self.tracer
         self.services.db.tracer = self.tracer
+
+        # The measured path: firewall, origin link and its Sniffer.
+        self.path = Figure4Path(
+            self.clock,
+            self.server,
+            self.dpc,
+            cost_model=config.cost_model,
+            link=config.origin_link,
+            overhead=config.overhead,
+            tracer=self.tracer,
+        )
+        self.firewall = self.path.firewall
+        self.origin_link = self.path.origin_link
+        self.sniffer = self.path.sniffer
 
         self._hit_rng = random.Random(config.seed + 1)
         self._oracle = self._build_oracle_server()
 
         #: Injector hook points: callables invoked as ``hook(testbed, index,
-        #: timed)`` before each request is served.  The chaos harness
-        #: (:mod:`repro.faults.chaos`) uses these to fire scheduled faults;
-        #: the testbed itself stays fault-unaware.
+        #: timed)`` by :meth:`arrive`, after the clock reaches the arrival
+        #: and before the hit-ratio churn, in registration order.  The chaos
+        #: harness (:mod:`repro.faults.chaos`) registers its fault-schedule
+        #: tick here first; the testbed itself stays fault-unaware.
         self.pre_request_hooks: List = []
 
     def _build_monitor(self, template_config: TemplateConfig):
@@ -280,10 +406,7 @@ class Testbed:
                 hits_at_cut, misses_at_cut = self._monitor_hit_counts()
                 invalidated_at_cut = self._monitor_invalidations()
 
-            self.clock.advance_to(timed.at)
-            for hook in self.pre_request_hooks:
-                hook(self, index, timed)
-            self._churn_fragments(timed.request)
+            self.arrive(index, timed)
             start = self.clock.now()
             html = self.serve_once(timed.request)
             elapsed = self.clock.now() - start
@@ -331,66 +454,34 @@ class Testbed:
         """
         return self._oracle.render_reference_page(request)
 
+    def arrive(self, index: int, timed: TimedRequest) -> None:
+        """The per-arrival step every harness runs before serving.
+
+        Advances the clock to the arrival instant, runs the
+        ``pre_request_hooks`` in order, then applies the hit-ratio churn.
+        """
+        self.clock.advance_to(timed.at)
+        for hook in self.pre_request_hooks:
+            hook(self, index, timed)
+        self._churn_fragments(timed.request)
+
     def serve_once(self, request: HttpRequest) -> str:
-        """One request through the Figure 4 pipeline; returns final HTML.
+        """One request through the Figure 4 path; returns final HTML.
 
         With tracing enabled this opens the request's root span (unless an
-        outer harness already did) and wraps every clock advance in a leaf
+        outer harness already did) and every clock advance lands in a leaf
         span — firewall scans, link transfers (the channel's own spans),
         origin generation, and proxy-side assembly — so the finished tree
         tiles the measured virtual response time exactly.
         """
-        config = self.config
-        with self.tracer.request_span(request, mode=config.mode) as root:
-            request = self.tracer.propagate(request)
-
-            # Request: client -> external -> origin (scanned, measured).
-            with self.tracer.span("firewall.scan", direction="request"):
-                self.clock.advance(self.firewall.scan_bytes(request.payload_bytes))
-            self.origin_link.send(
-                request_message(
-                    request.payload_bytes, source="external", destination="origin"
+        tracer = self.tracer
+        with tracer.request_span(request, mode=self.config.mode) as root:
+            html, assembled = self.path.serve(tracer.propagate(request))
+            if assembled is not None:
+                root.annotate(
+                    hit=assembled.fragments_get > 0 and assembled.fragments_set == 0
                 )
-            )
-
-            # Origin generates (advances the clock internally).
-            response = self.server.handle(request)
-
-            # Response: origin -> external (measured), firewall scan.
-            self.origin_link.send(
-                response_message(
-                    response.payload_bytes,
-                    source="origin",
-                    destination="external",
-                    page=request.url,
-                )
-            )
-            with self.tracer.span("firewall.scan", direction="response"):
-                self.clock.advance(
-                    self.firewall.scan_bytes(response.payload_bytes)
-                )
-
-            # Proxy-side processing.
-            if self.dpc is None:
-                return response.body
-            with self.tracer.span("dpc.assemble") as assemble_span:
-                scanned_before = self.dpc.bytes_scanned
-                assembled = self.dpc.process_response(response.body)
-                scan_bytes = self.dpc.bytes_scanned - scanned_before
-                self.clock.advance(
-                    scan_bytes * self.firewall.scan_cost_per_byte  # z ~= y (§5)
-                    + config.cost_model.assembly_cost(
-                        assembled.fragments_set + assembled.fragments_get
-                    )
-                )
-                assemble_span.annotate(
-                    fragments_set=assembled.fragments_set,
-                    fragments_get=assembled.fragments_get,
-                )
-            root.annotate(
-                hit=assembled.fragments_get > 0 and assembled.fragments_set == 0
-            )
-            return assembled.html
+            return html
 
     def _churn_fragments(self, request: HttpRequest) -> None:
         """Drive the target hit ratio via real data updates."""

@@ -2,7 +2,9 @@
 
 Replays a seeded workload — typically a
 :class:`~repro.workload.arrivals.FlashCrowdProcess` burst — through the
-standard testbed topology with the overload-protection machinery armed:
+testbed's arrival step and Figure 4 path
+(:meth:`~repro.harness.testbed.Testbed.serve_once`) with the
+overload-protection machinery armed:
 
 * bounded c-server queues in front of the application server and the DBMS
   connection pool (:mod:`repro.overload.queues`), so virtual generation
@@ -259,10 +261,7 @@ class OverloadHarness:
         for index, timed in enumerate(workload):
             if index % config.bucket_requests == 0:
                 self._open_bucket(result, index)
-            tb.clock.advance_to(timed.at)
-            for hook in tb.pre_request_hooks:
-                hook(tb, index, timed)
-            tb._churn_fragments(timed.request)
+            tb.arrive(index, timed)
             outcome, html, predicted_hit = self._serve(timed)
             self._account(result, index, timed, outcome, html, predicted_hit)
             if outcome in ("shed", "timed_out"):

@@ -253,17 +253,42 @@ class Tracer:
         if not self._enabled:
             return NULL_SCOPE
         stack = self._stack
-        if stack:
-            parent = stack[-1]
-            span = Span(name, parent.trace_id, self._now(), meta, self)
-            parent.children.append(span)
-        else:
-            trace_id = "t%06d" % self._next_trace_id
-            self._next_trace_id += 1
-            span = Span(name, trace_id, self._now(), meta, self)
+        if not stack:
+            return self._open_root(name, meta)
+        parent = stack[-1]
+        span = Span(name, parent.trace_id, self._now(), meta, self)
+        parent.children.append(span)
         stack.append(span)
         self.spans_opened += 1
         return span
+
+    def advance(self, name: str, seconds: float, **meta: object) -> float:
+        """Advance the clock by ``seconds`` inside one closed leaf span.
+
+        The same tree as ``with tracer.span(name, **meta):
+        clock.advance(seconds)`` in one call; on a disabled tracer it is
+        just the clock advance.  Returns the new virtual time.
+        """
+        if not self._enabled:
+            return self.clock.advance(seconds)
+        stack = self._stack
+        if not stack:
+            with self._open_root(name, meta):
+                return self.clock.advance(seconds)
+        parent = stack[-1]
+        span = Span(name, parent.trace_id, self._now(), meta, self)
+        parent.children.append(span)
+        stack.append(span)
+        self.spans_opened += 1
+        try:
+            span.end = self.clock.advance(seconds)
+        except BaseException as exc:
+            span.status = type(exc).__name__
+            span.end = self._now()
+            raise
+        finally:
+            stack.pop()
+        return span.end
 
     def request_span(self, request, **meta: object):
         """A root ``request`` span — or a no-op if a trace is already open.
@@ -276,7 +301,15 @@ class Tracer:
         if not self._enabled or self._stack:
             return NULL_SCOPE
         meta["url"] = request.url
-        return self.span("request", **meta)
+        return self._open_root("request", meta)
+
+    def _open_root(self, name: str, meta: dict) -> Span:
+        """Open a new trace: a root span with a fresh trace ID."""
+        span = Span(name, "t%06d" % self._next_trace_id, self._now(), meta, self)
+        self._next_trace_id += 1
+        self._stack.append(span)
+        self.spans_opened += 1
+        return span
 
     # -- context ------------------------------------------------------------
 
@@ -289,10 +322,11 @@ class Tracer:
 
     def current_context(self) -> Optional[TraceContext]:
         """A propagatable :class:`TraceContext` for the current span."""
-        span = self.current
-        if span is None:
+        stack = self._stack
+        if not self._enabled or not stack:
             return None
-        return TraceContext(trace_id=span.trace_id, span=span)
+        span = stack[-1]
+        return TraceContext(span.trace_id, span)
 
     def propagate(self, request):
         """Stamp the active trace context onto an ``HttpRequest``.

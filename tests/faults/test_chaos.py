@@ -10,12 +10,18 @@ of the pre-fault steady state.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.chaos import ChaosConfig, run_chaos, summarize_recovery
+from repro.faults.chaos import (
+    ChaosConfig,
+    ChaosHarness,
+    run_chaos,
+    summarize_recovery,
+)
 from repro.faults.injectors import (
     ChannelDegradation,
     ChannelPartition,
     DirectoryCorruption,
     DpcCrash,
+    FaultInjector,
     MessageLoss,
 )
 from repro.harness.testbed import TestbedConfig
@@ -160,3 +166,36 @@ class TestFaultFreeBaseline:
         assert result.recovery_events == []
         assert result.messages_dropped == 0
         assert result.delivery.first_try_ratio == 1.0
+
+
+class TestArrivalStep:
+    def test_pre_request_hooks_fire_once_per_request_after_the_fault_tick(self):
+        log = []
+
+        class Probe(FaultInjector):
+            def start(self, ctx):
+                log.append(("fault", ctx.clock.now()))
+
+        harness = ChaosHarness(
+            ChaosConfig(
+                testbed=TestbedConfig(mode="dpc", requests=50, warmup_requests=10),
+                faults=[Probe(at=0.3)],
+            )
+        )
+
+        def hook(testbed, index, timed):
+            log.append(("hook", index, testbed.clock.now()))
+
+        harness.testbed.pre_request_hooks.append(hook)
+
+        harness.run()
+
+        hooks = [entry for entry in log if entry[0] == "hook"]
+        assert [entry[1] for entry in hooks] == list(range(60))
+        fault = [entry for entry in log if entry[0] == "fault"]
+        assert len(fault) == 1
+        # The fault fired at the first arrival at or past 0.3 s, and that
+        # arrival's hook ran right after it, at the same instant.
+        at = log.index(fault[0])
+        assert all(entry[2] < 0.3 for entry in log[:at])
+        assert log[at + 1][0] == "hook" and log[at + 1][2] == fault[0][1] >= 0.3

@@ -18,11 +18,11 @@ def _committed(name):
 
 
 class TestRegistry:
-    def test_scan_registered(self):
-        assert "scan" in bench.REGISTRY
-        spec = bench.REGISTRY["scan"]
-        assert spec.default_json == "BENCH_SCAN.json"
-        assert set(spec.smoke_settings) <= {"iterations", "pairs"}
+    def test_insight_registered(self):
+        assert list(bench.REGISTRY) == ["insight"]
+        spec = bench.REGISTRY["insight"]
+        assert spec.default_json == "BENCH_INSIGHT.json"
+        assert set(spec.smoke_settings) <= {"requests", "pairs", "warmup"}
 
     def test_every_spec_is_complete(self):
         for spec in bench.REGISTRY.values():
@@ -86,42 +86,35 @@ class TestCommittedBaseline:
             assert payload[entry]["overhead"]["lower_quartile"] < OVERHEAD_BOUND
             assert payload[entry]["identical_accounting"] is True
 
-    def test_bench_scan_json_is_valid(self):
-        """The committed baseline records str.find well ahead of KMP."""
-        payload = _committed("BENCH_SCAN.json")
-        for entry in ("full", "smoke"):
-            assert payload[entry]["speedup"]["lower_quartile"] >= 10.0
-            assert payload[entry]["sentinels_found"] > 0
-
 
 class TestCliPlumbing:
     def test_list_exits_cleanly(self, capsys):
         assert bench.main(["--list"]) == 0
         out = capsys.readouterr().out
-        assert "scan" in out and "insight" in out
+        assert "insight" in out and "BENCH_INSIGHT.json" in out
 
     def test_unknown_benchmark_rejected(self, capsys):
         assert bench.main(["nonsense"]) == 2
 
     def test_run_smoke_with_stub_runner(self, tmp_path, capsys, monkeypatch):
         """End-to-end CLI path with a stubbed-out runner: run, gate, record."""
-        path = str(tmp_path / "BENCH_SCAN.json")
+        path = str(tmp_path / "BENCH_INSIGHT.json")
         calls = {}
 
         def stub_runner(**settings):
             calls.update(settings)
-            return {"benchmark": "scan", "speedup": {"lower_quartile": 5.0}}
+            return {"benchmark": "insight", "speedup": {"lower_quartile": 5.0}}
 
         monkeypatch.setattr(
-            bench.REGISTRY["scan"], "runner", stub_runner
+            bench.REGISTRY["insight"], "runner", stub_runner
         )
-        code = bench.main(["scan", "--smoke", "--json", path, "--record"])
+        code = bench.main(["insight", "--smoke", "--json", path, "--record"])
         assert code == 0
-        assert calls == bench.REGISTRY["scan"].smoke_settings
+        assert calls == bench.REGISTRY["insight"].smoke_settings
         assert bench.load_results(path)["smoke"]["speedup"]["lower_quartile"] == 5.0
         # A second, slower run against the recorded baseline fails the gate.
         monkeypatch.setattr(
-            bench.REGISTRY["scan"], "runner",
+            bench.REGISTRY["insight"], "runner",
             lambda **settings: {"speedup": {"lower_quartile": 4.0}},
         )
-        assert bench.main(["scan", "--smoke", "--json", path]) == 1
+        assert bench.main(["insight", "--smoke", "--json", path]) == 1

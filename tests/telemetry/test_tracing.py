@@ -222,3 +222,50 @@ class TestTreeInvariants:
         root.end = 1.0
         with pytest.raises(AssertionError):
             assert_well_formed(root)
+
+
+def tree(span):
+    return (
+        span.name, span.status, span.start, span.end, dict(span.meta),
+        [tree(child) for child in span.children],
+    )
+
+
+class TestAdvanceLeaf:
+    def test_same_tree_as_a_span_around_the_advance(self):
+        trees = []
+        for leaf in (False, True):
+            clock = SimulatedClock()
+            tracer = Tracer(clock, enabled=True)
+            with tracer.span("request") as root:
+                clock.advance(0.125)
+                if leaf:
+                    now = tracer.advance("firewall.scan", 0.5, direction="request")
+                else:
+                    with tracer.span("firewall.scan", direction="request"):
+                        now = clock.advance(0.5)
+            assert now == clock.now() == 0.625
+            assert tracer.spans_opened == 2
+            assert_well_formed(root)
+            trees.append(tree(root))
+        assert trees[0] == trees[1]
+
+    def test_without_an_open_trace_the_leaf_is_a_root(self, clock, tracer):
+        tracer.advance("firewall.scan", 0.5)
+        root = tracer.last_root
+        assert root.name == "firewall.scan"
+        assert (root.start, root.end) == (0.0, 0.5)
+        assert tracer.traces_completed == 1
+
+    def test_disabled_tracer_only_advances_the_clock(self, clock):
+        tracer = Tracer(clock)
+        assert tracer.advance("firewall.scan", 0.5, direction="request") == 0.5
+        assert tracer.spans_opened == 0
+
+    def test_a_failed_advance_closes_the_leaf_with_its_error(self, clock, tracer):
+        with pytest.raises(ConfigurationError):
+            with tracer.span("request") as root:
+                tracer.advance("firewall.scan", -1.0)
+        (leaf,) = root.children
+        assert leaf.status == "ConfigurationError" and leaf.closed
+        assert tracer.current is None
