@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
+from ..core.fragments import quote_reserved
 from ..core.template import utf8_len
 from ..errors import ConfigurationError
 
@@ -53,6 +54,12 @@ class HttpRequest:
     #: right tree.  Excluded from equality/repr: tracing a request must
     #: not change how caches and queues treat it.
     trace: Optional[object] = field(default=None, compare=False, repr=False)
+    #: The request URL — what a page-level proxy cache keys on.  Keys and
+    #: values percent-encode ``%&=?``, as fragment ids do, so two parameter
+    #: maps never share a URL.  Rendered once, at construction.
+    url: str = field(init=False, compare=False, repr=False)
+    #: UTF-8 bytes this request occupies as an HTTP message payload.
+    payload_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.path.startswith("/"):
@@ -65,22 +72,24 @@ class HttpRequest:
             and self.deadline_at < self.arrived_at
         ):
             raise ConfigurationError("deadline cannot precede arrival")
+        url = self._render_url()
+        object.__setattr__(self, "url", url)
+        object.__setattr__(
+            self,
+            "payload_bytes",
+            utf8_len(self.method) + 1 + utf8_len(url) + len(" HTTP/1.1\r\n")
+            + self.header_bytes,
+        )
 
-    @property
-    def url(self) -> str:
-        """The request URL — what a page-level proxy cache keys on."""
-        if not self.params:
+    def _render_url(self) -> str:
+        params = self.params
+        if not params:
             return self.path
         query = "&".join(
-            "%s=%s" % (key, self.params[key]) for key in sorted(self.params)
+            "%s=%s" % (quote_reserved(key), quote_reserved(params[key]))
+            for key in sorted(params)
         )
         return "%s?%s" % (self.path, query)
-
-    @property
-    def payload_bytes(self) -> int:
-        """Bytes this request occupies as an HTTP message payload."""
-        request_line = len(self.method) + 1 + len(self.url) + len(" HTTP/1.1\r\n")
-        return request_line + self.header_bytes
 
     def param(self, name: str, default: str = "") -> str:
         """Query parameter by name, with a default."""

@@ -87,35 +87,31 @@ class ScriptContext:
 
         Generation cost is charged only when the generator actually runs
         (i.e. on misses and for non-cacheable blocks); hits pay just the
-        directory probe.  DB work inside the generator is measured by
-        row-touch deltas and charged per row.
+        directory probe.  The rows read and tier hops made during
+        ``builder.block`` are charged to the block, per row.  Only the
+        generator reads tables on that path (dependency factories, the
+        directory insert and the invalidation watch never do), so a block
+        is charged exactly its generator's rows.
         """
         if generate is None:
             raise ScriptError("block %r needs a generate callable" % name)
+        db = self.services.db
+        rows_before = db.total_rows_read()
         hops_before = self.tiers.cross_tier_hops
-        work = []  # (rows, hops) of the generator run, if it ran
-
-        def measured_generate() -> str:
-            rows_before = self.services.db.total_rows_read()
-            content = generate()
-            work.append((
-                self.services.db.total_rows_read() - rows_before,
-                self.tiers.cross_tier_hops - hops_before,
-            ))
-            return content
-
-        output_bytes = self.builder.block(name, params, measured_generate)
+        output_bytes = self.builder.block(name, params, generate)
+        cost_model = self.cost_model
         if output_bytes is None:
-            self.generation_cost_s += self.cost_model.block_hit_cost()
+            self.generation_cost_s += cost_model.block_hit_cost()
             return self
-        rows, hops = work[0]
-        self.generation_cost_s += self.cost_model.block_generation_cost(
+        rows = db.total_rows_read() - rows_before
+        hops = self.tiers.cross_tier_hops - hops_before
+        self.generation_cost_s += cost_model.block_generation_cost(
             output_bytes=output_bytes,
             db_rows=rows,
             cross_tier_hops=max(hops, 1),
             needs_db_connection=rows > 0,
         )
-        self.db_cost_s += self.cost_model.db_block_cost(
+        self.db_cost_s += cost_model.db_block_cost(
             db_rows=rows, needs_db_connection=rows > 0
         )
         self.db_rows += rows

@@ -67,7 +67,9 @@ class ApplicationServer:
         #: Tracer breaking origin-side work into ``bem.process`` →
         #: ``script.exec`` → ``script.compute``/``db.query`` spans.  When
         #: left disabled the generation advance stays one combined call,
-        #: preserving the exact float arithmetic of untraced runs.
+        #: preserving the exact float arithmetic of untraced runs.  An
+        #: enabled tracer must run on this server's clock: its leaves
+        #: advance it.
         self.tracer = NULL_TRACER
         #: Only a real BEM emits GET/SET tags; other monitors (e.g. the
         #: back-end fragment cache baseline) produce client-ready pages
@@ -131,7 +133,8 @@ class ApplicationServer:
             bem=self.bem,
         )
         rows_before = self.services.db.total_rows_read()
-        with self.tracer.span("script.exec"):
+        tracer = self.tracer
+        with tracer.span("script.exec"):
             if self.bem is not None:
                 self.bem.deadline_at = request.deadline_at
             try:
@@ -150,11 +153,11 @@ class ApplicationServer:
                 body = builder.response_body()
             else:
                 body = builder.full_page()
-            if self.tracer.enabled:
-                with self.tracer.span("script.compute"):
-                    self.clock.advance(ctx.generation_cost_s - ctx.db_cost_s)
-                with self.tracer.span("db.query", rows=ctx.db_rows):
-                    self.clock.advance(ctx.db_cost_s)
+            if tracer.enabled:
+                tracer.advance(
+                    "script.compute", ctx.generation_cost_s - ctx.db_cost_s
+                )
+                tracer.advance("db.query", ctx.db_cost_s, rows=ctx.db_rows)
         app_wait_s = db_wait_s = 0.0
         if self.queue is not None:
             app_wait_s = self.queue.offer(
@@ -169,13 +172,11 @@ class ApplicationServer:
             db_wait_s = self.db_queue.offer(
                 arrival, db_service_s, request.priority
             ).wait_s
-        if self.tracer.enabled:
+        if tracer.enabled:
             if app_wait_s > 0:
-                with self.tracer.span("queue.wait", queue="appserver"):
-                    self.clock.advance(app_wait_s)
+                tracer.advance("queue.wait", app_wait_s, queue="appserver")
             if db_wait_s > 0:
-                with self.tracer.span("queue.wait", queue="db_pool"):
-                    self.clock.advance(db_wait_s)
+                tracer.advance("queue.wait", db_wait_s, queue="db_pool")
         else:
             self.clock.advance(ctx.generation_cost_s + app_wait_s + db_wait_s)
         self.requests_served += 1

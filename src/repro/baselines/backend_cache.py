@@ -59,6 +59,10 @@ class BackendFragmentCache:
         self.invalidation = InvalidationManager(self.directory)
         self.objects = ObjectCache(self.clock)  # intermediate-object memo
         self._contents: Dict[int, str] = {}  # dpcKey -> cached fragment body
+        #: What the last :meth:`process_block` generated; ``None`` after a
+        #: hit.  A hit and a miss both return a ``Literal``, so this is how
+        #: the page builder tells them apart.
+        self.last_generated: Optional[str] = None
         self.stats = BackendCacheStats()
 
     # -- PageBuilder protocol -------------------------------------------------
@@ -77,6 +81,7 @@ class BackendFragmentCache:
             self.stats.hits += 1
             content = self._contents[entry.dpc_key]
             self.stats.bytes_served_from_cache += entry.size_bytes
+            self.last_generated = None
             return Literal(content)
 
         metadata = describe()
@@ -88,6 +93,7 @@ class BackendFragmentCache:
         self._contents[entry.dpc_key] = content
         if metadata.dependencies:
             self.invalidation.watch(fragment_id, tuple(metadata.dependencies))
+        self.last_generated = content
         return Literal(content)
 
     # -- management (mirrors BackEndMonitor's surface) ----------------------------

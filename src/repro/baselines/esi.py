@@ -61,7 +61,6 @@ class _EsiCaptureMonitor:
         describe: Callable[[], FragmentMetadata],
         generate: Callable[[], str],
     ) -> Instruction:
-        content = generate()
         src = fragment_id.canonical()
         key = self._key_by_src.get(src)
         if key is None:
@@ -69,7 +68,7 @@ class _EsiCaptureMonitor:
             self._key_by_src[src] = key
             self.src_by_key[key] = src
             self.ttl_by_src[src] = describe().ttl
-        return SetInstruction(key, content)
+        return SetInstruction(key, generate())
 
 
 #: A template part: literal markup or a fragment include by src.

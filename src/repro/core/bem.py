@@ -33,6 +33,7 @@ from .template import (
     DEFAULT_CONFIG,
     GetInstruction,
     Instruction,
+    KeyMemo,
     SetInstruction,
     TemplateConfig,
 )
@@ -137,6 +138,8 @@ class BackEndMonitor:
         self.invalidation = InvalidationManager(self.directory)
         self.objects = ObjectCache(self.clock)
         self.template_config = template_config
+        #: One immutable GET instruction per dpcKey, shared by every hit.
+        self._gets = KeyMemo(GetInstruction)
         self.stats = BemStats()
         #: The DPC generation this directory is synchronized against.  New
         #: entries are stamped with it; the resync protocol
@@ -192,13 +195,13 @@ class BackEndMonitor:
             stale = self._degrader.stale_lookup(fragment_id, now)
             if stale is not None and not stale.fresh(now):
                 stats.stale_fragment_serves += 1
-                return GetInstruction(stale.dpc_key)
+                return self._gets[stale.dpc_key]
         entry = self.directory.lookup(fragment_id, now)
         if entry is not None:
             # Case 2: fresh hit -> GET instruction only.
             stats.fragment_hits += 1
             stats.bytes_served_from_dpc += entry.size_bytes
-            return GetInstruction(entry.dpc_key)
+            return self._gets[entry.dpc_key]
 
         # Case 1: miss or invalid -> generate, insert entry, SET instruction.
         metadata = describe()

@@ -37,7 +37,8 @@ def _render(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
     return "%s?%s" % (name, "&".join(["%s=%s" % pair for pair in params]))
 
 
-def _quote(text: object) -> str:
+def quote_reserved(text: object) -> str:
+    """``str(text)`` with ``%``, ``&``, ``=`` and ``?`` percent-encoded."""
     return str(text).translate(_QUOTE)
 
 
@@ -50,8 +51,8 @@ def _canonical(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
     else:
         parts = name + "".join(["%s%s" % pair for pair in params])
     if "%" in parts or "&" in parts or "=" in parts or "?" in parts:
-        name = _quote(name)
-        params = tuple((_quote(k), _quote(v)) for k, v in params)
+        name = quote_reserved(name)
+        params = tuple((quote_reserved(k), quote_reserved(v)) for k, v in params)
     return _render(name, params)
 
 

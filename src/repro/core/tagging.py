@@ -20,14 +20,19 @@ Two pieces:
 
 The monitor protocol is ``process_block(fragment_id, describe, generate)``.
 ``describe`` materializes the block's :class:`FragmentMetadata` and is
-called only when a miss inserts a directory entry, so a hit pays for one
-fragment id and one directory probe.  Untagged and non-cacheable blocks
-never reach the monitor.
+called only when a miss inserts a directory entry, before ``generate``
+runs, so a hit pays for one fragment id and one directory probe.  The
+returned instruction tells the builder what happened: a ``GET`` is a hit,
+a ``SET`` carries the generated content, and a monitor that returns
+content inline as a ``Literal`` reports the generated content (``None``
+on a hit) in its ``last_generated`` attribute.  Untagged and
+non-cacheable blocks never reach the monitor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import TaggingError
@@ -144,6 +149,25 @@ class TagRegistry:
         return name in self._tags
 
 
+#: ``params`` of a block written without any.
+_NO_PARAMS: Mapping[str, object] = MappingProxyType({})
+
+
+class _Describe:
+    """The ``describe`` a :class:`PageBuilder` hands its monitor.
+
+    One per builder, re-aimed at each cacheable block, so a block costs no
+    closure.  It describes the block most recently handed to the monitor:
+    a monitor calls it before running the block's generator, which may
+    write blocks of its own.
+    """
+
+    __slots__ = ("tag", "params")
+
+    def __call__(self) -> FragmentMetadata:
+        return self.tag.metadata_for(self.params)
+
+
 @dataclass
 class PageBuildStats:
     """What happened while building one page."""
@@ -179,6 +203,7 @@ class PageBuilder:
         self.bem = bem
         self.template = Template(config=template_config)
         self.stats = PageBuildStats()
+        self._describe = _Describe()
         self._finished = False
 
     # -- script-facing API -------------------------------------------------------
@@ -204,17 +229,23 @@ class PageBuilder:
         ``generate`` produced — measured once, here, for both the page
         statistics and the caller's generation costing — or ``None`` when
         the block was served without running it (a hit).
+
+        A cacheable block allocates no closure or list here: ``generate``
+        goes to the monitor as is, ``describe`` is the builder's one
+        :class:`_Describe`, and whether the block ran is read off the
+        returned instruction.
         """
         self._check_open()
         if generate is None:
             raise TaggingError("block %r needs a generate callable" % name)
         if params is None:
-            params = {}
+            params = _NO_PARAMS
         tag = self.registry.lookup(name)
         stats = self.stats
         stats.blocks += 1
+        bem = self.bem
 
-        if tag is None or not tag.cacheable or self.bem is None:
+        if tag is None or not tag.cacheable or bem is None:
             content = generate()
             size = utf8_len(content)
             stats.generated_bytes += size
@@ -223,29 +254,30 @@ class PageBuilder:
             return size
 
         stats.cacheable_blocks += 1
-        generated = []
-
-        def observed_generate() -> str:
-            content = generate()
-            generated.append(content)
-            return content
-
-        instruction = self.bem.process_block(
-            FragmentID.create(name, params),
-            lambda: tag.metadata_for(params),
-            observed_generate,
+        describe = self._describe
+        describe.tag = tag
+        describe.params = params
+        instruction = bem.process_block(
+            FragmentID.create(name, params), describe, generate
         )
+        self.template.instructions.append(instruction)
         kind = type(instruction)
         if kind is GetInstruction:
             stats.gets += 1
-        elif kind is SetInstruction:
-            stats.sets += 1
-        self.template.add(instruction)
-        if not generated:
             stats.hits += 1
             return None
+        if kind is SetInstruction:
+            stats.sets += 1
+            content = instruction.content
+        else:
+            # A monitor that ships content inline (the back-end fragment
+            # cache) says whether it ran the block in ``last_generated``.
+            content = bem.last_generated
+            if content is None:
+                stats.hits += 1
+                return None
         stats.misses += 1
-        size = utf8_len(generated[0])
+        size = utf8_len(content)
         stats.generated_bytes += size
         return size
 

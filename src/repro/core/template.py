@@ -55,7 +55,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
 from .scanner import TagScanner, utf8_len
@@ -78,7 +78,7 @@ class TemplateConfig:
     :class:`~repro.errors.OversizedFragmentError` before it touches a slot.
     """
 
-    __slots__ = ("key_width", "max_fragment_bytes")
+    __slots__ = ("key_width", "max_fragment_bytes", "get_tags")
 
     def __init__(
         self, key_width: int = 4, max_fragment_bytes: int = 1 << 20
@@ -89,6 +89,10 @@ class TemplateConfig:
             raise ConfigurationError("max_fragment_bytes must be positive")
         object.__setattr__(self, "key_width", key_width)
         object.__setattr__(self, "max_fragment_bytes", max_fragment_bytes)
+        #: dpcKey -> its rendered GET tag, each formatted once.
+        #: :meth:`format_key` rejects out-of-range keys, so this holds at
+        #: most ``10 ** key_width`` entries.
+        object.__setattr__(self, "get_tags", KeyMemo(self._render_get_tag))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TemplateConfig is immutable")
@@ -126,6 +130,27 @@ class TemplateConfig:
                 "dpcKey %d out of range for key_width=%d" % (key, self.key_width)
             )
         return "%0*d" % (self.key_width, key)
+
+    def _render_get_tag(self, key: int) -> str:
+        return "<~G:" + self.format_key(key) + "~>"
+
+
+class KeyMemo(dict):
+    """``memo[key]`` builds ``make(key)`` on first use and keeps it.
+
+    Sized by the keys actually asked for, which are dpcKeys: a memo over
+    one key space never outgrows it.
+    """
+
+    __slots__ = ("_make",)
+
+    def __init__(self, make: Callable[[int], object]) -> None:
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key: int) -> object:
+        value = self[key] = self._make(key)
+        return value
 
 
 DEFAULT_CONFIG = TemplateConfig()
@@ -308,6 +333,7 @@ class Template:
         ``normalized()`` copy.
         """
         format_key = self.config.format_key
+        get_tags = self.config.get_tags
         parts: List[str] = []
         append = parts.append
         run: List[str] = []     # adjacent literal texts awaiting one escape
@@ -320,7 +346,7 @@ class Template:
                 append(_escape("".join(run)))
                 run.clear()
             if kind is GetInstruction:
-                append("<~G:" + format_key(instruction.key) + "~>")
+                append(get_tags[instruction.key])
             elif kind is SetInstruction:
                 key = format_key(instruction.key)
                 append("<~S:" + key + "~>")

@@ -27,7 +27,7 @@ from .sql import (
     count_placeholders,
     parse,
 )
-from .table import Table
+from .table import ReadTally, Table
 from .triggers import TriggerBus
 
 
@@ -60,6 +60,8 @@ class Database:
         self.bus = TriggerBus()
         self.transactions = TransactionManager(self.bus)
         self._tables: Dict[str, Table] = {}
+        #: Rows read across all tables; every table adds its reads here.
+        self._reads = ReadTally()
         self.statements_executed = 0
         self._queue = None
         self._queue_clock = None
@@ -106,7 +108,7 @@ class Database:
             raise SchemaError("table %r already exists" % schema.name)
         # Tables publish through the transaction manager (same .publish
         # interface as the bus) so events can be buffered per-transaction.
-        table = Table(schema, bus=self.transactions)
+        table = Table(schema, bus=self.transactions, tally=self._reads)
         self._tables[schema.name] = table
         return table
 
@@ -150,7 +152,10 @@ class Database:
         """Remove a table and its rows."""
         if name not in self._tables:
             raise SchemaError("no table named %r" % name)
-        del self._tables[name]
+        table = self._tables.pop(name)
+        # Take its reads out of the total, and keep later reads out too.
+        self._reads.rows -= table.rows_read
+        table.tally = ReadTally(table.rows_read)
 
     def table(self, name: str) -> Table:
         """Look up a table by name; raises QueryError if unknown."""
@@ -325,7 +330,7 @@ class Database:
 
     def total_rows_read(self) -> int:
         """Rows read across all tables since the last reset."""
-        return sum(table.rows_read for table in self._tables.values())
+        return self._reads.rows
 
     def total_rows_written(self) -> int:
         """Rows written across all tables since the last reset."""

@@ -17,6 +17,20 @@ from .triggers import DELETE, INSERT, UPDATE, ChangeEvent, TriggerBus
 Predicate = Callable[[Dict[str, object]], bool]
 
 
+class ReadTally:
+    """Running total of rows read, shared by every table of one database.
+
+    Each read bumps its table's ``rows_read`` and this total together, so
+    :meth:`repro.database.Database.total_rows_read` is one attribute read
+    instead of a sum over the tables.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: int = 0) -> None:
+        self.rows = rows
+
+
 class Table:
     """One table's rows, keyed by primary key, with optional hash indexes.
 
@@ -25,7 +39,12 @@ class Table:
     distinct.
     """
 
-    def __init__(self, schema: TableSchema, bus: Optional[TriggerBus] = None) -> None:
+    def __init__(
+        self,
+        schema: TableSchema,
+        bus: Optional[TriggerBus] = None,
+        tally: Optional[ReadTally] = None,
+    ) -> None:
         self.schema = schema
         self._bus = bus
         self._rows: Dict[object, Dict[str, object]] = {}
@@ -34,6 +53,9 @@ class Table:
         #: per-row query cost in the generation delay model.
         self.rows_read = 0
         self.rows_written = 0
+        #: The owning database's running read total (a private one for a
+        #: standalone table); kept in step with ``rows_read``.
+        self.tally = tally if tally is not None else ReadTally()
 
     @property
     def name(self) -> str:
@@ -141,6 +163,7 @@ class Table:
         if row is None:
             return None
         self.rows_read += 1
+        self.tally.rows += 1
         return dict(row)
 
     def scan(self, where: Optional[Predicate] = None) -> Iterator[Dict[str, object]]:
@@ -149,8 +172,10 @@ class Table:
         Every row examined counts as read, matching or not — that is what a
         real scan costs, and what the latency model charges for.
         """
+        tally = self.tally
         for row in list(self._rows.values()):
             self.rows_read += 1
+            tally.rows += 1
             if where is None or where(row):
                 yield dict(row)
 
@@ -159,10 +184,9 @@ class Table:
         index = self._indexes.get(column)
         if index is None:
             return list(self.scan(lambda row: row[column] == value))
-        rows = []
-        for pk in index.lookup(value):
-            self.rows_read += 1
-            rows.append(dict(self._rows[pk]))
+        rows = [dict(self._rows[pk]) for pk in index.lookup(value)]
+        self.rows_read += len(rows)
+        self.tally.rows += len(rows)
         return rows
 
     def keys(self) -> List[object]:
@@ -185,8 +209,10 @@ class Table:
         if where is None:
             return list(self._rows.keys())
         matches = []
+        tally = self.tally
         for pk, row in self._rows.items():
             self.rows_read += 1
+            tally.rows += 1
             if where(dict(row)):
                 matches.append(pk)
         return matches
@@ -218,6 +244,7 @@ class Table:
 
     def reset_counters(self) -> None:
         """Zero the rows-read/rows-written counters."""
+        self.tally.rows -= self.rows_read
         self.rows_read = 0
         self.rows_written = 0
 

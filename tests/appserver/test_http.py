@@ -30,6 +30,26 @@ class TestHttpRequest:
         # "GET /x HTTP/1.1\r\n" = 3 + 1 + 2 + 11 = 17
         assert request.payload_bytes == 17 + 100
 
+    def test_payload_bytes_counts_utf8_bytes(self):
+        # "GET /p?q=café HTTP/1.1\r\n": "é" is one character, two bytes.
+        request = HttpRequest("/p", {"q": "café"}, header_bytes=0)
+        assert request.payload_bytes == 3 + 1 + len("/p?q=caf") + 2 + 11
+        assert request.payload_bytes == HttpRequest(
+            "/p", {"q": "cafe"}, header_bytes=0
+        ).payload_bytes + 1
+
+    def test_url_is_injective_over_params(self):
+        smuggled = HttpRequest("/p", {"a": "1&b=2"})
+        honest = HttpRequest("/p", {"a": "1", "b": "2"})
+        assert honest.url == "/p?a=1&b=2"
+        assert smuggled.url == "/p?a=1%26b%3D2"
+        assert HttpRequest("/p", {"a=1&b": "2"}).url != honest.url
+        assert HttpRequest("/p", {"a": "%26"}).url == "/p?a=%2526"
+
+    def test_url_is_rendered_once(self):
+        request = HttpRequest("/catalog.jsp", {"b": "2", "a": "1"})
+        assert request.url is request.url
+
     def test_path_must_be_absolute(self):
         with pytest.raises(ConfigurationError):
             HttpRequest("relative")

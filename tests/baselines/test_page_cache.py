@@ -68,6 +68,18 @@ class TestMechanics:
         assert cache.invalidate_all() == 2
         assert len(cache) == 0
 
+    def test_params_cannot_smuggle_another_pages_url(self, cache):
+        """A value holding ``&`` and ``=`` must not alias two params."""
+        def echo_origin(request):
+            return HttpResponse(body=repr(sorted(request.params.items())))
+
+        honest = HttpRequest("/p", {"a": "1", "b": "2"})
+        smuggled = HttpRequest("/p", {"a": "1&b=2"})
+        cache.serve(honest, echo_origin)
+        response, from_cache = cache.serve(smuggled, echo_origin)
+        assert not from_cache
+        assert response.body == repr([("a", "1&b=2")])
+
     def test_invalid_config(self, clock):
         with pytest.raises(ConfigurationError):
             PageLevelCache(clock, capacity=0)
