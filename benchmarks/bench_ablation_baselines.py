@@ -7,7 +7,8 @@ uncached oracle).  This is the paper's Table-of-tradeoffs (§3.3) as data:
 
 * page-level proxy cache — big byte savings, wrong pages;
 * ESI assembly          — biggest byte savings, wrong pages (fixed layout);
-* back-end fragment cache — correct, zero byte savings;
+* back-end fragment cache — correct, zero byte savings (the BEM with its
+  DPC inside the site);
 * DPC                   — correct AND large byte savings.
 """
 
@@ -18,7 +19,6 @@ from repro.baselines.esi import EsiAssembler
 from repro.baselines.page_cache import PageLevelCache
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
-from repro.baselines.backend_cache import BackendFragmentCache
 from repro.network.clock import SimulatedClock
 from repro.network.latency import FREE
 from repro.sites import books
@@ -81,9 +81,12 @@ def run_esi():
 
 def run_backend():
     clock = SimulatedClock()
-    cache = BackendFragmentCache(capacity=1024, clock=clock)
-    server = books.build_server(clock=clock, bem=cache, cost_model=FREE)
-    cache.attach_database(server.services.db.bus)
+    bem = BackEndMonitor(capacity=1024, clock=clock)
+    server = books.build_server(
+        clock=clock, bem=bem, origin_dpc=DynamicProxyCache(capacity=1024),
+        cost_model=FREE,
+    )
+    bem.attach_database(server.services.db.bus)
     origin_bytes = 0
     wrong = 0
     for request in workload():
@@ -92,7 +95,7 @@ def run_backend():
         if response.body != server.render_reference_page(request):
             wrong += 1
     return dict(system="back-end cache", origin_bytes=origin_bytes,
-                hit_ratio=cache.hit_ratio, wrong_pages=wrong)
+                hit_ratio=bem.hit_ratio, wrong_pages=wrong)
 
 
 def run_dpc():

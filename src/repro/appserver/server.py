@@ -1,14 +1,18 @@
 """The application server: request dispatch, script execution, response build.
 
 Plays the role of IIS + the ASP engine in the paper's testbed.  One server
-instance runs in exactly one of two modes:
+instance runs in exactly one of three modes:
 
-* **no-cache** (``bem=None``) — every block executes; the response body is
+* **plain** (``bem=None``) — every block executes; the response body is
   the full page.  This is the paper's baseline configuration.
-* **DPC** (``bem`` set) — tagged blocks run the §4.3.2 protocol; the
+* **dpc** (``bem`` set) — tagged blocks run the §4.3.2 protocol; the
   response body is the serialized page template.
+* **backend** (``bem`` and ``origin_dpc`` set) — the same protocol, but the
+  DPC sits inside the site: the origin assembles the template itself and
+  ships the full page.  This is the back-end fragment cache of §3.1, which
+  saves computation and no bandwidth.
 
-Either way, ``handle()`` returns an :class:`HttpResponse` whose ``meta``
+In every mode, ``handle()`` returns an :class:`HttpResponse` whose ``meta``
 records what happened (mode, hit/miss counts, virtual generation time), so
 the harness can account bytes and latency without reaching into internals.
 """
@@ -18,9 +22,15 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.bem import BackEndMonitor
+from ..core.dpc import DynamicProxyCache
 from ..core.tagging import PageBuilder
 from ..core.template import DEFAULT_CONFIG, TemplateConfig
-from ..errors import DeadlineExceededError, OverloadError, ScriptError
+from ..errors import (
+    ConfigurationError,
+    DeadlineExceededError,
+    OverloadError,
+    ScriptError,
+)
 from ..network.clock import SimulatedClock
 from ..network.latency import GenerationCostModel
 from ..telemetry.tracing import NULL_TRACER
@@ -37,6 +47,7 @@ class ApplicationServer:
         services: SiteServices,
         clock: Optional[SimulatedClock] = None,
         bem: Optional[BackEndMonitor] = None,
+        origin_dpc: Optional[DynamicProxyCache] = None,
         cost_model: Optional[GenerationCostModel] = None,
         response_header_bytes: int = DEFAULT_RESPONSE_HEADER_BYTES,
         template_config: TemplateConfig = DEFAULT_CONFIG,
@@ -56,7 +67,15 @@ class ApplicationServer:
         )
         if bem is not None and bem.clock is not self.clock:
             raise ScriptError("BEM and application server must share one clock")
+        if origin_dpc is not None and bem is None:
+            raise ConfigurationError("an origin DPC needs a BEM to fill it")
         self.bem = bem
+        #: The slot array of the back-end baseline, on the origin side of
+        #: the link.  Assembly there charges no clock time and opens no span.
+        self.origin_dpc = origin_dpc
+        self.mode = (
+            "plain" if bem is None else ("dpc" if origin_dpc is None else "backend")
+        )
         self.cost_model = cost_model if cost_model is not None else GenerationCostModel()
         self.response_header_bytes = response_header_bytes
         self.template_config = template_config
@@ -71,14 +90,10 @@ class ApplicationServer:
         #: enabled tracer must run on this server's clock: its leaves
         #: advance it.
         self.tracer = NULL_TRACER
-        #: Only a real BEM emits GET/SET tags; other monitors (e.g. the
-        #: back-end fragment cache baseline) produce client-ready pages
-        #: that must ship raw, without template escaping.
-        self.emit_templates = isinstance(bem, BackEndMonitor)
 
     @property
     def caching_enabled(self) -> bool:
-        """Whether a cache monitor (BEM or baseline) is attached."""
+        """Whether a BEM is attached (``dpc`` or ``backend`` mode)."""
         return self.bem is not None
 
     def register(self, script: DynamicScript) -> DynamicScript:
@@ -149,10 +164,15 @@ class ApplicationServer:
                 if self.bem is not None:
                     self.bem.deadline_at = None
 
-            if self.emit_templates:
-                body = builder.response_body()
-            else:
+            stats = builder.stats
+            gets, sets = stats.gets, stats.sets
+            if self.bem is None:
                 body = builder.full_page()
+            else:
+                body = builder.response_body()
+                if self.origin_dpc is not None:
+                    body = self.origin_dpc.process_response(body).html
+                    gets = sets = 0
             if tracer.enabled:
                 tracer.advance(
                     "script.compute", ctx.generation_cost_s - ctx.db_cost_s
@@ -188,20 +208,16 @@ class ApplicationServer:
             meta={
                 "app_wait_s": app_wait_s,
                 "db_wait_s": db_wait_s,
-                "mode": (
-                    "dpc"
-                    if self.emit_templates
-                    else ("backend" if self.caching_enabled else "plain")
-                ),
+                "mode": self.mode,
                 "path": request.path,
                 "url": request.url,
-                "blocks": builder.stats.blocks,
-                "hits": builder.stats.hits,
-                "misses": builder.stats.misses,
-                "generated_bytes": builder.stats.generated_bytes,
+                "blocks": stats.blocks,
+                "hits": stats.hits,
+                "misses": stats.misses,
+                "generated_bytes": stats.generated_bytes,
                 "generation_s": ctx.generation_cost_s,
-                "get_count": builder.stats.gets,
-                "set_count": builder.stats.sets,
+                "get_count": gets,
+                "set_count": sets,
             },
         )
 

@@ -4,11 +4,13 @@
   to personalized users; low reuse).
 * :class:`EsiAssembler` — dynamic page assembly (fixed template per URL;
   fails on dynamic layouts; zero origin bytes when its preconditions hold).
-* :class:`BackendFragmentCache` — back-end fragment cache (always correct,
-  saves computation, saves no bandwidth).
+
+The back-end fragment cache needs no class of its own: it is the paper's
+BEM with its DPC inside the site, ``ApplicationServer(bem=BackEndMonitor(),
+origin_dpc=DynamicProxyCache())``.  The origin assembles every page itself,
+so it is always correct and saves computation, but ships every byte.
 """
 
-from .backend_cache import BackendCacheStats, BackendFragmentCache
 from .esi import ESI_TAG_OVERHEAD, EsiAssembler, EsiStats
 from .page_cache import PageCacheStats, PageLevelCache
 
@@ -18,6 +20,4 @@ __all__ = [
     "EsiAssembler",
     "EsiStats",
     "ESI_TAG_OVERHEAD",
-    "BackendFragmentCache",
-    "BackendCacheStats",
 ]

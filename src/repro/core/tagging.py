@@ -22,11 +22,9 @@ The monitor protocol is ``process_block(fragment_id, describe, generate)``.
 ``describe`` materializes the block's :class:`FragmentMetadata` and is
 called only when a miss inserts a directory entry, before ``generate``
 runs, so a hit pays for one fragment id and one directory probe.  The
-returned instruction tells the builder what happened: a ``GET`` is a hit,
-a ``SET`` carries the generated content, and a monitor that returns
-content inline as a ``Literal`` reports the generated content (``None``
-on a hit) in its ``last_generated`` attribute.  Untagged and
-non-cacheable blocks never reach the monitor.
+returned instruction tells the builder what happened, with two outcomes
+only: a ``GET`` is a hit, a ``SET`` is a miss carrying the generated
+content.  Untagged and non-cacheable blocks never reach the monitor.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from .template import (
     DEFAULT_CONFIG,
     GetInstruction,
     Literal,
-    SetInstruction,
     Template,
     TemplateConfig,
 )
@@ -261,22 +258,13 @@ class PageBuilder:
             FragmentID.create(name, params), describe, generate
         )
         self.template.instructions.append(instruction)
-        kind = type(instruction)
-        if kind is GetInstruction:
+        if type(instruction) is GetInstruction:
             stats.gets += 1
             stats.hits += 1
             return None
-        if kind is SetInstruction:
-            stats.sets += 1
-            content = instruction.content
-        else:
-            # A monitor that ships content inline (the back-end fragment
-            # cache) says whether it ran the block in ``last_generated``.
-            content = bem.last_generated
-            if content is None:
-                stats.hits += 1
-                return None
+        stats.sets += 1
         stats.misses += 1
+        content = instruction.content
         size = utf8_len(content)
         stats.generated_bytes += size
         return size

@@ -226,6 +226,3 @@ class ResyncProtocol:
             ("recovery.keys_reclaimed", self.stats.keys_reclaimed),
             ("recovery.quarantined_sets", self.stats.quarantined_sets),
         ]
-
-    #: Backwards-compatible alias for pre-registry snapshot callers.
-    snapshot_rows = metric_rows

@@ -37,7 +37,6 @@ from typing import Callable, List, Optional, Tuple
 
 from ..appserver.http import HttpRequest
 from ..appserver.server import ApplicationServer
-from ..baselines.backend_cache import BackendFragmentCache
 from ..core.bem import BackEndMonitor
 from ..core.dpc import AssembledPage, DynamicProxyCache
 from ..core.template import TemplateConfig
@@ -287,6 +286,15 @@ class Testbed:
             services=self.services,
             clock=self.clock,
             bem=self.monitor,
+            origin_dpc=(
+                DynamicProxyCache(
+                    capacity=config.dpc_capacity,
+                    template_config=template_config,
+                    name="dpc-origin",
+                )
+                if config.mode == "backend"
+                else None
+            ),
             cost_model=config.cost_model,
             template_config=template_config,
         )
@@ -338,14 +346,10 @@ class Testbed:
         config = self.config
         if config.mode == "no_cache":
             return None
-        if config.mode == "dpc":
-            return BackEndMonitor(
-                capacity=config.dpc_capacity,
-                clock=self.clock,
-                template_config=template_config,
-            )
-        return BackendFragmentCache(
-            capacity=config.dpc_capacity, clock=self.clock
+        return BackEndMonitor(
+            capacity=config.dpc_capacity,
+            clock=self.clock,
+            template_config=template_config,
         )
 
     def _build_oracle_server(self) -> ApplicationServer:
@@ -500,12 +504,10 @@ class Testbed:
     def _monitor_hit_counts(self):
         if self.monitor is None:
             return 0, 0
-        if isinstance(self.monitor, BackEndMonitor):
-            return (
-                self.monitor.stats.fragment_hits,
-                self.monitor.stats.fragment_misses,
-            )
-        return self.monitor.stats.hits, self.monitor.stats.misses
+        return (
+            self.monitor.stats.fragment_hits,
+            self.monitor.stats.fragment_misses,
+        )
 
     def _monitor_invalidations(self) -> int:
         if self.monitor is None:

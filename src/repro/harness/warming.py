@@ -45,6 +45,11 @@ class CacheWarmer:
             raise ConfigurationError(
                 "warming needs a cache-enabled origin (a BEM is attached)"
             )
+        if server.origin_dpc is not None:
+            raise ConfigurationError(
+                "warming needs an origin that ships templates; this one "
+                "assembles pages with its own DPC"
+            )
         self.server = server
         self.dpc = dpc
 

@@ -26,7 +26,6 @@ from .harness import (
     OverloadConfig,
     OverloadHarness,
     OverloadResult,
-    percentile,
     run_overload,
 )
 from .queues import (
@@ -62,6 +61,5 @@ __all__ = [
     "OverloadResult",
     "OverloadHarness",
     "OUTCOMES",
-    "percentile",
     "run_overload",
 ]

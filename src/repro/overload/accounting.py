@@ -71,6 +71,3 @@ class DropLedger:
         ]
         rows.append(("overload.drops.total", self.total))
         return rows
-
-    #: Backwards-compatible alias for pre-registry snapshot callers.
-    snapshot_rows = metric_rows

@@ -36,13 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
-from ..core.bem import BackEndMonitor
 from ..core.fragments import FragmentID
 from ..errors import ConfigurationError, DeadlineExceededError, QueueFullError
 from ..faults.degradation import DegradationStats, GracefulDegrader
 from ..harness.testbed import Testbed, TestbedConfig
-# Re-exported here for backwards compatibility: the nearest-rank helper now
-# lives with the other sample statistics in repro.telemetry.stats.
 from ..telemetry.stats import percentile
 from .accounting import DropLedger
 from .admission import AdmissionPolicy
@@ -229,7 +226,7 @@ class OverloadHarness:
         self.degrader: Optional[GracefulDegrader] = None
         self.stale_cache: Optional[StalePageCache] = None
         monitor = self.testbed.monitor
-        if isinstance(monitor, BackEndMonitor):
+        if monitor is not None:
             self.degrader = GracefulDegrader(bem=monitor, grace_s=config.grace_s)
             monitor.attach_degrader(self.degrader)
             if config.serve_stale_pages:
@@ -399,7 +396,7 @@ class OverloadHarness:
         page with no cacheable fragments is origin-bound by definition.
         """
         monitor = self.testbed.monitor
-        if not isinstance(monitor, BackEndMonitor):
+        if monitor is None:
             return False
         params = self.config.testbed.synthetic
         page_id = int(request.param("pageID", "0"))
@@ -429,7 +426,7 @@ class OverloadHarness:
         attached ledger this is a no-op.
         """
         monitor = self.testbed.monitor
-        if not isinstance(monitor, BackEndMonitor):
+        if monitor is None:
             return
         insight = monitor.directory.insight
         if insight is None:
@@ -448,7 +445,7 @@ class OverloadHarness:
     def _stale_fragments_served(self, timed) -> bool:
         """Whether the request just served consumed any stale fragments."""
         monitor = self.testbed.monitor
-        if not isinstance(monitor, BackEndMonitor):
+        if monitor is None:
             return False
         served = monitor.stats.stale_fragment_serves
         delta = served - self._stale_serves_mark

@@ -201,8 +201,7 @@ class MetricsRegistry:
         """Register a row source consulted on every :meth:`collect`.
 
         ``provider`` may be a callable returning ``(name, value)`` rows, or
-        any object exposing ``metric_rows()`` (preferred) or the legacy
-        ``snapshot_rows()``.
+        any object exposing ``metric_rows()``.
         """
         fn = self._resolve_provider(provider)
         self._providers.append(fn)
@@ -210,15 +209,12 @@ class MetricsRegistry:
     @staticmethod
     def _resolve_provider(provider) -> Callable[[], Iterable[Row]]:
         rows_fn = getattr(provider, "metric_rows", None)
-        if rows_fn is None:
-            rows_fn = getattr(provider, "snapshot_rows", None)
         if rows_fn is not None:
             return rows_fn
         if callable(provider):
             return provider
         raise ConfigurationError(
-            "provider %r has neither metric_rows()/snapshot_rows() nor is "
-            "callable" % (provider,)
+            "provider %r has no metric_rows() and is not callable" % (provider,)
         )
 
     # -- legacy escape hatch -------------------------------------------------

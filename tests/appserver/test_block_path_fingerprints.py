@@ -19,9 +19,9 @@ import random
 import pytest
 
 from repro.appserver import HttpRequest
-from repro.baselines.backend_cache import BackendFragmentCache
 from repro.baselines.esi import EsiAssembler
 from repro.core.bem import BackEndMonitor
+from repro.core.dpc import DynamicProxyCache
 from repro.network.clock import SimulatedClock
 from repro.sites import books, financial, synthetic
 from repro.sites.synthetic import SyntheticParams
@@ -53,11 +53,11 @@ def summarize(prints):
 
 
 def make_monitor(kind, clock):
-    if kind == "dpc":
-        return BackEndMonitor(capacity=20, clock=clock)
-    if kind == "backend":
-        return BackendFragmentCache(capacity=20, clock=clock)
-    return None
+    """``(bem, origin_dpc)`` server arguments for one origin mode."""
+    if kind == "no_cache":
+        return None, None
+    origin_dpc = DynamicProxyCache(capacity=20) if kind == "backend" else None
+    return BackEndMonitor(capacity=20, clock=clock), origin_dpc
 
 
 def attach(server, monitor):
@@ -71,8 +71,10 @@ def run_synthetic(kind):
         cacheability=0.8, pool_size=30,
     )
     clock = SimulatedClock()
-    monitor = make_monitor(kind, clock)
-    server = synthetic.build_server(params, clock=clock, bem=monitor)
+    monitor, origin_dpc = make_monitor(kind, clock)
+    server = synthetic.build_server(
+        params, clock=clock, bem=monitor, origin_dpc=origin_dpc
+    )
     attach(server, monitor)
     rng = random.Random(3)
     prints = []
@@ -107,8 +109,8 @@ def books_requests(rng):
 
 def run_books(kind):
     clock = SimulatedClock()
-    monitor = make_monitor(kind, clock)
-    server = books.build_server(clock=clock, bem=monitor)
+    monitor, origin_dpc = make_monitor(kind, clock)
+    server = books.build_server(clock=clock, bem=monitor, origin_dpc=origin_dpc)
     attach(server, monitor)
     products = server.services.db.table(books.PRODUCTS_TABLE)
     product_ids = products.keys()
@@ -125,8 +127,8 @@ def run_books(kind):
 
 def run_financial(kind):
     clock = SimulatedClock()
-    monitor = make_monitor(kind, clock)
-    server = financial.build_server(clock=clock, bem=monitor)
+    monitor, origin_dpc = make_monitor(kind, clock)
+    server = financial.build_server(clock=clock, bem=monitor, origin_dpc=origin_dpc)
     attach(server, monitor)
     rng = random.Random(7)
     prints = []

@@ -35,6 +35,18 @@ class TestWarming:
         with pytest.raises(ConfigurationError):
             CacheWarmer(server, DynamicProxyCache(capacity=8))
 
+    def test_rejects_origin_that_ships_full_pages(self):
+        """A back-end origin assembles pages itself: nothing would load."""
+        clock = SimulatedClock()
+        server = books.build_server(
+            clock=clock,
+            bem=BackEndMonitor(capacity=64, clock=clock),
+            origin_dpc=DynamicProxyCache(capacity=64),
+            cost_model=FREE,
+        )
+        with pytest.raises(ConfigurationError):
+            CacheWarmer(server, DynamicProxyCache(capacity=64))
+
     def test_warming_loads_fragments(self, stack):
         server, bem, dpc = stack
         report = CacheWarmer(server, dpc).warm_pages(CATALOG_PAGES)

@@ -24,8 +24,8 @@ from repro.overload import (
     run_overload,
 )
 from repro.overload.admission import AdmissionPolicy
-from repro.overload.harness import percentile
 from repro.sites.synthetic import SyntheticParams
+from repro.telemetry.stats import percentile
 from repro.workload import FlashCrowdProcess
 
 #: Shared scenario: a quiet 6 req/s site hit by a 10x burst.

@@ -88,7 +88,7 @@ class TestDropLedger:
     def test_snapshot_rows_cover_every_reason(self):
         ledger = DropLedger()
         ledger.record("policy_shed", 5)
-        rows = dict(ledger.snapshot_rows())
+        rows = dict(ledger.metric_rows())
         for reason in DROP_REASONS:
             assert "overload.drops.%s" % reason in rows
         assert rows["overload.drops.policy_shed"] == 5

@@ -5,13 +5,12 @@ exactly once per miss — the path that inserts a directory entry — and
 never on a hit or a stale serve.  Checked over random sequences of
 accesses, invalidations, clock advances (TTL expiry) and late accesses
 (the degrader's stale path) for every monitor that speaks the protocol:
-the BEM, the back-end fragment cache and the ESI capture monitor.
+the BEM and the ESI capture monitor.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.backend_cache import BackendFragmentCache
 from repro.baselines.esi import _EsiCaptureMonitor
 from repro.core.bem import BackEndMonitor
 from repro.core.fragments import FragmentID, FragmentMetadata
@@ -60,10 +59,9 @@ class Counted:
 
 
 def replay(monitor, clock, sequence, on_access):
-    """Run ``sequence`` against ``monitor``; returns total describe calls.
+    """Run ``sequence`` against a BEM; returns total describe calls.
 
-    A "late" access is made past the request deadline on a BEM (the stale
-    path) and is a plain access on other monitors.
+    A "late" access is made past the request deadline (the stale path).
     """
     total = 0
     for kind, value in sequence:
@@ -74,7 +72,7 @@ def replay(monitor, clock, sequence, on_access):
             monitor.directory.invalidate(fid(value))
             continue
         counted = Counted(value)
-        late = kind == "late" and isinstance(monitor, BackEndMonitor)
+        late = kind == "late"
         if late:
             monitor.deadline_at = clock.now()
         instruction = monitor.process_block(
@@ -105,16 +103,6 @@ def test_bem_describes_once_per_miss(sequence):
 
     total = replay(bem, clock, sequence, on_access)
     assert total == bem.stats.fragment_misses
-
-
-@given(ops)
-@settings(max_examples=150, deadline=None)
-def test_backend_cache_describes_once_per_miss(sequence):
-    clock = SimulatedClock()
-    cache = BackendFragmentCache(capacity=CAPACITY, clock=clock)
-    total = replay(cache, clock, sequence, lambda instruction, counted: None)
-    assert total == cache.stats.misses
-    assert cache.stats.hits + cache.stats.misses == cache.stats.blocks_processed
 
 
 @given(

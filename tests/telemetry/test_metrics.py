@@ -94,27 +94,10 @@ class TestRegistry:
             def metric_rows(self):
                 return [("a.one", 1)]
 
-        class WithLegacyRows:
-            def snapshot_rows(self):
-                return [("b.two", 2)]
-
         registry = MetricsRegistry()
         registry.register_provider(WithMetricRows())
-        registry.register_provider(WithLegacyRows())
         registry.register_provider(lambda: [("c.three", 3)])
-        assert registry.collect() == [("a.one", 1), ("b.two", 2), ("c.three", 3)]
-
-    def test_metric_rows_preferred_over_snapshot_rows(self):
-        class Both:
-            def metric_rows(self):
-                return [("new.name", 1)]
-
-            def snapshot_rows(self):
-                return [("old.name", 1)]
-
-        registry = MetricsRegistry()
-        registry.register_provider(Both())
-        assert registry.names() == ["new.name"]
+        assert registry.collect() == [("a.one", 1), ("c.three", 3)]
 
     def test_unusable_provider_is_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -26,10 +26,15 @@ class TestPercentile:
         values = list(range(50))
         assert percentile(values, 0.99) == 49
 
-    def test_harness_reexport_is_the_same_function(self):
-        from repro.overload.harness import percentile as harness_percentile
+    def test_overload_quantiles_use_the_shared_helper(self):
+        from repro.overload.harness import OverloadBucket
 
-        assert harness_percentile is percentile
+        values = [float(v) for v in range(1, 101)]
+        bucket = OverloadBucket(
+            index=0, start_request=0, start_time=0.0, response_times=values
+        )
+        assert bucket.p50 == percentile(values, 0.50)
+        assert bucket.p99 == percentile(values, 0.99)
 
 
 class TestMeanAndSummarize:
