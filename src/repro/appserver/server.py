@@ -6,7 +6,8 @@ instance runs in exactly one of three modes:
 * **plain** (``bem=None``) — every block executes; the response body is
   the full page.  This is the paper's baseline configuration.
 * **dpc** (``bem`` set) — tagged blocks run the §4.3.2 protocol; the
-  response body is the serialized page template.
+  response body is the serialized page template, framed with the BEM's
+  ``template_config`` (so the dpcKey width always matches its DPC's).
 * **backend** (``bem`` and ``origin_dpc`` set) — the same protocol, but the
   DPC sits inside the site: the origin assembles the template itself and
   ships the full page.  This is the back-end fragment cache of §3.1, which
@@ -24,7 +25,6 @@ from typing import Optional
 from ..core.bem import BackEndMonitor
 from ..core.dpc import DynamicProxyCache
 from ..core.tagging import PageBuilder
-from ..core.template import DEFAULT_CONFIG, TemplateConfig
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -50,7 +50,6 @@ class ApplicationServer:
         origin_dpc: Optional[DynamicProxyCache] = None,
         cost_model: Optional[GenerationCostModel] = None,
         response_header_bytes: int = DEFAULT_RESPONSE_HEADER_BYTES,
-        template_config: TemplateConfig = DEFAULT_CONFIG,
         queue=None,
         db_queue=None,
     ) -> None:
@@ -78,7 +77,6 @@ class ApplicationServer:
         )
         self.cost_model = cost_model if cost_model is not None else GenerationCostModel()
         self.response_header_bytes = response_header_bytes
-        self.template_config = template_config
         self.scripts = ScriptRegistry()
         self.sessions = SessionManager(self.clock)
         self.requests_served = 0
@@ -136,8 +134,13 @@ class ApplicationServer:
         )
         self._screen_admission(arrival, request.deadline_at, request.priority)
         session = self.sessions.resolve(request.session_id, request.user_id)
-        builder = PageBuilder(
-            self.services.tags, bem=self.bem, template_config=self.template_config
+        bem = self.bem
+        builder = (
+            PageBuilder(self.services.tags)
+            if bem is None
+            else PageBuilder(
+                self.services.tags, bem=bem, template_config=bem.template_config
+            )
         )
         ctx = ScriptContext(
             request=request,

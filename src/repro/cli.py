@@ -7,7 +7,6 @@
     python -m repro fig3b --requests 800       # testbed-backed
     python -m repro case-study edge
     python -m repro all                        # everything
-    python -m repro bench --list               # scan/insight benchmarks (repro.bench)
     python -m repro doctor                     # cache diagnosis (repro.insight)
 
 Each command prints the same rows the corresponding figure/table reports
@@ -214,16 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    ``python -m repro bench ...`` is routed to the benchmark runner
-    (:mod:`repro.bench`) and ``python -m repro doctor ...`` to the cache
-    diagnosis CLI (:mod:`repro.insight.doctor`); each owns its own
-    argument parser.  Everything else is an artifact name handled here.
+    ``python -m repro doctor ...`` is routed to the cache diagnosis CLI
+    (:mod:`repro.insight.doctor`), which owns its own argument parser.
+    Everything else is an artifact name handled here.
     """
     arguments = list(sys.argv[1:] if argv is None else argv)
-    if arguments and arguments[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(arguments[1:])
     if arguments and arguments[0] == "doctor":
         from .insight.doctor import main as doctor_main
 

@@ -27,7 +27,7 @@ from ..network.clock import SimulatedClock
 from .cache_directory import CacheDirectory
 from .fragments import FragmentID, FragmentMetadata
 from .invalidation import InvalidationManager
-from .replacement import ReplacementPolicy, make_policy
+from .replacement import ReplacementPolicy
 from .scanner import utf8_len
 from .template import (
     DEFAULT_CONFIG,
@@ -154,11 +154,6 @@ class BackEndMonitor:
         #: (anything exposing ``stale_lookup(fragment_id, now)``); enables
         #: the late-request stale-fragment fallback.
         self._degrader = None
-
-    @classmethod
-    def with_policy(cls, capacity: int, policy_name: str, **kwargs) -> "BackEndMonitor":
-        """Construct a BEM with a replacement policy chosen by name."""
-        return cls(capacity=capacity, policy=make_policy(policy_name), **kwargs)
 
     # -- the run-time protocol ----------------------------------------------------
 

@@ -296,7 +296,6 @@ class Testbed:
                 else None
             ),
             cost_model=config.cost_model,
-            template_config=template_config,
         )
         if self.monitor is not None:
             self.monitor.attach_database(self.services.db.bus)

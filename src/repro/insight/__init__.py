@@ -24,7 +24,8 @@ live deployment:
 Attachment is duck-typed (``bem.attach_insight(layer)``), mirroring the
 degrader hook, so ``repro.core`` never imports this package and unattached
 deployments pay one ``is None`` check per lookup.  The measured overhead
-of a full attachment is gated under 5% (``BENCH_INSIGHT.json``).
+of a full attachment is gated under 5% by
+``python benchmarks/bench_micro.py --smoke``.
 """
 
 from .layer import CONTENT_INVALIDATION_REASONS, InsightLayer

@@ -17,10 +17,11 @@ want on one page:
   virtual-time traces, so "where did the seconds go" has an answer.
 
 ``--smoke`` turns the run into a CI self-check: smaller scenario, hard
-assertions on the ledger invariant and profiler exactness, plus the
-insight-overhead gate (:mod:`repro.perf.insight`, <5% lower-quartile).
-Exit status is nonzero when any check fails.  ``--json`` emits the whole
-diagnosis as one JSON document instead of tables.
+assertions on the ledger invariant, profiler exactness and outcome
+conservation.  (The insight layer's <5% overhead gate is timed by
+``benchmarks/bench_micro.py --smoke``.)  Exit status is nonzero when any
+check fails.  ``--json`` emits the whole diagnosis as one JSON document
+instead of tables.
 """
 
 from __future__ import annotations
@@ -506,16 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="reduced scenario with hard assertions and the overhead gate "
+        help="reduced scenario with hard assertions "
         "(CI self-check; exits nonzero on any failure)",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the diagnosis as one JSON document",
-    )
-    parser.add_argument(
-        "--no-bench", action="store_true",
-        help="skip the insight-overhead gate in --smoke (unit tests only)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, help="override the scenario seed",
@@ -532,30 +529,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     diagnosis = run_diagnosis(scenario)
 
     failed = [name for name, ok, _ in diagnosis.checks() if not ok]
-    overhead_verdict: Optional[str] = None
-    if args.smoke and not args.no_bench:
-        from ..perf.insight import SMOKE_SETTINGS, run_insight
-        try:
-            bench = run_insight(**SMOKE_SETTINGS)
-            overhead_verdict = (
-                "overhead gate: lower-quartile %.2f%% < %.0f%% — OK"
-                % (bench["overhead"]["lower_quartile"] * 100,
-                   bench["overhead"]["bound"] * 100)
-            )
-        except AssertionError as exc:
-            overhead_verdict = str(exc)
-            failed.append("insight overhead gate")
-
     if args.as_json:
         document = diagnosis_to_dict(diagnosis)
-        if overhead_verdict is not None:
-            document["overhead_gate"] = overhead_verdict
         document["failed_checks"] = failed
         print(json.dumps(document, indent=2, sort_keys=True))
     else:
         print(render_report(diagnosis), end="")
-        if overhead_verdict is not None:
-            print("\n" + overhead_verdict)
         if failed:
             print("\nFAILED checks: %s" % ", ".join(failed), file=sys.stderr)
     return 1 if failed else 0

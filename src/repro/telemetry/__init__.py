@@ -13,8 +13,7 @@ The observability layer for the whole reproduction.  Three pieces:
   scheme (:data:`METRIC_NAMES`); components register themselves as row
   providers instead of being scraped by hand.
 * :mod:`~repro.telemetry.export` — JSON-lines and aligned-text exporters
-  plus the span-tree pretty-printer; :mod:`~repro.telemetry.profiling`
-  adds the ``@profiled`` wall-clock hook used by the benchmarks.
+  plus the span-tree pretty-printer.
 
 Quick taste::
 
@@ -59,12 +58,6 @@ from .export import (
     spans_to_json_lines,
     to_json_lines,
 )
-from .profiling import (
-    disable_profiling,
-    enable_profiling,
-    profiled,
-    profiling_enabled,
-)
 from .stats import mean, percentile, summarize
 
 __all__ = [
@@ -96,11 +89,6 @@ __all__ = [
     "spans_from_json_lines",
     "spans_to_json_lines",
     "to_json_lines",
-    # profiling
-    "disable_profiling",
-    "enable_profiling",
-    "profiled",
-    "profiling_enabled",
     # stats
     "mean",
     "percentile",

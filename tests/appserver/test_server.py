@@ -6,10 +6,13 @@ from repro.appserver import ApplicationServer, DynamicScript, HttpRequest, SiteS
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import Dependency
+from repro.core.template import TemplateConfig
 from repro.database import Database, schema
 from repro.errors import ScriptError, ScriptNotFound
 from repro.network.clock import SimulatedClock
 from repro.network.latency import FREE
+from repro.sites import synthetic
+from repro.sites.synthetic import SyntheticParams
 
 
 class MiniScript(DynamicScript):
@@ -127,6 +130,26 @@ class TestDpcMode:
         bem = BackEndMonitor(capacity=8, clock=clock)
         server = make_server(bem=bem, clock=clock)
         assert server.handle(HttpRequest("/mini.jsp")).meta["mode"] == "dpc"
+
+    def test_template_framing_comes_from_the_bem(self):
+        # The server has no framing of its own: a width-6 BEM writes
+        # width-6 dpcKeys, which the matching width-6 DPC must parse.
+        config = TemplateConfig(key_width=6)
+        clock = SimulatedClock()
+        bem = BackEndMonitor(capacity=64, clock=clock, template_config=config)
+        server = synthetic.build_server(
+            params=SyntheticParams(num_pages=2, fragments_per_page=4),
+            clock=clock, bem=bem, cost_model=FREE,
+        )
+        dpc = DynamicProxyCache(capacity=64, template_config=config)
+        request = HttpRequest("/page.jsp", {"pageID": "1"})
+        oracle = server.render_reference_page(request)
+        cold = server.handle(request)
+        warm = server.handle(request)
+        assert cold.meta["set_count"] > 0
+        assert warm.meta["get_count"] == cold.meta["set_count"]
+        assert dpc.process_response(cold.body).html == oracle
+        assert dpc.process_response(warm.body).html == oracle
 
 
 class TestGenerationCost:

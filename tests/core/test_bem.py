@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bem import BackEndMonitor, ObjectCache
 from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
+from repro.core.replacement import make_policy
 from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import GetInstruction, Literal, SetInstruction, TemplateConfig
 from repro.database import Database, schema
@@ -140,8 +141,8 @@ class TestManagement:
         assert bem.flush() == 2
         assert bem.directory.valid_count() == 0
 
-    def test_with_policy_constructor(self):
-        bem = BackEndMonitor.with_policy(16, "lfu")
+    def test_named_policy_constructor(self):
+        bem = BackEndMonitor(capacity=16, policy=make_policy("lfu"))
         assert bem.directory.policy.name == "lfu"
 
 

@@ -79,20 +79,20 @@ class TestRendering:
 
 class TestMain:
     def test_smoke_without_bench_exits_zero(self, capsys):
-        assert main(["--smoke", "--no-bench"]) == 0
+        assert main(["--smoke"]) == 0
         out = capsys.readouterr().out
         assert "repro doctor" in out
 
     def test_json_flag_emits_json(self, capsys):
-        assert main(["--smoke", "--no-bench", "--json"]) == 0
+        assert main(["--smoke", "--json"]) == 0
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["failed_checks"] == []
 
     def test_cli_routes_doctor(self, capsys):
         from repro.cli import main as cli_main
 
-        assert cli_main(["doctor", "--smoke", "--no-bench"]) == 0
+        assert cli_main(["doctor", "--smoke"]) == 0
         assert "Miss causes" in capsys.readouterr().out
 
     def test_seed_override(self, capsys):
-        assert main(["--smoke", "--no-bench", "--seed", "11"]) == 0
+        assert main(["--smoke", "--seed", "11"]) == 0

@@ -110,3 +110,44 @@ class TestLiveDirectoryFeed:
         self.frag(bem, 1, ttl=1.0)
         assert layer.ledger.counts["ttl_expired"] == 1
         layer.check_invariants(bem.directory)
+
+
+class TestObservationOnly:
+    """An attached layer changes nothing the testbed measures."""
+
+    ACCOUNTING_FIELDS = (
+        "response_payload_bytes",
+        "response_wire_bytes",
+        "request_payload_bytes",
+        "request_wire_bytes",
+        "dpc_scanned_bytes",
+        "firewall_bytes",
+        "measured_hit_ratio",
+        "fragments_invalidated",
+    )
+
+    def run(self, attached):
+        from repro.harness.testbed import Testbed, TestbedConfig
+        from repro.sites.synthetic import SyntheticParams
+
+        testbed = Testbed(TestbedConfig(
+            mode="dpc",
+            synthetic=SyntheticParams(num_pages=20, fragments_per_page=16,
+                                      fragment_size=4096, cacheability=0.8),
+            target_hit_ratio=0.9,
+            requests=200, warmup_requests=40, seed=7,
+        ))
+        layer = None
+        if attached:
+            layer = InsightLayer().attach(bem=testbed.monitor, dpc=testbed.dpc)
+        result = testbed.run()
+        return result, testbed.clock.now(), layer
+
+    def test_attached_run_is_identical_to_detached(self):
+        detached, detached_now, _ = self.run(attached=False)
+        attached, attached_now, layer = self.run(attached=True)
+        assert layer.ledger.hits > 0 and layer.ledger.misses > 0
+        for field in self.ACCOUNTING_FIELDS:
+            assert getattr(attached, field) == getattr(detached, field), field
+        assert attached.response_times == detached.response_times
+        assert attached_now == detached_now
