@@ -205,8 +205,6 @@ class BackEndMonitor:
         size = utf8_len(content)
         stats.bytes_generated += size
         entry = self.directory.insert(fragment_id, metadata, size, now, epoch=self.epoch)
-        if metadata.dependencies:
-            self.invalidation.watch(fragment_id, tuple(metadata.dependencies))
         return SetInstruction(entry.dpc_key, content)
 
     # -- management surface ---------------------------------------------------------

@@ -22,6 +22,10 @@ Slot lifecycle, exactly as the paper describes it:
 The invariant that a dpcKey is *either* on the freeList *or* backing
 exactly one valid entry (never both, never neither) is enforced here and
 property-tested.
+
+The directory is also the only store of each row's data-source
+dependencies, indexed by dpcKey so that they leave with the row
+(:meth:`CacheDirectory.dependents` serves the invalidation manager).
 """
 
 from __future__ import annotations
@@ -196,6 +200,10 @@ class CacheDirectory:
         self.free_list = FreeList(capacity)
         self._entries: Dict[str, DirectoryEntry] = {}
         self._valid_by_key: Dict[int, DirectoryEntry] = {}
+        #: Valid dpcKeys by dependency (dicts as ordered sets): row-keyed
+        #: ones under table -> row key, all others under their table.
+        self._by_row: Dict[str, Dict[object, Dict[int, None]]] = {}
+        self._by_table: Dict[str, Dict[int, None]] = {}
         self.stats = DirectoryStats()
         #: Duck-typed :class:`repro.insight.InsightLayer` (anything exposing
         #: ``record_access``/``record_removal``/``record_insert``); ``None``
@@ -288,6 +296,12 @@ class CacheDirectory:
         )
         self._entries[canonical] = entry
         self._valid_by_key[key] = entry
+        for dep in entry.dependencies:
+            if dep.key is None:
+                self._by_table.setdefault(dep.table, {})[key] = None
+            else:
+                rows = self._by_row.setdefault(dep.table, {})
+                rows.setdefault(dep.key, {})[key] = None
         self.policy.on_insert(entry)
         self.stats.insertions += 1
         if self.insight is not None:
@@ -322,8 +336,7 @@ class CacheDirectory:
         the fragment replaced it), as :meth:`audit_and_repair` would.  Not
         counted as an eviction or an invalidation.
         """
-        del self._valid_by_key[entry.dpc_key]
-        self.policy.on_remove(entry)
+        self._release(entry.dpc_key)
         self.free_list.push(entry.dpc_key)
         canonical = entry.fragment_id.canonical()
         if self._entries.get(canonical) is entry:
@@ -382,8 +395,7 @@ class CacheDirectory:
         if not entry.is_valid:
             return
         entry.is_valid = False
-        del self._valid_by_key[entry.dpc_key]
-        self.policy.on_remove(entry)
+        self._release(entry.dpc_key)
         self.free_list.push(entry.dpc_key)
         # Drop the stale record entirely: the paper keeps it only until the
         # fragment is re-requested, and removing it bounds directory memory.
@@ -392,6 +404,21 @@ class CacheDirectory:
             del self._entries[canonical]
         if self.insight is not None:
             self.insight.record_removal(canonical, reason)
+
+    def _release(self, key: int) -> None:
+        """Drop ``key``'s valid mapping, policy state and index entries."""
+        entry = self._valid_by_key.pop(key)
+        self.policy.on_remove(entry)
+        for dep in entry.dependencies:
+            if dep.key is None:
+                self._by_table[dep.table].pop(key, None)
+                continue
+            rows = self._by_row[dep.table]
+            bucket = rows.get(dep.key)
+            if bucket is not None:
+                bucket.pop(key, None)
+                if not bucket:
+                    del rows[dep.key]
 
     # -- repair (recovery API; see repro.faults.recovery) --------------------------
 
@@ -429,8 +456,7 @@ class CacheDirectory:
         stale_mappings = 0
         for key, entry in list(self._valid_by_key.items()):
             if not entry.is_valid or entry.dpc_key != key:
-                del self._valid_by_key[key]
-                self.policy.on_remove(entry)
+                self._release(key)
                 stale_mappings += 1
         orphaned_records = 0
         for canonical, entry in list(self._entries.items()):
@@ -461,12 +487,25 @@ class CacheDirectory:
         """Number of valid entries (resident fragments)."""
         return len(self._valid_by_key)
 
+    def dependents(self, table: str, key: object) -> List[DirectoryEntry]:
+        """Valid entries a change to row ``key`` of ``table`` could match.
+
+        Those keyed to that row plus those with a dependency on the table
+        that is not row-keyed, in ascending dpcKey order.
+        """
+        keys = self._by_table.get(table, {}).keys()
+        rows = self._by_row.get(table)
+        if rows:
+            keys = keys | rows.get(key, {}).keys()
+        valid = self._valid_by_key
+        return [valid[k] for k in sorted(keys) if valid[k].is_valid]
+
     def entry_for_key(self, dpc_key: int) -> Optional[DirectoryEntry]:
         """The valid entry backing a dpcKey, or None."""
         return self._valid_by_key.get(dpc_key)
 
     def check_invariants(self) -> None:
-        """Assert the slot-discipline invariant (used by property tests)."""
+        """Assert slot discipline and index consistency (used by property tests)."""
         free = {key for key in range(self.capacity) if key in self.free_list}
         valid = set(self._valid_by_key)
         overlap = free & valid
@@ -478,6 +517,21 @@ class CacheDirectory:
         for key, entry in self._valid_by_key.items():
             if entry.dpc_key != key or not entry.is_valid:
                 raise AssertionError("corrupt valid-by-key mapping at %d" % key)
+        # The dependency index holds each valid row's dependencies, nothing
+        # else, and no empty row bucket.
+        indexed = {(t, None, k) for t, keys in self._by_table.items() for k in keys}
+        for t, rows in self._by_row.items():
+            for r, keys in rows.items():
+                if not keys:
+                    raise AssertionError("empty index bucket %s[%r]" % (t, r))
+                indexed.update((t, r, k) for k in keys)
+        wanted = {
+            (d.table, d.key, k)
+            for k, entry in self._valid_by_key.items()
+            for d in entry.dependencies
+        }
+        if indexed != wanted:
+            raise AssertionError("dependency index out of step with the valid set")
 
     def __len__(self) -> int:
         return len(self._entries)

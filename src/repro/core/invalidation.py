@@ -5,9 +5,13 @@ become invalid.  Fragments may become invalid due to, for instance,
 expiration of the ttl or updates to the underlying data sources."
 
 TTL expiry is handled lazily inside the cache directory; this module covers
-the *data-source* half: it subscribes to a database's trigger bus, keeps a
-reverse index from tables to the fragments that depend on them, and
-invalidates directory entries when a matching change commits.
+the *data-source* half: it subscribes to a database's trigger bus and, when
+a change commits, invalidates every directory entry with a dependency that
+matches it.  It keeps no rows of its own: the cache directory stores each
+entry's dependencies and indexes them by dpcKey, so evictions, expiries and
+repairs drop them with the entry and :meth:`CacheDirectory.dependents
+<repro.core.cache_directory.CacheDirectory.dependents>` names the candidates
+for one event in ascending dpcKey order.
 
 The fine granularity here — per-row, per-column dependencies — is what lets
 the brokerage example invalidate only the price-quote fragment when a quote
@@ -17,11 +21,10 @@ page-level invalidation).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List
 
 from ..database.triggers import ChangeEvent, TriggerBus
 from .cache_directory import CacheDirectory
-from .fragments import Dependency, FragmentID
 
 
 class InvalidationManager:
@@ -29,17 +32,6 @@ class InvalidationManager:
 
     def __init__(self, directory: CacheDirectory) -> None:
         self.directory = directory
-        #: table -> canonical fragmentID -> (FragmentID, dependencies on that table)
-        self._watchers: Dict[str, Dict[str, Tuple[FragmentID, Tuple[Dependency, ...]]]] = {}
-        #: table -> row key -> canonicals of watchers keyed to that row.  A
-        #: change event can only match a ``key=k`` dependency when the event
-        #: key equals ``k``, so row-keyed watchers are indexed and visited
-        #: only on their own row's events instead of on every table event.
-        self._keyed: Dict[str, Dict[object, Set[str]]] = {}
-        #: table -> canonicals of watchers with at least one dependency that
-        #: is not row-keyed (table-wide, column- or where-filtered); these
-        #: must still be checked against every event on the table.
-        self._unkeyed: Dict[str, Set[str]] = {}
         self._buses: List[TriggerBus] = []
         self.events_seen = 0
         self.fragments_invalidated = 0
@@ -57,104 +49,15 @@ class InvalidationManager:
             bus.unsubscribe(self.on_change)
         self._buses.clear()
 
-    # -- registration -----------------------------------------------------------
-
-    def watch(self, fragment_id: FragmentID, dependencies: Tuple[Dependency, ...]) -> None:
-        """Start watching a freshly cached fragment's dependencies.
-
-        Called by the BEM whenever it inserts a directory entry.  Fragments
-        with no dependencies are never registered (nothing to watch).
-        """
-        canonical = fragment_id.canonical()
-        for dependency in dependencies:
-            table_watchers = self._watchers.setdefault(dependency.table, {})
-            existing = table_watchers.get(canonical)
-            if existing is None:
-                table_watchers[canonical] = (fragment_id, (dependency,))
-            else:
-                table_watchers[canonical] = (fragment_id, existing[1] + (dependency,))
-            if dependency.key is None:
-                self._unkeyed.setdefault(dependency.table, set()).add(canonical)
-            else:
-                by_key = self._keyed.setdefault(dependency.table, {})
-                by_key.setdefault(dependency.key, set()).add(canonical)
-
-    def unwatch(self, fragment_id: FragmentID) -> None:
-        """Stop watching one fragment's dependencies."""
-        canonical = fragment_id.canonical()
-        for table, table_watchers in self._watchers.items():
-            removed = table_watchers.pop(canonical, None)
-            if removed is not None:
-                self._deindex(table, canonical, removed[1])
-
-    def _deindex(
-        self, table: str, canonical: str, dependencies: Tuple[Dependency, ...]
-    ) -> None:
-        """Drop one watcher's canonical from the per-table event indexes."""
-        unkeyed = self._unkeyed.get(table)
-        if unkeyed is not None:
-            unkeyed.discard(canonical)
-        by_key = self._keyed.get(table)
-        if by_key is not None:
-            for dependency in dependencies:
-                if dependency.key is not None:
-                    bucket = by_key.get(dependency.key)
-                    if bucket is not None:
-                        bucket.discard(canonical)
-                        if not bucket:
-                            del by_key[dependency.key]
-
-    def watched_count(self) -> int:
-        """Distinct fragments currently being watched."""
-        seen = set()
-        for table_watchers in self._watchers.values():
-            seen.update(table_watchers)
-        return len(seen)
-
     # -- event handling ------------------------------------------------------------
 
     def on_change(self, event: ChangeEvent) -> None:
-        """Trigger-bus callback: invalidate fragments hit by this change.
-
-        Only *candidate* watchers are examined: those with a dependency
-        keyed to the changed row (via the per-key index) plus those with
-        any non-row-keyed dependency.  A watcher outside that set cannot
-        match the event — ``Dependency.matches`` requires equal keys —
-        so skipping it changes nothing observable except scan cost.
-        """
+        """Trigger-bus callback: invalidate fragments hit by this change."""
         self.events_seen += 1
-        table_watchers = self._watchers.get(event.table)
-        if not table_watchers:
-            return
-        candidates = set(self._unkeyed.get(event.table, ()))
-        by_key = self._keyed.get(event.table)
-        if by_key is not None:
-            candidates.update(by_key.get(event.key, ()))
-        doomed: List[Tuple[str, FragmentID, Tuple[Dependency, ...]]] = []
-        for canonical in candidates:
-            watcher = table_watchers.get(canonical)
-            if watcher is None:  # pragma: no cover - index/table desync guard
-                continue
-            fragment_id, dependencies = watcher
-            entry = self.directory.peek(fragment_id)
-            if entry is None or not entry.is_valid:
-                doomed.append((canonical, fragment_id, dependencies))
-                continue
+        table, key, directory = event.table, event.key, self.directory
+        for entry in directory.dependents(table, key):
             if any(
-                dep.matches(
-                    event.table,
-                    event.key,
-                    event.changed_columns,
-                    row=event.row,
-                    old_row=event.old_row,
-                )
-                for dep in dependencies
-            ):
-                if self.directory.invalidate(
-                    fragment_id, reason="data_invalidated"
-                ):
-                    self.fragments_invalidated += 1
-                doomed.append((canonical, fragment_id, dependencies))
-        for canonical, fragment_id, dependencies in doomed:
-            table_watchers.pop(canonical, None)
-            self._deindex(event.table, canonical, dependencies)
+                dep.matches(table, key, event.changed_columns, event.row, event.old_row)
+                for dep in entry.dependencies
+            ) and directory.invalidate(entry.fragment_id, reason="data_invalidated"):
+                self.fragments_invalidated += 1

@@ -34,7 +34,7 @@ the fault subsystem treats stale fragment bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..core.fragments import FragmentID
 from ..errors import ConfigurationError, DeadlineExceededError, QueueFullError
@@ -395,22 +395,13 @@ class OverloadHarness:
         directory peeks, so prediction never perturbs TTL bookkeeping.  A
         page with no cacheable fragments is origin-bound by definition.
         """
-        monitor = self.testbed.monitor
-        if monitor is None:
+        if self.testbed.monitor is None:
             return False
-        params = self.config.testbed.synthetic
-        page_id = int(request.param("pageID", "0"))
-        now = self.testbed.clock.now()
         saw_cacheable = False
-        for pool_index in params.pool_indexes_for_page(page_id):
-            if not params.is_cacheable(pool_index):
-                continue
-            saw_cacheable = True
-            entry = monitor.directory.peek(
-                FragmentID.create("frag", {"id": pool_index})
-            )
-            if entry is None or not entry.is_valid or not entry.fresh(now):
+        for _, fresh in self._page_freshness(request):
+            if not fresh:
                 return False
+            saw_cacheable = True
         return saw_cacheable
 
     def _note_shed_fragments(self, request) -> None:
@@ -431,6 +422,13 @@ class OverloadHarness:
         insight = monitor.directory.insight
         if insight is None:
             return
+        for fragment_id, fresh in self._page_freshness(request):
+            if not fresh:
+                insight.note_shed(fragment_id.canonical())
+
+    def _page_freshness(self, request) -> Iterator[Tuple[FragmentID, bool]]:
+        """``(fragment_id, fresh)`` per cacheable pool fragment (peeks only)."""
+        directory = self.testbed.monitor.directory
         params = self.config.testbed.synthetic
         page_id = int(request.param("pageID", "0"))
         now = self.testbed.clock.now()
@@ -438,9 +436,8 @@ class OverloadHarness:
             if not params.is_cacheable(pool_index):
                 continue
             fragment_id = FragmentID.create("frag", {"id": pool_index})
-            entry = monitor.directory.peek(fragment_id)
-            if entry is None or not entry.is_valid or not entry.fresh(now):
-                insight.note_shed(fragment_id.canonical())
+            entry = directory.peek(fragment_id)
+            yield fragment_id, entry is not None and entry.fresh(now)
 
     def _stale_fragments_served(self, timed) -> bool:
         """Whether the request just served consumed any stale fragments."""

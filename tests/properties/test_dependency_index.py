@@ -1,0 +1,167 @@
+"""Property: data-driven invalidation through the directory's dependency
+index kills exactly what a brute-force scan says it should.
+
+A directory with a few slots (so evictions happen) and an invalidation
+manager wired to a real database receive random inserts with row-keyed,
+table-wide, column- and where-filtered dependencies, lookups past TTLs,
+explicit invalidations, sweeps, row updates, deletes and re-inserts, and
+desynced rows that get repaired.  For every committed change the set of
+fragments invalidated must equal the oracle: every valid entry with any
+dependency matching the event.  ``check_invariants`` (slot discipline and
+index consistency) must hold after every operation.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cache_directory import CacheDirectory
+from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
+from repro.core.invalidation import InvalidationManager
+from repro.core.replacement import make_policy
+from repro.database import Database, schema
+
+TABLES = ("items", "users")
+ROWS = (0, 1, 2, 3)
+CATEGORIES = ("x", "y")
+NAMES = 8
+
+dependencies = st.one_of(
+    st.builds(Dependency, st.sampled_from(TABLES), key=st.sampled_from(ROWS)),
+    st.builds(Dependency, st.sampled_from(TABLES)),
+    st.builds(Dependency, st.sampled_from(TABLES),
+              column=st.sampled_from(["cat", "price"])),
+    st.builds(Dependency, st.sampled_from(TABLES), key=st.sampled_from(ROWS),
+              column=st.sampled_from(["cat", "price"])),
+    st.builds(Dependency, st.sampled_from(TABLES), where_column=st.just("cat"),
+              where_value=st.sampled_from(CATEGORIES)),
+)
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, NAMES - 1),
+                  st.lists(dependencies, max_size=3),
+                  st.sampled_from([None, 3.0, 10.0])),
+        st.tuples(st.just("lookup"), st.integers(0, NAMES - 1)),
+        st.tuples(st.just("invalidate"), st.integers(0, NAMES - 1)),
+        st.tuples(st.just("expire")),
+        st.tuples(st.just("tick"), st.sampled_from([1.0, 4.0])),
+        st.tuples(st.just("update"), st.sampled_from(TABLES),
+                  st.sampled_from(ROWS), st.sampled_from(["cat", "price"]),
+                  st.sampled_from(CATEGORIES)),
+        st.tuples(st.just("toggle"), st.sampled_from(TABLES),
+                  st.sampled_from(ROWS), st.sampled_from(CATEGORIES)),
+        st.tuples(st.just("flip"), st.integers(0, NAMES - 1),
+                  st.lists(dependencies, max_size=2),
+                  st.sampled_from(TABLES), st.sampled_from(ROWS)),
+    ),
+    max_size=80,
+)
+
+
+def fid(index):
+    return FragmentID.create("frag", {"id": index})
+
+
+class World:
+    """Directory, manager and database, plus a brute-force event oracle."""
+
+    def __init__(self, capacity, policy):
+        self.db = Database()
+        self.tables = {}
+        for name in TABLES:
+            table = self.db.create_table(
+                schema(name, [("id", "int"), ("cat", "str"), ("price", "float")])
+            )
+            for row in ROWS:
+                table.insert({"id": row, "cat": "x", "price": 1.0})
+            self.tables[name] = table
+        self.directory = CacheDirectory(capacity, policy=make_policy(policy))
+        # Subscribed before the manager: sees each event before it acts.
+        self.db.bus.subscribe(self.predict)
+        self.manager = InvalidationManager(self.directory)
+        self.manager.attach(self.db.bus)
+        self.expected = set()
+        self.now = 0.0
+
+    def predict(self, event):
+        for entry in self.directory.valid_entries():
+            if entry.is_valid and any(
+                dep.matches(event.table, event.key, event.changed_columns,
+                            row=event.row, old_row=event.old_row)
+                for dep in entry.dependencies
+            ):
+                self.expected.add(entry.fragment_id.canonical())
+
+    def valid(self):
+        return {
+            entry.fragment_id.canonical()
+            for entry in self.directory.valid_entries()
+            if entry.is_valid
+        }
+
+    def commit(self, change):
+        """Run one database change and compare its kills with the oracle."""
+        self.expected = set()
+        before = self.valid()
+        count = self.manager.fragments_invalidated
+        change()
+        killed = before - self.valid()
+        assert killed == self.expected
+        assert self.manager.fragments_invalidated - count == len(killed)
+
+    def apply(self, op):
+        kind = op[0]
+        directory = self.directory
+        if kind == "insert":
+            _, index, deps, ttl = op
+            directory.insert(
+                fid(index),
+                FragmentMetadata(ttl=ttl, dependencies=tuple(deps)),
+                10,
+                self.now,
+            )
+        elif kind == "lookup":
+            directory.lookup(fid(op[1]), self.now)
+        elif kind == "invalidate":
+            directory.invalidate(fid(op[1]))
+        elif kind == "expire":
+            directory.expire_stale(self.now)
+        elif kind == "tick":
+            self.now += op[1]
+        elif kind == "update":
+            _, table, row, column, category = op
+            value = category if column == "cat" else self.now
+            self.commit(lambda: self.tables[table].update({column: value}, key=row))
+        elif kind == "toggle":
+            _, table, row, category = op
+            if self.tables[table].get(row) is None:
+                self.commit(lambda: self.tables[table].insert(
+                    {"id": row, "cat": category, "price": 1.0}))
+            else:
+                self.commit(lambda: self.tables[table].delete(key=row))
+        elif kind == "flip":
+            # Desync one row and re-cache its fragment with new
+            # dependencies, fire an event, then repair: only the newer
+            # entry's own dependencies may decide whether it dies.
+            _, index, deps, table, row = op
+            entry = directory.peek(fid(index))
+            if entry is not None and entry.is_valid:
+                entry.is_valid = False
+            directory.insert(
+                fid(index), FragmentMetadata(dependencies=tuple(deps)), 10, self.now
+            )
+            self.commit(lambda: self.tables[table].update({"price": 2.0}, key=row))
+            directory.audit_and_repair()
+        directory.check_invariants()
+
+
+@given(operations, st.integers(1, 4), st.sampled_from(["lru", "lfu", "fifo", "ttl", "gds"]))
+@settings(max_examples=300, deadline=None)
+def test_index_invalidates_exactly_what_a_scan_would(ops, capacity, policy):
+    world = World(capacity, policy)
+    for op in ops:
+        world.apply(op)
+    # Every surviving entry is a candidate for events on each of its dependencies.
+    for entry in world.directory.valid_entries():
+        for dep in entry.dependencies:
+            assert entry in world.directory.dependents(dep.table, dep.key)
