@@ -27,6 +27,7 @@ from repro.core.cache_directory import CacheDirectory
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.scanner import TagScanner
+from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import SENTINEL, Template
 from repro.database import Database, schema
 from repro.network.clock import SimulatedClock
@@ -69,7 +70,8 @@ def test_directory_probe(benchmark):
 
 
 def test_bem_block_hit_path(benchmark):
-    """The full process_block hit path (probe + GET emission)."""
+    """The process_block hit path (probe + GET emission).  The fragment id
+    is built before timing; ``test_tagged_block_hit_path`` times it too."""
     bem = BackEndMonitor(capacity=1024)
     fragment_id = FragmentID.create("hot", {"k": 1})
     bem.process_block(fragment_id, FragmentMetadata, lambda: "x" * 512)
@@ -77,6 +79,23 @@ def test_bem_block_hit_path(benchmark):
     instruction = benchmark(bem.process_block, fragment_id, FragmentMetadata,
                             lambda: "never")
     assert instruction.key is not None
+
+
+def test_tagged_block_hit_path(benchmark):
+    """One ``PageBuilder.block`` hit on a warm BEM: the fragment id a
+    script's block builds, the directory probe and the GET it appends."""
+    registry = TagRegistry()
+    registry.tag("hot")
+    bem = BackEndMonitor(capacity=1024)
+    PageBuilder(registry, bem=bem).block("hot", {"k": 1}, lambda: "x" * 512)
+    builder = PageBuilder(registry, bem=bem)
+    params = {"k": 1}
+
+    def never():
+        raise AssertionError("a warm block must not regenerate")
+
+    assert benchmark(builder.block, "hot", params, never) is None
+    assert builder.stats.misses == 0
 
 
 def test_indexed_lookup(benchmark):

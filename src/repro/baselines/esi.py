@@ -45,7 +45,8 @@ class _EsiCaptureMonitor:
     Every cacheable block is generated and returned as a SET instruction
     whose key indexes the fragment's *src* (its canonical fragmentID) —
     which is exactly what an ESI factoring would use as the include URL.
-    A src's TTL is described once, when its key is assigned.
+    Keys are assigned per fragment id; a src is rendered, and its TTL
+    described, once, when its key is assigned.
     """
 
     def __init__(self, clock: SimulatedClock) -> None:
@@ -53,7 +54,7 @@ class _EsiCaptureMonitor:
         self.objects = ObjectCache(clock)
         self.src_by_key: Dict[int, str] = {}
         self.ttl_by_src: Dict[str, Optional[float]] = {}
-        self._key_by_src: Dict[str, int] = {}
+        self._key_by_id: Dict[FragmentID, int] = {}
 
     def process_block(
         self,
@@ -61,11 +62,11 @@ class _EsiCaptureMonitor:
         describe: Callable[[], FragmentMetadata],
         generate: Callable[[], str],
     ) -> Instruction:
-        src = fragment_id.canonical()
-        key = self._key_by_src.get(src)
+        key = self._key_by_id.get(fragment_id)
         if key is None:
-            key = len(self._key_by_src)
-            self._key_by_src[src] = key
+            key = len(self._key_by_id)
+            self._key_by_id[fragment_id] = key
+            src = fragment_id.canonical()
             self.src_by_key[key] = src
             self.ttl_by_src[src] = describe().ttl
         return SetInstruction(key, generate())

@@ -198,7 +198,7 @@ class CacheDirectory:
         self.capacity = capacity
         self.policy = policy if policy is not None else LruPolicy()
         self.free_list = FreeList(capacity)
-        self._entries: Dict[str, DirectoryEntry] = {}
+        self._entries: Dict[FragmentID, DirectoryEntry] = {}
         self._valid_by_key: Dict[int, DirectoryEntry] = {}
         #: Valid dpcKeys by dependency (dicts as ordered sets): row-keyed
         #: ones under table -> row key, all others under their table.
@@ -231,12 +231,11 @@ class CacheDirectory:
         exists anyway for memory hygiene; see :meth:`expire_stale`).
         """
         self.stats.lookups += 1
-        canonical = fragment_id.canonical()
-        entry = self._entries.get(canonical)
+        entry = self._entries.get(fragment_id)
         if entry is None:
             self.stats.misses += 1
             if self.insight is not None:
-                self.insight.record_access(canonical, hit=False)
+                self.insight.record_access(fragment_id, hit=False)
             return None
         if entry.is_valid and not entry.fresh(now):
             self.stats.ttl_expirations += 1
@@ -244,19 +243,19 @@ class CacheDirectory:
         if not entry.is_valid:
             self.stats.misses += 1
             if self.insight is not None:
-                self.insight.record_access(canonical, hit=False)
+                self.insight.record_access(fragment_id, hit=False)
             return None
         entry.last_access = now
         entry.hits += 1
         self.policy.on_access(entry)
         self.stats.hits += 1
         if self.insight is not None:
-            self.insight.record_access(canonical, hit=True)
+            self.insight.record_access(fragment_id, hit=True)
         return entry
 
     def peek(self, fragment_id: FragmentID) -> Optional[DirectoryEntry]:
         """Read an entry without touching access stats or TTL state."""
-        return self._entries.get(fragment_id.canonical())
+        return self._entries.get(fragment_id)
 
     # -- insertion -----------------------------------------------------------------
 
@@ -274,8 +273,7 @@ class CacheDirectory:
         the cache is full.  Any stale (invalid) entry for the same
         fragmentID is replaced.
         """
-        canonical = fragment_id.canonical()
-        old = self._entries.get(canonical)
+        old = self._entries.get(fragment_id)
         if old is not None and old.is_valid:
             # Re-inserting over a valid entry means the caller decided to
             # regenerate (e.g. forced refresh): recycle the old key first.
@@ -294,7 +292,7 @@ class CacheDirectory:
             dependencies=tuple(metadata.dependencies),
             epoch=epoch,
         )
-        self._entries[canonical] = entry
+        self._entries[fragment_id] = entry
         self._valid_by_key[key] = entry
         for dep in entry.dependencies:
             if dep.key is None:
@@ -305,7 +303,7 @@ class CacheDirectory:
         self.policy.on_insert(entry)
         self.stats.insertions += 1
         if self.insight is not None:
-            self.insight.record_insert(canonical)
+            self.insight.record_insert(fragment_id)
         return entry
 
     def _evict_one(self, now: float) -> None:
@@ -338,11 +336,11 @@ class CacheDirectory:
         """
         self._release(entry.dpc_key)
         self.free_list.push(entry.dpc_key)
-        canonical = entry.fragment_id.canonical()
-        if self._entries.get(canonical) is entry:
-            del self._entries[canonical]
+        fragment_id = entry.fragment_id
+        if self._entries.get(fragment_id) is entry:
+            del self._entries[fragment_id]
             if self.insight is not None:
-                self.insight.record_removal(canonical, "fault_quarantine")
+                self.insight.record_removal(fragment_id, "fault_quarantine")
 
     # -- invalidation ----------------------------------------------------------------
 
@@ -355,7 +353,7 @@ class CacheDirectory:
         attached (data-source invalidation by default; recovery passes
         ``fault_quarantine``).
         """
-        entry = self._entries.get(fragment_id.canonical())
+        entry = self._entries.get(fragment_id)
         if entry is None or not entry.is_valid:
             return False
         self.stats.invalidations += 1
@@ -399,11 +397,11 @@ class CacheDirectory:
         self.free_list.push(entry.dpc_key)
         # Drop the stale record entirely: the paper keeps it only until the
         # fragment is re-requested, and removing it bounds directory memory.
-        canonical = entry.fragment_id.canonical()
-        if self._entries.get(canonical) is entry:
-            del self._entries[canonical]
+        fragment_id = entry.fragment_id
+        if self._entries.get(fragment_id) is entry:
+            del self._entries[fragment_id]
         if self.insight is not None:
-            self.insight.record_removal(canonical, reason)
+            self.insight.record_removal(fragment_id, reason)
 
     def _release(self, key: int) -> None:
         """Drop ``key``'s valid mapping, policy state and index entries."""
@@ -459,16 +457,16 @@ class CacheDirectory:
                 self._release(key)
                 stale_mappings += 1
         orphaned_records = 0
-        for canonical, entry in list(self._entries.items()):
+        for fragment_id, entry in list(self._entries.items()):
             if entry.is_valid and self._valid_by_key.get(entry.dpc_key) is entry:
                 continue  # healthy row
             entry.is_valid = False
-            del self._entries[canonical]
+            del self._entries[fragment_id]
             orphaned_records += 1
             if self.insight is not None:
                 # Repair dropped bookkeeping that could not be trusted; the
                 # next miss on the fragment is recovery's doing.
-                self.insight.record_removal(canonical, "fault_quarantine")
+                self.insight.record_removal(fragment_id, "fault_quarantine")
         keys_reclaimed = self.rebuild_free_list()
         self.check_invariants()
         return RepairReport(

@@ -12,11 +12,16 @@ URL-keyed proxies are not: Bob's greeting block has fragmentID
 ``greeting?user=bob`` while Alice's (anonymous) has ``greeting?user=``, so
 they can never collide in the directory even though their request URL is
 identical.
+
+A :class:`FragmentID` is that ``(name, parameterList)`` pair as a tuple;
+the directory keys on the pair, and the ``greeting?user=bob`` string is
+rendered only where a string is read (reports, ESI ``src``, span export).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -28,15 +33,6 @@ from ..errors import ConfigurationError
 _QUOTE = str.maketrans({"%": "%25", "&": "%26", "=": "%3D", "?": "%3F"})
 
 
-def _render(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
-    if not params:
-        return name
-    if len(params) == 1:
-        key, value = params[0]
-        return "%s?%s=%s" % (name, key, value)
-    return "%s?%s" % (name, "&".join(["%s=%s" % pair for pair in params]))
-
-
 def quote_reserved(text: object) -> str:
     """``str(text)`` with ``%``, ``&``, ``=`` and ``?`` percent-encoded."""
     return str(text).translate(_QUOTE)
@@ -45,46 +41,43 @@ def quote_reserved(text: object) -> str:
 def _canonical(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
     """``name?k1=v1&k2=v2``, escaping reserved characters in every part."""
     if not params:
-        parts = name
-    elif len(params) == 1:
-        parts = "%s%s%s" % (name, params[0][0], params[0][1])
-    else:
-        parts = name + "".join(["%s%s" % pair for pair in params])
-    if "%" in parts or "&" in parts or "=" in parts or "?" in parts:
-        name = quote_reserved(name)
-        params = tuple((quote_reserved(k), quote_reserved(v)) for k, v in params)
-    return _render(name, params)
+        return quote_reserved(name)
+    return "%s?%s" % (
+        quote_reserved(name),
+        "&".join([quote_reserved(k) + "=" + quote_reserved(v) for k, v in params]),
+    )
 
 
-class FragmentID:
+#: Builds an id without a Python-level ``__new__`` call.
+_new_id = tuple.__new__
+
+
+class FragmentID(tuple):
     """Unique fragment identifier: block name plus canonicalized parameters.
 
-    Parameters are sorted by name so that logically identical invocations
-    map to the same identifier regardless of call-site argument order.
-    Equality, ordering and hashing are those of the ``(name, params)``
-    pair.  Instances are immutable, and the canonical string and the hash
-    are computed once, at construction: each cacheable block builds one id
-    per request, and the directory, the invalidation manager and the
-    insight layer all key on :meth:`canonical`.
+    The id *is* the ``(name, params)`` pair: a ``tuple`` subclass with no
+    instance storage, whose ``params`` are the sorted ``(str, str)``
+    pairs, so logically identical invocations map to the same identifier
+    regardless of call-site argument order.  Equality, ordering and hashing
+    are the pair's own (an id equals the plain tuple ``(name, params)``),
+    computed in C, which makes an id cheap to build and to probe: every
+    cacheable block builds one per request, and the cache directory and the
+    insight layer key on the id itself.  The canonical string is rendered
+    only where a string is read (:meth:`canonical`).  Instances are
+    immutable.
     """
 
-    __slots__ = ("name", "params", "_canonical", "_hash")
+    __slots__ = ()
 
-    def __init__(self, name: str, params: Tuple[Tuple[str, str], ...] = ()) -> None:
-        canonical = _canonical(name, params)
-        init = object.__setattr__
-        init(self, "name", name)
-        init(self, "params", params)
-        init(self, "_canonical", canonical)
-        # Equal ids have equal canonicals.  The string caches its hash, so
-        # the directory's dict probe on the canonical reuses this one.
-        init(self, "_hash", hash(canonical))
+    def __new__(
+        cls, name: str, params: Tuple[Tuple[str, str], ...] = ()
+    ) -> "FragmentID":
+        return _new_id(cls, (name, params))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FragmentID is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FragmentID is immutable")
+    #: The block name.
+    name = property(itemgetter(0))
+    #: The sorted ``(key, value)`` string pairs.
+    params = property(itemgetter(1))
 
     @staticmethod
     def create(name: str, params: Optional[Mapping[str, object]] = None) -> "FragmentID":
@@ -92,16 +85,17 @@ class FragmentID:
         if not name:
             raise ConfigurationError("fragment name cannot be empty")
         if not params:
-            return FragmentID(name)
+            return _new_id(FragmentID, (name, ()))
         if len(params) == 1:
             ((key, value),) = params.items()
-            return FragmentID(name, ((str(key), str(value)),))
-        return FragmentID(
-            name, tuple(sorted((str(k), str(v)) for k, v in params.items()))
+            return _new_id(FragmentID, (name, ((str(key), str(value)),)))
+        return _new_id(
+            FragmentID,
+            (name, tuple(sorted((str(k), str(v)) for k, v in params.items()))),
         )
 
     def canonical(self) -> str:
-        """The string form stored in the cache directory.
+        """The id's string form, rendered on each call.
 
         ``name?k1=v1&k2=v2``, with ``%``, ``&``, ``=`` and ``?`` inside the
         name, keys and values percent-encoded so distinct ids never share
@@ -110,46 +104,15 @@ class FragmentID:
         quite long, especially those that include a list of parameters"
         (§4.3.3).
         """
-        return self._canonical
+        return _canonical(self[0], self[1])
 
-    def __str__(self) -> str:
-        return self._canonical
+    __str__ = canonical
 
     def __repr__(self) -> str:
-        return "FragmentID(name=%r, params=%r)" % (self.name, self.params)
+        return "FragmentID(name=%r, params=%r)" % (self[0], self[1])
 
     def __reduce__(self):
-        # Rebuild rather than copy the slots: the stored hash is only
-        # valid in the process that computed it.
-        return (FragmentID, (self.name, self.params))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.name == other.name and self.params == other.params
-
-    def __lt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) < (other.name, other.params)
-
-    def __le__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) <= (other.name, other.params)
-
-    def __gt__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) > (other.name, other.params)
-
-    def __ge__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.params) >= (other.name, other.params)
+        return (FragmentID, (self[0], self[1]))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Two pieces:
 The monitor protocol is ``process_block(fragment_id, describe, generate)``.
 ``describe`` materializes the block's :class:`FragmentMetadata` and is
 called only when a miss inserts a directory entry, before ``generate``
-runs, so a hit pays for one fragment id and one directory probe.  The
+runs, so a hit pays for one fragment id (a ``(name, params)`` tuple; no
+string is rendered) and one directory probe keyed on it.  The
 returned instruction tells the builder what happened, with two outcomes
 only: a ``GET`` is a hit, a ``SET`` is a miss carrying the generated
 content.  Untagged and non-cacheable blocks never reach the monitor.

@@ -22,7 +22,7 @@ misses.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from .ledger import MissCauseLedger
 from .mattson import ReuseDistanceProfiler
@@ -54,24 +54,24 @@ class InsightLayer:
 
     # -- directory hooks ----------------------------------------------------
 
-    def record_access(self, canonical: str, hit: bool) -> None:
+    def record_access(self, fragment_id: Hashable, hit: bool) -> None:
         """One directory lookup outcome (called by ``CacheDirectory``)."""
-        self.ledger.record_access(canonical, hit)
+        self.ledger.record_access(fragment_id, hit)
         if self.profiler is not None:
-            self.profiler.on_access(canonical)
+            self.profiler.on_access(fragment_id)
 
-    def record_removal(self, canonical: str, reason: str) -> None:
+    def record_removal(self, fragment_id: Hashable, reason: str) -> None:
         """One entry removal, with its cause (called by ``CacheDirectory``)."""
-        self.ledger.record_removal(canonical, reason)
+        self.ledger.record_removal(fragment_id, reason)
         if (
             self.profiler is not None
             and reason in CONTENT_INVALIDATION_REASONS
         ):
-            self.profiler.on_invalidate(canonical)
+            self.profiler.on_invalidate(fragment_id)
 
-    def record_insert(self, canonical: str) -> None:
+    def record_insert(self, fragment_id: Hashable) -> None:
         """One entry insertion (called by ``CacheDirectory``)."""
-        self.ledger.record_insert(canonical)
+        self.ledger.record_insert(fragment_id)
 
     # -- satellite hooks -----------------------------------------------------
 
@@ -84,9 +84,9 @@ class InsightLayer:
         self.eviction_hits_total += hits
         self.eviction_bytes_total += size_bytes
 
-    def note_shed(self, canonical: str) -> None:
+    def note_shed(self, fragment_id: Hashable) -> None:
         """Overload protection shed this fragment's refill opportunity."""
-        self.ledger.note_shed(canonical)
+        self.ledger.note_shed(fragment_id)
 
     def record_dpc_wipe(self, epoch: int) -> None:
         """The DPC cleared its slot array (restart / epoch bump)."""

@@ -24,7 +24,7 @@ cause                   the fragment was absent/invalid because…
 ======================  ====================================================
 
 Mechanically the ledger is a *pending-reason* map: every removal records
-its reason keyed by the fragment's canonical ID, and the next miss on that
+its reason keyed by the fragment's ID, and the next miss on that
 fragment consumes the pending reason (defaulting to ``cold`` when none is
 pending — the fragment was simply never cached).  Because every miss
 consumes exactly one cause and every cause increments exactly one counter,
@@ -40,7 +40,7 @@ workloads with faults and overload enabled.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from ..errors import ConfigurationError
 
@@ -74,28 +74,28 @@ class MissCauseLedger:
         self.counts: Dict[str, int] = {cause: 0 for cause in MISS_CAUSES}
         self.hits = 0
         self.misses = 0
-        #: canonical fragment ID -> reason its entry was last removed.
-        self._pending: Dict[str, str] = {}
-        #: canonical fragment ID -> per-cause miss counts (report detail).
-        self._per_fragment: Dict[str, Dict[str, int]] = {}
+        #: fragment ID -> reason its entry was last removed.
+        self._pending: Dict[Hashable, str] = {}
+        #: fragment ID -> per-cause miss counts (report detail).
+        self._per_fragment: Dict[Hashable, Dict[str, int]] = {}
 
     # -- hooks (called by the directory / harnesses) ------------------------
 
-    def record_access(self, canonical: str, hit: bool) -> None:
+    def record_access(self, fragment_id: Hashable, hit: bool) -> None:
         """One directory lookup outcome; misses consume the pending reason."""
         if hit:
             self.hits += 1
             # A hit proves the entry is present and fresh; any stale pending
             # reason (e.g. a shed note on a fragment that survived) is moot.
-            self._pending.pop(canonical, None)
+            self._pending.pop(fragment_id, None)
             return
         self.misses += 1
-        cause = self._pending.pop(canonical, "cold")
+        cause = self._pending.pop(fragment_id, "cold")
         self.counts[cause] += 1
-        per_fragment = self._per_fragment.setdefault(canonical, {})
+        per_fragment = self._per_fragment.setdefault(fragment_id, {})
         per_fragment[cause] = per_fragment.get(cause, 0) + 1
 
-    def record_removal(self, canonical: str, reason: str) -> None:
+    def record_removal(self, fragment_id: Hashable, reason: str) -> None:
         """An entry left the directory; remember why until the next miss."""
         if reason not in REMOVAL_REASONS:
             raise ConfigurationError(
@@ -105,15 +105,15 @@ class MissCauseLedger:
         if reason == "refreshed":
             # The caller is about to re-insert fresh content; nothing for a
             # future miss to observe.
-            self._pending.pop(canonical, None)
+            self._pending.pop(fragment_id, None)
             return
-        self._pending[canonical] = reason
+        self._pending[fragment_id] = reason
 
-    def record_insert(self, canonical: str) -> None:
+    def record_insert(self, fragment_id: Hashable) -> None:
         """An entry (re)entered the directory: no removal is pending."""
-        self._pending.pop(canonical, None)
+        self._pending.pop(fragment_id, None)
 
-    def note_shed(self, canonical: str) -> None:
+    def note_shed(self, fragment_id: Hashable) -> None:
         """Overload protection shed the request that would have cached this.
 
         Called by the overload harness for each absent-or-stale cacheable
@@ -123,7 +123,7 @@ class MissCauseLedger:
         removed it earlier.  A later, more precise removal (e.g. lazy TTL
         expiry during the missing lookup itself) still overwrites the note.
         """
-        self._pending[canonical] = "shed_overload"
+        self._pending[fragment_id] = "shed_overload"
 
     # -- reading ------------------------------------------------------------
 
@@ -145,13 +145,14 @@ class MissCauseLedger:
 
         ``causes`` is a compact ``cause×count`` breakdown string, dominant
         cause first — the doctor report's "which fragments hurt" table.
+        Fragments show, and break ties, as their canonical strings.
         """
         scored = sorted(
             self._per_fragment.items(),
-            key=lambda item: (-sum(item[1].values()), item[0]),
+            key=lambda item: (-sum(item[1].values()), str(item[0])),
         )
         rows: List[Tuple[str, int, str]] = []
-        for canonical, causes in scored[:n]:
+        for fragment_id, causes in scored[:n]:
             total = sum(causes.values())
             breakdown = " ".join(
                 "%s×%d" % (cause, count)
@@ -159,7 +160,7 @@ class MissCauseLedger:
                     causes.items(), key=lambda kv: (-kv[1], kv[0])
                 )
             )
-            rows.append((canonical, total, breakdown))
+            rows.append((str(fragment_id), total, breakdown))
         return rows
 
     def check_invariants(self, directory=None) -> None:

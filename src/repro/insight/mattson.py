@@ -34,7 +34,7 @@ happens at diagnosis time instead of inside the request loop.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 #: Event-stream kinds recorded in the profiler's log.
 EVENT_KINDS = ("access", "invalidate")
@@ -99,28 +99,28 @@ class ReuseDistanceProfiler:
     """
 
     def __init__(self, keep_events: bool = False) -> None:
-        self._log: List[Tuple[str, str]] = []     # raw feed, folded lazily
-        self._folded = 0                          # log prefix already folded
-        self._clockhand = 0                       # accesses so far (1-based)
-        self._last_access: Dict[str, int] = {}    # canonical -> access stamp
-        self._stale: set = set()                  # invalidated since last access
-        self._tree = _FenwickTree()               # marks most-recent stamps
+        self._log: List[Tuple[str, Hashable]] = []  # raw feed, folded lazily
+        self._folded = 0                            # log prefix already folded
+        self._clockhand = 0                         # accesses so far (1-based)
+        self._last_access: Dict[Hashable, int] = {}  # fragment -> access stamp
+        self._stale: set = set()                    # invalidated since last access
+        self._tree = _FenwickTree()                 # marks most-recent stamps
         self._histogram: Dict[int, int] = {}
         self._cold_misses = 0
         self._stale_misses = 0
-        self._events: Optional[List[Tuple[str, str]]] = (
+        self._events: Optional[List[Tuple[str, Hashable]]] = (
             [] if keep_events else None
         )
 
     # -- feeding ------------------------------------------------------------
 
-    def on_access(self, canonical: str) -> None:
-        """One directory lookup for ``canonical`` (hit or miss alike)."""
-        self._log.append(("access", canonical))
+    def on_access(self, fragment_id: Hashable) -> None:
+        """One directory lookup for ``fragment_id`` (hit or miss alike)."""
+        self._log.append(("access", fragment_id))
 
-    def on_invalidate(self, canonical: str) -> None:
+    def on_invalidate(self, fragment_id: Hashable) -> None:
         """Content invalidation (TTL / data change / quarantine) in place."""
-        self._log.append(("invalidate", canonical))
+        self._log.append(("invalidate", fragment_id))
 
     # -- folding ------------------------------------------------------------
 
@@ -132,20 +132,20 @@ class ReuseDistanceProfiler:
         last_access, stale, tree = self._last_access, self._stale, self._tree
         histogram, events = self._histogram, self._events
         clockhand = self._clockhand
-        for kind, canonical in log[self._folded:]:
+        for kind, fragment_id in log[self._folded:]:
             if kind == "access":
                 if events is not None:
-                    events.append(("access", canonical))
+                    events.append(("access", fragment_id))
                 clockhand += 1
-                stamp = last_access.get(canonical)
+                stamp = last_access.get(fragment_id)
                 if stamp is None:
                     self._cold_misses += 1
                 else:
-                    if canonical in stale:
+                    if fragment_id in stale:
                         # Stale-in-place: the content is gone at every
                         # size, but the fragment still occupied its
                         # recency position.
-                        stale.discard(canonical)
+                        stale.discard(fragment_id)
                         self._stale_misses += 1
                     else:
                         # Fragments whose most-recent access is newer than
@@ -154,15 +154,15 @@ class ReuseDistanceProfiler:
                         distance = len(last_access) - tree.prefix(stamp)
                         histogram[distance] = histogram.get(distance, 0) + 1
                     tree.add(stamp, -1)
-                last_access[canonical] = clockhand
+                last_access[fragment_id] = clockhand
                 tree.add(clockhand, 1)
             else:
                 # Invalidations of never-accessed fragments are irrelevant
                 # to the recency stack (and to the replay stream).
-                if canonical in last_access:
+                if fragment_id in last_access:
                     if events is not None:
-                        events.append(("invalidate", canonical))
-                    stale.add(canonical)
+                        events.append(("invalidate", fragment_id))
+                    stale.add(fragment_id)
         self._clockhand = clockhand
         self._folded = len(log)
 
@@ -187,7 +187,7 @@ class ReuseDistanceProfiler:
         return self._stale_misses
 
     @property
-    def events(self) -> Optional[List[Tuple[str, str]]]:
+    def events(self) -> Optional[List[Tuple[str, Hashable]]]:
         """The replayable event stream (``None`` unless ``keep_events``)."""
         self._fold()
         return self._events
@@ -269,7 +269,7 @@ class ReuseDistanceProfiler:
 
 
 def simulate_lru(
-    events: Iterable[Tuple[str, str]], num_slots: int
+    events: Iterable[Tuple[str, Hashable]], num_slots: int
 ) -> Tuple[int, int]:
     """Brute-force oracle: replay events through a real ``num_slots`` LRU.
 
@@ -282,25 +282,25 @@ def simulate_lru(
     """
     if num_slots <= 0:
         raise ValueError("num_slots must be positive")
-    cache: "OrderedDict[str, bool]" = OrderedDict()  # canonical -> is_valid
+    cache: "OrderedDict[Hashable, bool]" = OrderedDict()  # fragment -> is_valid
     hits = accesses = 0
-    for kind, canonical in events:
+    for kind, fragment_id in events:
         if kind == "access":
             accesses += 1
-            resident = canonical in cache
-            if resident and cache[canonical]:
+            resident = fragment_id in cache
+            if resident and cache[fragment_id]:
                 hits += 1
-                cache.move_to_end(canonical)
+                cache.move_to_end(fragment_id)
                 continue
             # Miss: stale-resident fragments refresh in place; new ones
             # take a slot, evicting the LRU victim when full.
-            cache[canonical] = True
-            cache.move_to_end(canonical)
+            cache[fragment_id] = True
+            cache.move_to_end(fragment_id)
             if not resident and len(cache) > num_slots:
                 cache.popitem(last=False)
         elif kind == "invalidate":
-            if canonical in cache:
-                cache[canonical] = False
+            if fragment_id in cache:
+                cache[fragment_id] = False
         else:
             raise ValueError("unknown event kind %r" % (kind,))
     return hits, accesses

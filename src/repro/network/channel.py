@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import ChannelClosed, ConfigurationError, NetworkError
-from ..telemetry.tracing import NULL_TRACER
+from ..telemetry.tracing import NULL_TRACER, TraceContext
 from .clock import SimulatedClock
 from .message import ProtocolOverheadModel, WireMessage
 from .sniffer import Sniffer
@@ -77,7 +77,7 @@ class Channel:
         self._closed = False
         self.messages_sent = 0
         self.messages_dropped = 0
-        #: Tracer wrapping every send in a ``channel.transfer`` span.
+        #: Tracer recording every send as a ``channel.transfer`` leaf.
         #: Defaults to the shared disabled tracer so sends stay cheap.
         self.tracer = NULL_TRACER
 
@@ -129,14 +129,14 @@ class Channel:
         :class:`~repro.errors.NetworkError`) after :meth:`close`, and
         whatever a fault hook raises when an injected fault drops the
         message.
+
+        Traced, a send is one ``channel.transfer`` leaf around its clock
+        advance (the tracer's clock is the channel's), and the message is
+        stamped with that leaf's context.  A failed send is a 0-second leaf
+        with status ``dropped`` (a fault hook's drop) or the error's name.
         """
-        with self.tracer.span(
-            "channel.transfer", channel=self.name, kind=message.kind
-        ) as span:
-            if message.trace is None:
-                context = self.tracer.current_context()
-                if context is not None:
-                    message.trace = context
+        status = None
+        try:
             if self._closed:
                 raise ChannelClosed("channel %r is closed" % self.name)
             self._validate_endpoints(message)
@@ -146,18 +146,32 @@ class Channel:
                     penalty = fault(message)
                 except NetworkError:
                     self.messages_dropped += 1
-                    span.set_status("dropped")
+                    status = "dropped"
                     raise
                 if penalty:
                     extra_delay += penalty
-            for sniffer in self._sniffers:
-                sniffer.observe(message)
-            self.messages_sent += 1
-            wire = message.wire_bytes(self.overhead)
-            elapsed = self.link.transfer_time(wire) + extra_delay
-            if self.clock is not None:
-                self.clock.advance(elapsed)
-            return elapsed
+        except BaseException as failure:
+            if self.tracer.enabled:
+                self._trace(message, 0.0, status or type(failure).__name__)
+            raise
+        for sniffer in self._sniffers:
+            sniffer.observe(message)
+        self.messages_sent += 1
+        elapsed = self.link.transfer_time(message.wire_bytes(self.overhead)) + extra_delay
+        if self.tracer.enabled:
+            self._trace(message, 0.0 if self.clock is None else elapsed)
+        elif self.clock is not None:
+            self.clock.advance(elapsed)
+        return elapsed
+
+    def _trace(self, message: WireMessage, seconds: float, status: str = "ok") -> None:
+        """Record the ``channel.transfer`` leaf and stamp the message with it."""
+        span = self.tracer.leaf(
+            "channel.transfer", seconds, status,
+            {"channel": self.name, "kind": message.kind},
+        )
+        if message.trace is None:
+            message.trace = TraceContext(span.trace_id, span)
 
     def _validate_endpoints(self, message: WireMessage) -> None:
         """Messages with named endpoints must match the channel's ends."""

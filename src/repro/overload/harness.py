@@ -424,7 +424,7 @@ class OverloadHarness:
             return
         for fragment_id, fresh in self._page_freshness(request):
             if not fresh:
-                insight.note_shed(fragment_id.canonical())
+                insight.note_shed(fragment_id)
 
     def _page_freshness(self, request) -> Iterator[Tuple[FragmentID, bool]]:
         """``(fragment_id, fresh)`` per cacheable pool fragment (peeks only)."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, List, Optional, Tuple
 
+from ..core.fragments import FragmentID
 from .metrics import MetricsRegistry, Row
 from .tracing import Span
 
@@ -115,10 +116,13 @@ def _json_safe(value: object) -> object:
     Annotations are free-form (``root.annotate(epoch=3, outcome="shed")``)
     and occasionally carry rich objects; exporting must never crash on
     them, so anything beyond the JSON scalar/collection types degrades to
-    its ``str()`` form.
+    its ``str()`` form.  A :class:`~repro.core.fragments.FragmentID` is a
+    tuple, but exports as its canonical string.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, FragmentID):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
     if isinstance(value, dict):

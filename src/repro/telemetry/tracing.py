@@ -271,14 +271,26 @@ class Tracer:
         """
         if not self._enabled:
             return self.clock.advance(seconds)
+        return self.leaf(name, seconds, "ok", meta).end
+
+    def leaf(self, name: str, seconds: float, status: str, meta: dict) -> Span:
+        """Record the leaf :meth:`advance` records, and return it.
+
+        ``status`` is the leaf's outcome: a stage that failed before moving
+        the clock records a 0-second leaf with the failure as its status.
+        A leaf never has children, so it is not pushed on the span stack.
+        Only for an enabled tracer.
+        """
         stack = self._stack
         if not stack:
-            with self._open_root(name, meta):
-                return self.clock.advance(seconds)
+            with self._open_root(name, meta) as span:
+                span.status = status
+                self.clock.advance(seconds)
+            return span
         parent = stack[-1]
         span = Span(name, parent.trace_id, self._now(), meta, self)
+        span.status = status
         parent.children.append(span)
-        stack.append(span)
         self.spans_opened += 1
         try:
             span.end = self.clock.advance(seconds)
@@ -286,9 +298,7 @@ class Tracer:
             span.status = type(exc).__name__
             span.end = self._now()
             raise
-        finally:
-            stack.pop()
-        return span.end
+        return span
 
     def request_span(self, request, **meta: object):
         """A root ``request`` span — or a no-op if a trace is already open.

@@ -207,14 +207,14 @@ class RemovalLog:
         self.removals = []
         self.evictions = 0
 
-    def record_access(self, canonical, hit):
+    def record_access(self, fragment_id, hit):
         pass
 
-    def record_insert(self, canonical):
+    def record_insert(self, fragment_id):
         pass
 
-    def record_removal(self, canonical, reason):
-        self.removals.append((canonical, reason))
+    def record_removal(self, fragment_id, reason):
+        self.removals.append((fragment_id, reason))
 
     def record_eviction(self, policy_name, idle_s, hits, size_bytes):
         self.evictions += 1
@@ -238,7 +238,7 @@ class TestDesyncedVictim:
         assert directory.stats.evictions == 0
         assert directory.stats.invalidations == 0
         assert log.evictions == 0
-        assert log.removals == [(fid("a").canonical(), "fault_quarantine")]
+        assert log.removals == [(fid("a"), "fault_quarantine")]
         assert sorted(e.fragment_id.canonical() for e in directory.valid_entries()) == [
             fid("b").canonical(), fid("c").canonical()
         ]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import fragments
+from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
+from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import (
     OP_GET,
     OP_SET,
@@ -13,6 +16,7 @@ from repro.core.template import (
     parse_template,
 )
 from repro.errors import ConfigurationError
+from repro.insight import InsightLayer
 
 
 class TestSerializeMemo:
@@ -143,11 +147,31 @@ class TestDpcParseCache:
 
 
 class TestFragmentIdMemo:
-    def test_canonical_memoized_on_instance(self):
-        fragment_id = FragmentID.create("page", {"user": "bob"})
-        first = fragment_id.canonical()
-        assert fragment_id.canonical() is first
-        assert first == "page?user=bob"
+    """A fragment id renders its canonical string only where one is read."""
+
+    def test_warm_block_hit_renders_no_canonical(self, monkeypatch):
+        calls = []
+        render = fragments._canonical
+
+        def counting(name, params):
+            calls.append(name)
+            return render(name, params)
+
+        monkeypatch.setattr(fragments, "_canonical", counting)
+        registry = TagRegistry()
+        registry.tag("page")
+        for insight in (None, InsightLayer()):
+            bem = BackEndMonitor(capacity=8)
+            if insight is not None:
+                insight.attach(bem=bem)
+            PageBuilder(registry, bem=bem).block("page", {"user": "bob"}, lambda: "x")
+            del calls[:]
+            builder = PageBuilder(registry, bem=bem)
+            assert builder.block("page", {"user": "bob"}, lambda: "never") is None
+            assert builder.stats.hits == 1
+            assert calls == []
+        assert FragmentID.create("page", {"user": "bob"}).canonical() == "page?user=bob"
+        assert calls == ["page"]
 
     def test_equal_ids_share_canonical_value(self):
         a = FragmentID.create("f", {"i": 1})

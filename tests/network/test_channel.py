@@ -163,3 +163,75 @@ class TestChannelFaultHooks:
         channel.send(response_message(10, source="origin", destination="external"))
         assert channel.messages_sent == 1
         assert channel.messages_dropped == 0
+
+
+class TestTracedSends:
+    """A traced send records one ``channel.transfer`` leaf per message."""
+
+    def traced_channel(self):
+        from repro.telemetry.tracing import Tracer
+
+        clock = SimulatedClock()
+        channel = make_channel(
+            clock=clock,
+            link=LinkParameters(latency_s=0.01, bandwidth_bytes_per_s=0.0),
+        )
+        channel.tracer = Tracer(clock, enabled=True)
+        sniffer = channel.attach_sniffer()
+        return channel, sniffer
+
+    def send_in_trace(self, channel, message):
+        with channel.tracer.span("request") as root:
+            try:
+                channel.send(message)
+            except NetworkError:
+                pass
+        return root
+
+    def test_delivered_send_is_a_timed_leaf_stamped_on_the_message(self):
+        channel, sniffer = self.traced_channel()
+        message = response_message(100, source="origin", destination="external")
+        root = self.send_in_trace(channel, message)
+        (leaf,) = root.children
+        assert (leaf.name, leaf.status, leaf.children) == ("channel.transfer", "ok", [])
+        assert leaf.meta == {"channel": "link", "kind": "response"}
+        assert leaf.duration == pytest.approx(0.01)
+        assert message.trace.span is leaf
+        assert message.trace.trace_id == root.trace_id
+        assert sniffer.total().messages == 1
+
+    def test_dropped_send_is_a_zero_second_dropped_leaf(self):
+        channel, sniffer = self.traced_channel()
+
+        def drop(message):
+            raise MessageDropped("lost")
+
+        channel.add_fault(drop)
+        message = response_message(100, source="origin", destination="external")
+        root = self.send_in_trace(channel, message)
+        (leaf,) = root.children
+        assert (leaf.name, leaf.status, leaf.duration) == ("channel.transfer", "dropped", 0.0)
+        assert message.trace.span is leaf
+        assert channel.messages_dropped == 1
+        assert channel.messages_sent == 0
+        assert sniffer.total().messages == 0
+
+    def test_closed_send_leaf_carries_the_error_name(self):
+        channel, _ = self.traced_channel()
+        channel.close()
+        root = self.send_in_trace(
+            channel, response_message(100, source="origin", destination="external")
+        )
+        assert [(s.name, s.status) for s in root.children] == [
+            ("channel.transfer", "ChannelClosed")
+        ]
+        assert channel.messages_dropped == 0
+
+    def test_send_outside_a_trace_is_its_own_root(self):
+        channel, _ = self.traced_channel()
+        message = response_message(100, source="origin", destination="external")
+        channel.send(message)
+        root = channel.tracer.last_root
+        assert root.name == "channel.transfer"
+        assert message.trace.span is root
+        assert channel.tracer.traces_completed == 1

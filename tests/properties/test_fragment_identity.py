@@ -1,12 +1,14 @@
 """Differential properties: ``FragmentID`` against its frozen-dataclass oracle.
 
-``FragmentID`` is a hand-written ``__slots__`` class that computes its
-canonical string and hash once, at construction.  The frozen, ordered
-dataclass it replaced is kept here as the oracle: equality, hash
-consistency and ordering must agree with it on random ids, and so must the
-canonical string whenever no reserved character (``%&=?``) appears.  The
-canonical must also be injective — distinct ids, distinct canonicals —
-which the oracle's unescaped rendering was not.
+``FragmentID`` is the ``(name, params)`` tuple itself: equality, ordering
+and hashing are the tuple's, and the canonical string is rendered only
+when asked for.  The frozen, ordered dataclass it replaced is kept here as
+the oracle: equality, hash consistency and ordering must agree with it on
+random ids, and so must the canonical string whenever no reserved
+character (``%&=?``) appears.  The canonical must also be injective, which
+the oracle's unescaped rendering was not: two ids are equal exactly when
+their canonicals are, so keying the cache directory on the id and keying
+it on the canonical string are the same partition.
 """
 
 import copy
@@ -15,7 +17,7 @@ import string
 from dataclasses import dataclass
 from typing import Tuple
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.fragments import FragmentID
@@ -105,10 +107,38 @@ def test_distinct_ids_have_distinct_canonicals(a, b):
     assert (new_a == new_b) == (new_a.canonical() == new_b.canonical())
 
 
+# Ints next to their own decimal strings: ``{"id": 5}`` and ``{"id": "5"}``
+# are one fragment, and must render one canonical.
+mixed_values = st.one_of(
+    parts,
+    st.integers(min_value=-3, max_value=12),
+    st.integers(min_value=-3, max_value=12).map(str),
+)
+mixed_ids = st.tuples(
+    names,
+    st.one_of(st.none(), st.dictionaries(parts, mixed_values, max_size=3)),
+)
+
+
+@given(mixed_ids, mixed_ids)
+@example(("frag", {"id": 5}), ("frag", {"id": "5"}))
+@example(("a", {"b": "c&d=e"}), ("a", {"b": "c", "d": "e"}))
+@example(("a?b", {"k%": "50%"}), ("a%3Fb", {"k%25": "50%25"}))
+@settings(max_examples=500)
+def test_equal_exactly_when_canonicals_equal(a, b):
+    new_a = FragmentID.create(*a)
+    new_b = FragmentID.create(*b)
+    assert (new_a == new_b) == (new_a.canonical() == new_b.canonical())
+    if new_a == new_b:
+        assert hash(new_a) == hash(new_b)
+        assert str(new_a) == str(new_b)
+
+
 @given(ids)
 def test_copies_and_pickles_are_equal(spec):
     new, _ = both(spec)
     for clone in (copy.copy(new), copy.deepcopy(new), pickle.loads(pickle.dumps(new))):
+        assert type(clone) is FragmentID
         assert clone == new
         assert hash(clone) == hash(new)
         assert clone.canonical() == new.canonical()

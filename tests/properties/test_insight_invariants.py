@@ -72,10 +72,7 @@ def test_miss_causes_sum_to_misses_under_random_lifecycles(events):
             dpc.clear()
             ResyncProtocol(bem, dpc).resync(dpc.epoch, clock.now())
         else:  # shed: overload protection declined a refill opportunity
-            canonical = FragmentID.create(
-                "frag", {"id": value}
-            ).canonical()
-            insight.note_shed(canonical)
+            insight.note_shed(FragmentID.create("frag", {"id": value}))
 
     insight.check_invariants(bem.directory)
     assert insight.ledger.cause_total() == bem.directory.stats.misses
