@@ -22,15 +22,16 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from repro.appserver import HttpRequest, ScriptContext, Session, SiteServices
 from repro.core.bem import BackEndMonitor
 from repro.core.cache_directory import CacheDirectory
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.scanner import TagScanner
-from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import SENTINEL, Template
 from repro.database import Database, schema
 from repro.network.clock import SimulatedClock
+from repro.network.latency import GenerationCostModel
 
 
 def test_sentinel_scan_throughput(benchmark):
@@ -82,20 +83,27 @@ def test_bem_block_hit_path(benchmark):
 
 
 def test_tagged_block_hit_path(benchmark):
-    """One ``PageBuilder.block`` hit on a warm BEM: the fragment id a
-    script's block builds, the directory probe and the GET it appends."""
-    registry = TagRegistry()
-    registry.tag("hot")
+    """One ``ScriptContext.block`` hit on a warm BEM: the tag lookup, the
+    fragment id a script's block builds, the directory probe, the GET it
+    appends and the hit's costing."""
+    services = SiteServices(db=Database())
+    services.tags.tag("hot")
     bem = BackEndMonitor(capacity=1024)
-    PageBuilder(registry, bem=bem).block("hot", {"k": 1}, lambda: "x" * 512)
-    builder = PageBuilder(registry, bem=bem)
+
+    def page():
+        return ScriptContext(
+            HttpRequest("/x"), Session("s"), services, GenerationCostModel(), bem
+        )
+
+    page().block("hot", {"k": 1}, lambda: "x" * 512)
+    ctx = page()
     params = {"k": 1}
 
     def never():
         raise AssertionError("a warm block must not regenerate")
 
-    assert benchmark(builder.block, "hot", params, never) is None
-    assert builder.stats.misses == 0
+    benchmark(ctx.block, "hot", params, never)
+    assert ctx.misses == 0 and ctx.hits >= 1
 
 
 def test_indexed_lookup(benchmark):

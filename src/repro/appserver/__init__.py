@@ -1,8 +1,7 @@
 """Application-server substrate (stands in for IIS + ASP / WebLogic + JSP).
 
-Executes dynamic scripts through an MVC-shaped layering, resolves sessions,
-and — when a BEM is attached — runs the paper's run-time protocol at every
-tagged code block.
+Executes dynamic scripts, resolves sessions, and — when a BEM is attached —
+runs the paper's run-time protocol at every tagged code block.
 """
 
 from .http import (
@@ -10,13 +9,6 @@ from .http import (
     DEFAULT_RESPONSE_HEADER_BYTES,
     HttpRequest,
     HttpResponse,
-)
-from .mvc import (
-    BusinessComponent,
-    ComponentRegistry,
-    DataAccessor,
-    TierAccounting,
-    View,
 )
 from .scripts import (
     DynamicScript,
@@ -32,11 +24,6 @@ __all__ = [
     "HttpResponse",
     "DEFAULT_REQUEST_HEADER_BYTES",
     "DEFAULT_RESPONSE_HEADER_BYTES",
-    "ComponentRegistry",
-    "BusinessComponent",
-    "DataAccessor",
-    "View",
-    "TierAccounting",
     "DynamicScript",
     "ScriptContext",
     "ScriptRegistry",

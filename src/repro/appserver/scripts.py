@@ -17,16 +17,18 @@ the DPC deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Dict, List, Mapping, Optional
 
 from ..cms import ContentRepository, PersonalizationEngine, ProfileStore
-from ..core.bem import BackEndMonitor
-from ..core.tagging import PageBuilder, TagRegistry
+from ..core.fragments import FragmentID, FragmentMetadata
+from ..core.scanner import utf8_len
+from ..core.tagging import TagRegistry
+from ..core.template import DEFAULT_CONFIG, GetInstruction, Template
 from ..database import Database
 from ..errors import ScriptError, ScriptNotFound
 from ..network.latency import GenerationCostModel
 from .http import HttpRequest
-from .mvc import ComponentRegistry, TierAccounting
 from .session import Session
 
 
@@ -38,29 +40,67 @@ class SiteServices:
     repository: Optional[ContentRepository] = None
     profiles: Optional[ProfileStore] = None
     personalization: Optional[PersonalizationEngine] = None
-    components: ComponentRegistry = field(default_factory=ComponentRegistry)
     tags: TagRegistry = field(default_factory=TagRegistry)
 
 
+#: ``params`` of a block written without any.
+_NO_PARAMS: Mapping[str, object] = MappingProxyType({})
+
+
+class _Describe:
+    """The ``describe`` a :class:`ScriptContext` hands its monitor.
+
+    One per context, re-aimed at each cacheable block, so a block costs no
+    closure.  It describes the block most recently handed to the monitor:
+    a monitor calls it before running the block's generator, which may
+    write blocks of its own.
+    """
+
+    __slots__ = ("tag", "params")
+
+    def __call__(self) -> FragmentMetadata:
+        return self.tag.metadata_for(self.params)
+
+
 class ScriptContext:
-    """Per-request execution context handed to ``DynamicScript.run``."""
+    """Per-request execution context handed to ``DynamicScript.run``.
+
+    It is also the page writer.  With a monitor (``bem``) attached, tagged
+    blocks run its ``process_block`` protocol and the page is a *template*
+    of literals and GET/SET instructions, framed with the monitor's
+    ``template_config``; without one (caching disabled) every block runs
+    and the page is plain text, which doubles as the correctness oracle for
+    DPC assembly.  Scripts cannot tell the two apart: that transparency
+    lets the system work without changing the site's MVC structure
+    (§3.2.2's critique of ESI).
+    """
 
     def __init__(
         self,
         request: HttpRequest,
         session: Session,
         services: SiteServices,
-        builder: PageBuilder,
         cost_model: GenerationCostModel,
-        bem: Optional[BackEndMonitor] = None,
+        bem=None,
     ) -> None:
         self.request = request
         self.session = session
         self.services = services
-        self.builder = builder
         self.cost_model = cost_model
+        #: The block monitor: a :class:`~repro.core.bem.BackEndMonitor`,
+        #: the ESI capture monitor, or ``None`` for an uncached page.
         self.bem = bem
-        self.tiers = TierAccounting()
+        self.template = Template(
+            config=DEFAULT_CONFIG if bem is None else bem.template_config
+        )
+        self._lookup_tag = services.tags.lookup
+        self._describe = _Describe()
+        #: Blocks written, cacheable blocks served by a GET (hits) and
+        #: generated into a SET (misses), and the UTF-8 bytes generated.
+        self.blocks = 0
+        self.hits = 0
+        self.misses = 0
+        self.generated_bytes = 0
         #: Accumulated server-side generation time (virtual seconds).
         self.generation_cost_s = cost_model.request_dispatch_s
         #: The database's share of ``generation_cost_s`` (connection waits
@@ -74,7 +114,8 @@ class ScriptContext:
 
     def write(self, text: str) -> "ScriptContext":
         """Emit layout markup (never cacheable, ships with every response)."""
-        self.builder.literal(text)
+        if text:
+            self.template.literal(text)
         return self
 
     def block(
@@ -83,32 +124,56 @@ class ScriptContext:
         params: Optional[Mapping[str, object]] = None,
         generate: Callable[[], str] = None,
     ) -> "ScriptContext":
-        """Execute one code block through the tagging API, with costing.
+        """Execute one (possibly tagged) code block, with costing.
 
-        Generation cost is charged only when the generator actually runs
-        (i.e. on misses and for non-cacheable blocks); hits pay just the
-        directory probe.  The rows read and tier hops made during
-        ``builder.block`` are charged to the block, per row.  Only the
-        generator reads tables on that path (dependency factories, the
-        directory insert and the invalidation watch never do), so a block
-        is charged exactly its generator's rows.
+        ``generate`` produces the block's HTML and runs only when the
+        content cannot be served from the DPC.  Untagged names behave as
+        non-cacheable blocks and never reach the monitor.  A cacheable
+        block goes to ``bem.process_block`` with the generator as is and
+        the context's one :class:`_Describe`; whether it ran is read off
+        the returned instruction (a ``GET`` is a hit).
+
+        A hit is charged just the directory probe.  A block that ran is
+        charged its output bytes (measured once, with ``utf8_len``) and
+        the rows read while it ran.  Only the generator reads tables on
+        that path (dependency factories and the directory insert never
+        do), so a block is charged exactly its generator's rows.
         """
         if generate is None:
             raise ScriptError("block %r needs a generate callable" % name)
+        if params is None:
+            params = _NO_PARAMS
+        tag = self._lookup_tag(name)
+        self.blocks += 1
+        bem = self.bem
         db = self.services.db
         rows_before = db.total_rows_read()
-        hops_before = self.tiers.cross_tier_hops
-        output_bytes = self.builder.block(name, params, generate)
-        cost_model = self.cost_model
-        if output_bytes is None:
-            self.generation_cost_s += cost_model.block_hit_cost()
-            return self
+        if tag is None or not tag.cacheable or bem is None:
+            content = generate()
+            if content:
+                self.template.literal(content)
+        else:
+            describe = self._describe
+            describe.tag = tag
+            describe.params = params
+            instruction = bem.process_block(
+                FragmentID.create(name, params), describe, generate
+            )
+            self.template.instructions.append(instruction)
+            if type(instruction) is GetInstruction:
+                self.hits += 1
+                self.generation_cost_s += self.cost_model.block_hit_cost()
+                return self
+            self.misses += 1
+            content = instruction.content
+        output_bytes = utf8_len(content)
+        self.generated_bytes += output_bytes
         rows = db.total_rows_read() - rows_before
-        hops = self.tiers.cross_tier_hops - hops_before
+        cost_model = self.cost_model
         self.generation_cost_s += cost_model.block_generation_cost(
             output_bytes=output_bytes,
             db_rows=rows,
-            cross_tier_hops=max(hops, 1),
+            cross_tier_hops=1,
             needs_db_connection=rows > 0,
         )
         self.db_cost_s += cost_model.db_block_cost(
@@ -116,6 +181,17 @@ class ScriptContext:
         )
         self.db_rows += rows
         return self
+
+    def response_body(self) -> str:
+        """What the origin ships for this page.
+
+        With a monitor, the serialized template (:meth:`Template.serialize`
+        merges adjacent literals itself); without one, every instruction is
+        a literal and the body is the full page.
+        """
+        if self.bem is not None:
+            return self.template.serialize()
+        return "".join([literal.text for literal in self.template.instructions])
 
     # -- intermediate objects ------------------------------------------------------
 

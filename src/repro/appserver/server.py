@@ -20,11 +20,10 @@ the harness can account bytes and latency without reaching into internals.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..core.bem import BackEndMonitor
 from ..core.dpc import DynamicProxyCache
-from ..core.tagging import PageBuilder
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -36,7 +35,7 @@ from ..network.latency import GenerationCostModel
 from ..telemetry.tracing import NULL_TRACER
 from .http import DEFAULT_RESPONSE_HEADER_BYTES, HttpRequest, HttpResponse
 from .scripts import DynamicScript, ScriptContext, ScriptRegistry, SiteServices
-from .session import SessionManager
+from .session import Session, SessionManager
 
 
 class ApplicationServer:
@@ -126,30 +125,34 @@ class ApplicationServer:
             )
             return response
 
-    def _handle_inner(self, request: HttpRequest) -> HttpResponse:
+    def script_run(
+        self, request: HttpRequest, bem=None, session: Optional[Session] = None
+    ) -> Tuple[DynamicScript, ScriptContext]:
+        """The script serving ``request`` and the context it writes through.
+
+        ``bem`` is the block monitor the page is written for (``None``
+        writes the uncached page).  ``session`` defaults to the live
+        session, resolved as serving the request resolves it.
+        """
         script = self.scripts.resolve(request.path)
+        if session is None:
+            session = self.sessions.resolve(request.session_id, request.user_id)
+        ctx = ScriptContext(
+            request=request,
+            session=session,
+            services=self.services,
+            cost_model=self.cost_model,
+            bem=bem,
+        )
+        return script, ctx
+
+    def _handle_inner(self, request: HttpRequest) -> HttpResponse:
         arrival = (
             request.arrived_at if request.arrived_at is not None
             else self.clock.now()
         )
         self._screen_admission(arrival, request.deadline_at, request.priority)
-        session = self.sessions.resolve(request.session_id, request.user_id)
-        bem = self.bem
-        builder = (
-            PageBuilder(self.services.tags)
-            if bem is None
-            else PageBuilder(
-                self.services.tags, bem=bem, template_config=bem.template_config
-            )
-        )
-        ctx = ScriptContext(
-            request=request,
-            session=session,
-            services=self.services,
-            builder=builder,
-            cost_model=self.cost_model,
-            bem=self.bem,
-        )
+        script, ctx = self.script_run(request, self.bem)
         rows_before = self.services.db.total_rows_read()
         tracer = self.tracer
         with tracer.span("script.exec"):
@@ -167,15 +170,11 @@ class ApplicationServer:
                 if self.bem is not None:
                     self.bem.deadline_at = None
 
-            stats = builder.stats
-            gets, sets = stats.gets, stats.sets
-            if self.bem is None:
-                body = builder.full_page()
-            else:
-                body = builder.response_body()
-                if self.origin_dpc is not None:
-                    body = self.origin_dpc.process_response(body).html
-                    gets = sets = 0
+            body = ctx.response_body()
+            gets, sets = ctx.hits, ctx.misses
+            if self.origin_dpc is not None:
+                body = self.origin_dpc.process_response(body).html
+                gets = sets = 0
             if tracer.enabled:
                 tracer.advance(
                     "script.compute", ctx.generation_cost_s - ctx.db_cost_s
@@ -214,10 +213,10 @@ class ApplicationServer:
                 "mode": self.mode,
                 "path": request.path,
                 "url": request.url,
-                "blocks": stats.blocks,
-                "hits": stats.hits,
-                "misses": stats.misses,
-                "generated_bytes": stats.generated_bytes,
+                "blocks": ctx.blocks,
+                "hits": ctx.hits,
+                "misses": ctx.misses,
+                "generated_bytes": ctx.generated_bytes,
                 "generation_s": ctx.generation_cost_s,
                 "get_count": gets,
                 "set_count": sets,
@@ -251,19 +250,12 @@ class ApplicationServer:
         """Oracle: the page this request *should* produce, uncached.
 
         Runs the script with caching disabled against the same services and
-        session state, without advancing the clock or counters — used by the
-        correctness invariants and the baseline-incorrectness benches.
+        a private copy of the session the request would see, without
+        advancing the clock or counters and without changing any session —
+        used by the correctness invariants and the baseline-incorrectness
+        benches.
         """
-        script = self.scripts.resolve(request.path)
-        session = self.sessions.resolve(request.session_id, request.user_id)
-        builder = PageBuilder(self.services.tags, bem=None)
-        ctx = ScriptContext(
-            request=request,
-            session=session,
-            services=self.services,
-            builder=builder,
-            cost_model=self.cost_model,
-            bem=None,
-        )
+        session = self.sessions.snapshot(request.session_id, request.user_id)
+        script, ctx = self.script_run(request, session=session)
         script.run(ctx)
-        return builder.full_page()
+        return ctx.response_body()

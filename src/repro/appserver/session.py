@@ -9,7 +9,8 @@ servlet container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from ..errors import SessionError
@@ -76,6 +77,27 @@ class SessionManager:
             self._sessions[session_id] = session
             self.created += 1
         session.last_seen = now
+        if user_id is not None:
+            session.user_id = user_id
+        return session
+
+    def snapshot(
+        self, session_id: Optional[str], user_id: Optional[str] = None
+    ) -> Session:
+        """A private copy of the session :meth:`resolve` would return now.
+
+        Nothing is stored, counted or touched: a script run against the
+        copy (the uncached oracle) cannot change what later requests see.
+        """
+        now = self._clock.now()
+        if session_id is None:
+            session_id = "anon-%d" % self.created
+        session = self._sessions.get(session_id)
+        if session is None or now - session.last_seen > self.idle_timeout_s:
+            session = Session(session_id=session_id, created_at=now)
+        session = replace(
+            session, last_seen=now, data=copy.deepcopy(session.data)
+        )
         if user_id is not None:
             session.user_id = user_id
         return session

@@ -28,11 +28,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..appserver.http import HttpRequest
 from ..appserver.server import ApplicationServer
-from ..appserver.scripts import ScriptContext
 from ..core.bem import ObjectCache
 from ..core.fragments import FragmentID, FragmentMetadata
-from ..core.tagging import PageBuilder
-from ..core.template import Instruction, Literal, SetInstruction
+from ..core.template import DEFAULT_CONFIG, Instruction, Literal, SetInstruction
 from ..network.clock import SimulatedClock
 
 #: Byte cost of one ``<esi:include src="..."/>`` tag, excluding the src.
@@ -40,7 +38,7 @@ ESI_TAG_OVERHEAD = 22
 
 
 class _EsiCaptureMonitor:
-    """PageBuilder-protocol monitor that records the fragment structure.
+    """Block monitor that records the fragment structure.
 
     Every cacheable block is generated and returned as a SET instruction
     whose key indexes the fragment's *src* (its canonical fragmentID) —
@@ -48,6 +46,9 @@ class _EsiCaptureMonitor:
     Keys are assigned per fragment id; a src is rendered, and its TTL
     described, once, when its key is assigned.
     """
+
+    #: The framing of the captured template; its keys never reach a DPC.
+    template_config = DEFAULT_CONFIG
 
     def __init__(self, clock: SimulatedClock) -> None:
         self.clock = clock
@@ -126,19 +127,9 @@ class EsiAssembler:
     def _capture(self, request: HttpRequest) -> Tuple[List[TemplatePart], Dict[str, str]]:
         """Run the script once, returning template parts + fragment bodies."""
         monitor = _EsiCaptureMonitor(self.clock)
-        script = self.origin.scripts.resolve(request.path)
-        session = self.origin.sessions.resolve(request.session_id, request.user_id)
-        builder = PageBuilder(self.origin.services.tags, bem=monitor)
-        ctx = ScriptContext(
-            request=request,
-            session=session,
-            services=self.origin.services,
-            builder=builder,
-            cost_model=self.origin.cost_model,
-            bem=monitor,
-        )
+        script, ctx = self.origin.script_run(request, monitor)
         script.run(ctx)
-        template = builder.finish()
+        template = ctx.template.normalized()
         parts: List[TemplatePart] = []
         bodies: Dict[str, str] = {}
         for instruction in template.instructions:

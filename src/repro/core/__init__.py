@@ -36,7 +36,7 @@ from .replacement import (
 )
 from .routing import ConsistentHashRing, RequestRouter
 from .scanner import TagScanner, failure_function, kmp_find, kmp_find_all
-from .tagging import BlockTag, PageBuilder, PageBuildStats, TagRegistry
+from .tagging import BlockTag, TagRegistry
 from .template import (
     DEFAULT_CONFIG,
     GetInstruction,
@@ -81,8 +81,6 @@ __all__ = [
     "kmp_find_all",
     "TagRegistry",
     "BlockTag",
-    "PageBuilder",
-    "PageBuildStats",
     "Template",
     "TemplateConfig",
     "DEFAULT_CONFIG",

@@ -48,8 +48,6 @@ class BemStats:
     fragment_misses: int = 0
     bytes_generated: int = 0      # fragment bytes actually computed
     bytes_served_from_dpc: int = 0  # fragment bytes replaced by GET tags
-    object_hits: int = 0
-    object_misses: int = 0
     #: Fragments served past TTL (within the degrader's grace window)
     #: because the request was already past its deadline — regeneration
     #: was skipped to bound latency, at a bounded correctness cost.

@@ -1,9 +1,9 @@
 """Per-request fingerprints of the origin's tagged-block path, pinned exactly.
 
-The way ``ScriptContext.block`` and ``PageBuilder.block`` reach a monitor
-may change for speed, but never what a request costs or returns: the same
-blocks hit and miss, the same bytes are generated, and the virtual
-generation time is the same float, summed in the same order.  Each case
+The way ``ScriptContext.block`` reaches a monitor may change for speed,
+but never what a request costs or returns: the same blocks hit and miss,
+the same bytes are generated, and the virtual generation time is the
+same float, summed in the same order.  Each case
 serves a seeded request mix (with data updates interleaved, so misses,
 invalidations and TTL expiries all occur) and reduces every response to
 its exact ``generation_s``, block counts, GET/SET counts and a digest of

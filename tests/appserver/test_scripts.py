@@ -1,4 +1,6 @@
-"""Tests for ScriptContext: cost accounting and the intermediate memo."""
+"""Tests for ScriptContext: page writing, cost accounting and the memo."""
+
+import sys
 
 import pytest
 
@@ -6,7 +8,14 @@ from repro.appserver.http import HttpRequest
 from repro.appserver.scripts import ScriptContext, SiteServices
 from repro.appserver.session import Session
 from repro.core.bem import BackEndMonitor
-from repro.core.tagging import PageBuilder
+from repro.core.fragments import Dependency
+from repro.core.tagging import TagRegistry
+from repro.core.template import (
+    GetInstruction,
+    Literal,
+    SetInstruction,
+    TemplateConfig,
+)
 from repro.database import Database, schema
 from repro.errors import ScriptError
 from repro.network.latency import GenerationCostModel
@@ -19,16 +28,143 @@ def make_ctx(bem=None, cost_model=None):
         table.insert({"k": i, "v": i})
     services = SiteServices(db=db)
     services.tags.tag("cached_block")
-    builder = PageBuilder(services.tags, bem=bem)
     ctx = ScriptContext(
         request=HttpRequest("/x"),
         session=Session(session_id="s"),
         services=services,
-        builder=builder,
         cost_model=cost_model or GenerationCostModel(),
         bem=bem,
     )
     return ctx, services
+
+
+@pytest.fixture
+def registry():
+    reg = TagRegistry()
+    reg.tag("navbar", ttl=60.0)
+    reg.tag(
+        "listing",
+        dependencies=lambda params: (
+            Dependency("products", where_column="category",
+                       where_value=params["cat"]),
+        ),
+    )
+    reg.tag("banner", cacheable=False)
+    return reg
+
+
+def page(registry, bem=None):
+    """A context writing one page against ``registry``'s tags."""
+    return ScriptContext(
+        request=HttpRequest("/x"),
+        session=Session(session_id="s"),
+        services=SiteServices(db=Database(), tags=registry),
+        cost_model=GenerationCostModel(),
+        bem=bem,
+    )
+
+
+class TestPlainPage:
+    """Without a monitor every block runs and the body is the full page."""
+
+    def test_everything_is_literal(self, registry):
+        ctx = page(registry)
+        ctx.write("<html>")
+        ctx.block("navbar", {}, lambda: "NAV")
+        ctx.write("</html>")
+        assert ctx.template.normalized().instructions == [
+            Literal("<html>NAV</html>")
+        ]
+
+    def test_body_is_the_full_page(self, registry):
+        ctx = page(registry)
+        ctx.block("navbar", {}, lambda: "NAV")
+        assert ctx.response_body() == "NAV"
+
+    def test_tallies_without_bem_count_as_generated(self, registry):
+        ctx = page(registry)
+        ctx.block("navbar", {}, lambda: "12345")
+        assert ctx.generated_bytes == 5
+        assert (ctx.blocks, ctx.hits, ctx.misses) == (1, 0, 0)
+
+    def test_literal_body(self, registry):
+        ctx = page(registry)
+        ctx.write("page")
+        assert ctx.response_body() == "page"
+
+    def test_empty_literal_skipped(self, registry):
+        ctx = page(registry)
+        ctx.write("")
+        assert ctx.template.instructions == []
+
+
+class TestCachedPage:
+    """With a BEM, tagged blocks become GET/SET instructions."""
+
+    def test_miss_then_hit_instructions(self, registry):
+        bem = BackEndMonitor(capacity=8)
+        first = page(registry, bem)
+        first.block("navbar", {}, lambda: "NAV")
+        assert isinstance(first.template.instructions[0], SetInstruction)
+        assert (first.hits, first.misses) == (0, 1)
+
+        second = page(registry, bem)
+        second.block("navbar", {}, lambda: "NAV")
+        assert isinstance(second.template.instructions[0], GetInstruction)
+        assert (second.hits, second.misses) == (1, 0)
+
+    def test_untagged_block_never_cached(self):
+        bem = BackEndMonitor(capacity=8)
+        ctx = page(TagRegistry(), bem)
+        ctx.block("mystery", {}, lambda: "X")
+        assert ctx.template.instructions == [Literal("X")]
+        assert bem.stats.blocks_processed == 0
+
+    def test_non_cacheable_tag_never_cached(self, registry):
+        bem = BackEndMonitor(capacity=8)
+        ctx = page(registry, bem)
+        ctx.block("banner", {}, lambda: "B")
+        assert ctx.template.instructions == [Literal("B")]
+
+    def test_body_is_the_template_in_cached_mode(self, registry):
+        bem = BackEndMonitor(capacity=8)
+        ctx = page(registry, bem)
+        ctx.block("navbar", {}, lambda: "NAV")
+        body = ctx.response_body()
+        assert body != "NAV"
+        assert body == ctx.template.serialize()
+
+    def test_template_framed_with_the_monitors_config(self, registry):
+        config = TemplateConfig(key_width=6)
+        ctx = page(registry, BackEndMonitor(capacity=8, template_config=config))
+        assert ctx.template.config == config
+        assert page(registry).template.config == TemplateConfig()
+
+    def test_params_differentiate_fragments(self, registry):
+        bem = BackEndMonitor(capacity=8)
+        page(registry, bem).block("listing", {"cat": "books"}, lambda: "BOOKS")
+        page(registry, bem).block("listing", {"cat": "toys"}, lambda: "TOYS")
+        assert bem.stats.fragment_misses == 2  # no false sharing
+
+
+class TestBlockPath:
+    def test_warm_hit_calls_process_block_directly(self, registry):
+        """No writer layer sits between ``ScriptContext.block`` and the
+        monitor: the frame calling ``process_block`` is ``block`` itself."""
+        bem = BackEndMonitor(capacity=8)
+        page(registry, bem).block("navbar", {}, lambda: "NAV")
+        callers = []
+        process_block = bem.process_block
+
+        def spy(fragment_id, describe, generate):
+            callers.append(sys._getframe(1).f_code)
+            return process_block(fragment_id, describe, generate)
+
+        bem.process_block = spy
+        ctx = page(registry, bem)
+        ctx.block("navbar", {}, lambda: "never")
+        assert ctx.hits == 1
+        assert callers == [ScriptContext.block.__code__]
 
 
 class TestCostAccounting:

@@ -187,6 +187,15 @@ class TestReferenceOracle:
         server.render_reference_page(HttpRequest("/mini.jsp"))
         assert server.requests_served == 0
 
+    def test_oracle_creates_no_session(self):
+        server = make_server()
+        server.handle(HttpRequest("/mini.jsp"))
+        assert server.sessions.created == 1
+        for _ in range(2):
+            server.render_reference_page(HttpRequest("/mini.jsp"))
+        assert server.sessions.created == 1
+        assert server.sessions.active_count() == 1
+
     def test_oracle_matches_plain_serving(self):
         server = make_server()
         oracle = server.render_reference_page(HttpRequest("/mini.jsp"))

@@ -52,6 +52,37 @@ class TestResolve:
         assert manager.created == 1
 
 
+class TestSnapshot:
+    """``snapshot`` shows what ``resolve`` would, and changes nothing."""
+
+    def test_copies_live_state_without_sharing_it(self, manager, clock):
+        live = manager.resolve("s1", user_id="bob")
+        live.put("cart", ["FIC-000"])
+        clock.advance(10.0)
+        copy = manager.snapshot("s1")
+        assert copy is not live
+        assert (copy.user_id, copy.get("cart")) == ("bob", ["FIC-000"])
+        assert copy.last_seen == 10.0
+        copy.get("cart").append("SCI-001")
+        copy.put("cart_items", 2)
+        assert live.data == {"cart": ["FIC-000"]}
+        assert live.last_seen == 0.0
+
+    def test_counts_and_stores_nothing(self, manager):
+        copy = manager.snapshot(None, user_id="alice")
+        assert copy.session_id == "anon-0"
+        assert copy.user_id == "alice"
+        assert (manager.created, manager.active_count()) == (0, 0)
+        assert manager.resolve(None).user_id is None
+
+    def test_expired_session_reads_as_fresh(self, manager, clock):
+        manager.resolve("s1").put("x", 1)
+        clock.advance(101.0)
+        assert manager.snapshot("s1").get("x") is None
+        assert manager.expired == 0
+        assert manager.active_count() == 1
+
+
 class TestManagement:
     def test_logout_clears_identity_and_data(self, manager):
         session = manager.resolve("s1", user_id="bob")

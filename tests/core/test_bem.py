@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.appserver import HttpRequest, ScriptContext, Session, SiteServices
 from repro.core.bem import BackEndMonitor, ObjectCache
 from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
 from repro.core.replacement import make_policy
-from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import GetInstruction, Literal, SetInstruction, TemplateConfig
 from repro.database import Database, schema
 from repro.errors import ConfigurationError
 from repro.network.clock import SimulatedClock
+from repro.network.latency import GenerationCostModel
 
 
 def fid(name, **params):
@@ -59,14 +60,16 @@ class TestProtocol:
         assert get_instr.key == set_instr.key
 
     def test_non_cacheable_block_is_literal_and_always_runs(self, bem):
-        """Non-cacheable blocks are routed around the BEM by the builder."""
-        registry = TagRegistry()
-        registry.tag("nc", cacheable=False)
+        """Non-cacheable blocks are routed around the BEM by the context."""
+        services = SiteServices(db=Database())
+        services.tags.tag("nc", cacheable=False)
         pages = []
         for body in ("a", "b"):
-            builder = PageBuilder(registry, bem=bem)
-            builder.block("nc", {}, lambda body=body: body)
-            pages.append(builder.finish().instructions)
+            ctx = ScriptContext(
+                HttpRequest("/x"), Session("s"), services, GenerationCostModel(), bem
+            )
+            ctx.block("nc", {}, lambda body=body: body)
+            pages.append(ctx.template.instructions)
         assert pages == [[Literal("a")], [Literal("b")]]
         assert bem.stats.blocks_processed == 0
 

@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.appserver import HttpRequest, ScriptContext, Session, SiteServices
 from repro.core import fragments
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
-from repro.core.tagging import PageBuilder, TagRegistry
 from repro.core.template import (
     OP_GET,
     OP_SET,
@@ -15,8 +15,10 @@ from repro.core.template import (
     TemplateCache,
     parse_template,
 )
+from repro.database import Database
 from repro.errors import ConfigurationError
 from repro.insight import InsightLayer
+from repro.network.latency import GenerationCostModel
 
 
 class TestSerializeMemo:
@@ -158,17 +160,23 @@ class TestFragmentIdMemo:
             return render(name, params)
 
         monkeypatch.setattr(fragments, "_canonical", counting)
-        registry = TagRegistry()
-        registry.tag("page")
+        services = SiteServices(db=Database())
+        services.tags.tag("page")
+
+        def page(bem):
+            return ScriptContext(
+                HttpRequest("/x"), Session("s"), services, GenerationCostModel(), bem
+            )
+
         for insight in (None, InsightLayer()):
             bem = BackEndMonitor(capacity=8)
             if insight is not None:
                 insight.attach(bem=bem)
-            PageBuilder(registry, bem=bem).block("page", {"user": "bob"}, lambda: "x")
+            page(bem).block("page", {"user": "bob"}, lambda: "x")
             del calls[:]
-            builder = PageBuilder(registry, bem=bem)
-            assert builder.block("page", {"user": "bob"}, lambda: "never") is None
-            assert builder.stats.hits == 1
+            ctx = page(bem)
+            ctx.block("page", {"user": "bob"}, lambda: "never")
+            assert ctx.hits == 1
             assert calls == []
         assert FragmentID.create("page", {"user": "bob"}).canonical() == "page?user=bob"
         assert calls == ["page"]

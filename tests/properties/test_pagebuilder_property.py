@@ -3,8 +3,8 @@
 A "page program" is an arbitrary sequence of literal writes and block
 emissions.  Rendering it plain (no cache) and rendering it through
 BEM-template-then-DPC-assembly must produce identical bytes, on cold and
-warm caches alike, for any interleaving — the PageBuilder-level statement
-of the paper's correctness claim.
+warm caches alike, for any interleaving — the page-writer-level statement
+of the paper's correctness claim, written through ``ScriptContext``.
 """
 
 import string
@@ -12,9 +12,12 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.appserver import HttpRequest, ScriptContext, Session, SiteServices
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
-from repro.core.tagging import PageBuilder, TagRegistry
+from repro.core.tagging import TagRegistry
+from repro.database import Database
+from repro.network.latency import GenerationCostModel
 
 BLOCK_NAMES = ["alpha", "beta", "gamma", "delta"]
 
@@ -47,16 +50,25 @@ def make_registry() -> TagRegistry:
     return registry
 
 
-def render(program, registry, bem, dpc):
-    builder = PageBuilder(registry, bem=bem)
+def write(program, registry, bem):
+    """The response body of ``program`` written through a ScriptContext."""
+    ctx = ScriptContext(
+        HttpRequest("/x"),
+        Session("s"),
+        SiteServices(db=Database(), tags=registry),
+        GenerationCostModel(),
+        bem,
+    )
     for kind, a, b in program:
         if kind == "literal":
-            builder.literal(a)
+            ctx.write(a)
         else:
-            builder.block(
-                a, {"v": b}, lambda a=a, b=b: block_content(a, b)
-            )
-    body = builder.response_body()
+            ctx.block(a, {"v": b}, lambda a=a, b=b: block_content(a, b))
+    return ctx.response_body()
+
+
+def render(program, registry, bem, dpc):
+    body = write(program, registry, bem)
     if bem is None:
         return body
     return dpc.process_response(body).html
@@ -91,11 +103,4 @@ def test_warm_assembly_equals_plain(first, second):
 
 @given(page_programs)
 def test_no_cache_builder_matches_plain(program):
-    registry = make_registry()
-    builder = PageBuilder(registry, bem=None)
-    for kind, a, b in program:
-        if kind == "literal":
-            builder.literal(a)
-        else:
-            builder.block(a, {"v": b}, lambda a=a, b=b: block_content(a, b))
-    assert builder.full_page() == render_plain(program)
+    assert write(program, make_registry(), None) == render_plain(program)

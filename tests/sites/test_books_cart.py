@@ -82,14 +82,24 @@ class TestCartFlow:
     def test_cart_pages_never_cached_wrongly(self, stack):
         """After mutations, the (idempotent) view page must match the
         oracle — per-session content may never leak between requests.
-        The oracle can only be taken on idempotent requests: replaying an
-        'add' against the same session would apply it twice."""
+        The oracle renders against the session as serving left it, so it
+        is compared on idempotent requests only: on an 'add' it shows the
+        item added a second time."""
         server, bem, dpc = stack
         serve(server, dpc, cart_request("add", "FIC-000"))
         serve(server, dpc, cart_request("add", "SCI-001"))
         view = cart_request()
         html = serve(server, dpc, view)
         assert html == server.render_reference_page(view)
+
+    def test_oracle_leaves_the_cart_alone(self, stack):
+        """Rendering the reference page of an 'add' applies it to a copy
+        of the session, never to the live cart."""
+        server, bem, dpc = stack
+        add = cart_request("add", "FIC-000", session="s1")
+        assert "Cart: 1 items" in serve(server, dpc, add)
+        assert "Cart: 2 items" in server.render_reference_page(add)
+        assert "Cart: 1 items" in serve(server, dpc, cart_request(session="s1"))
 
     def test_cart_status_visible_on_catalog_pages(self, stack):
         server, bem, dpc = stack
