@@ -1,10 +1,17 @@
-"""Tests for the tagging API's initialization phase: TagRegistry."""
+"""Tests for the tagging API: the TagRegistry of the initialization phase
+and the refusal of a tagged block that has nothing to generate."""
 
 import pytest
 
+from repro.appserver.http import HttpRequest
+from repro.appserver.scripts import ScriptContext, SiteServices
+from repro.appserver.session import Session
+from repro.core.bem import BackEndMonitor
 from repro.core.fragments import Dependency
 from repro.core.tagging import TagRegistry
-from repro.errors import ConfigurationError, TaggingError
+from repro.database import Database
+from repro.errors import ConfigurationError, ScriptError, TaggingError
+from repro.network.latency import GenerationCostModel
 
 
 @pytest.fixture
@@ -59,3 +66,25 @@ class TestTagRegistry:
         assert "navbar" in registry
         assert registry.names() == ["banner", "listing", "navbar"]
         assert len(registry) == 3
+
+
+class TestPageBuilderLifecycle:
+    """A page is written through ScriptContext, which took over the
+    PageBuilder's writing lifecycle."""
+
+    def test_block_requires_generator(self, registry):
+        """A tagged, cacheable block with no generator is refused before
+        it reaches the monitor: nothing is counted or cached."""
+        bem = BackEndMonitor(capacity=8)
+        ctx = ScriptContext(
+            request=HttpRequest("/x"),
+            session=Session(session_id="s"),
+            services=SiteServices(db=Database(), tags=registry),
+            cost_model=GenerationCostModel(),
+            bem=bem,
+        )
+        with pytest.raises(ScriptError):
+            ctx.block("navbar", {})
+        assert ctx.blocks == 0
+        assert ctx.hits == 0
+        assert len(bem.directory) == 0
