@@ -26,6 +26,7 @@ from .dpc import AssembledPage, DpcStats, DynamicProxyCache
 from .fragments import Dependency, Fragment, FragmentID, FragmentMetadata
 from .invalidation import InvalidationManager
 from .replacement import (
+    DecayedFrequencyPolicy,
     FifoPolicy,
     GreedyDualSizePolicy,
     LfuPolicy,
@@ -67,6 +68,7 @@ __all__ = [
     "FragmentMetadata",
     "InvalidationManager",
     "ReplacementPolicy",
+    "DecayedFrequencyPolicy",
     "LruPolicy",
     "LfuPolicy",
     "FifoPolicy",

@@ -36,7 +36,7 @@ from typing import Deque, Dict, List, Optional
 
 from ..errors import ConfigurationError, DirectoryFullError
 from .fragments import FragmentID, FragmentMetadata
-from .replacement import LruPolicy, ReplacementPolicy
+from .replacement import DecayedFrequencyPolicy, ReplacementPolicy
 
 
 class DirectoryEntry:
@@ -185,7 +185,8 @@ class CacheDirectory:
     """fragmentID -> :class:`DirectoryEntry`, plus the freeList.
 
     ``capacity`` is both the number of DPC slots and the directory-size
-    threshold at which the replacement manager starts evicting.
+    threshold at which the replacement manager starts evicting.  The
+    replacement policy defaults to :class:`DecayedFrequencyPolicy`.
     """
 
     def __init__(
@@ -196,7 +197,7 @@ class CacheDirectory:
         if capacity <= 0:
             raise ConfigurationError("directory capacity must be positive")
         self.capacity = capacity
-        self.policy = policy if policy is not None else LruPolicy()
+        self.policy = policy if policy is not None else DecayedFrequencyPolicy()
         self.free_list = FreeList(capacity)
         self._entries: Dict[FragmentID, DirectoryEntry] = {}
         self._valid_by_key: Dict[int, DirectoryEntry] = {}

@@ -44,14 +44,19 @@ INVALIDATION_MESSAGE_BYTES = 64
 
 
 class ProxyGroup:
-    """A set of named forward proxies sharing one origin BEM authority."""
+    """A set of named forward proxies sharing one origin BEM authority.
+
+    ``policy_name`` names each member directory's replacement policy (see
+    :func:`~repro.core.replacement.make_policy`); ``None`` keeps the
+    directory's default, as for a lone BEM.
+    """
 
     def __init__(
         self,
         capacity_per_proxy: int = 1024,
         clock: Optional[SimulatedClock] = None,
         template_config: TemplateConfig = DEFAULT_CONFIG,
-        policy_name: str = "lru",
+        policy_name: Optional[str] = None,
     ) -> None:
         self.clock = clock if clock is not None else SimulatedClock()
         self.capacity = capacity_per_proxy
@@ -73,7 +78,9 @@ class ProxyGroup:
         bem = BackEndMonitor(
             capacity=self.capacity,
             clock=self.clock,
-            policy=make_policy(self.policy_name),
+            policy=(
+                make_policy(self.policy_name) if self.policy_name is not None else None
+            ),
             template_config=self.template_config,
         )
         for bus in self._buses:

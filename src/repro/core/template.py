@@ -55,7 +55,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
 from .scanner import TagScanner, utf8_len
@@ -435,6 +435,11 @@ class TemplateCache:
 
     Capacity is bounded (LRU eviction) and single wire strings larger than
     ``max_wire_bytes`` (UTF-8 bytes) are never cached.
+
+    Most wires the DPC probes carry a SET and can never be here, and
+    probing hashes the whole wire.  So the cache also counts its wires by
+    length: a wire whose length no cached wire has is a miss without a
+    hash.  ``hits`` and ``misses`` count as if every probe were hashed.
     """
 
     def __init__(self, maxsize: int = 256, max_wire_bytes: int = 1 << 20) -> None:
@@ -445,12 +450,13 @@ class TemplateCache:
         self.maxsize = maxsize
         self.max_wire_bytes = max_wire_bytes
         self._entries: "OrderedDict[str, CompiledWire]" = OrderedDict()
+        self._lengths: Dict[int, int] = {}  # len(wire) -> cached wires that long
         self.hits = 0
         self.misses = 0
 
     def get(self, wire: str) -> Optional[CompiledWire]:
         """The cached plan for ``wire``, refreshed to most-recently-used."""
-        entry = self._entries.get(wire)
+        entry = self._entries.get(wire) if len(wire) in self._lengths else None
         if entry is None:
             self.misses += 1
             return None
@@ -462,14 +468,23 @@ class TemplateCache:
         """Remember the plan for ``wire``, evicting the LRU entry if full."""
         if utf8_len(wire) > self.max_wire_bytes:
             return
-        self._entries[wire] = entry
-        self._entries.move_to_end(wire)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
+        entries = self._entries
+        lengths = self._lengths
+        if wire not in entries:
+            lengths[len(wire)] = lengths.get(len(wire), 0) + 1
+        entries[wire] = entry
+        entries.move_to_end(wire)
+        while len(entries) > self.maxsize:
+            size = len(entries.popitem(last=False)[0])
+            if lengths[size] == 1:
+                del lengths[size]
+            else:
+                lengths[size] -= 1
 
     def clear(self) -> None:
         """Drop every cached plan (e.g. on a proxy restart)."""
         self._entries.clear()
+        self._lengths.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -10,7 +10,10 @@ want on one page:
   checked against the live directory, and the worst-missing fragments;
 * the **counterfactual hit-ratio curve** (Mattson profiler) with a slot
   recommendation, validated against a brute-force LRU re-simulation at
-  small slot counts (the single-pass prediction must be *exact*);
+  small slot counts (the single-pass prediction must be *exact*).  The
+  curve is LRU's counterfactual, not the directory's own policy's: the
+  directory evicts by decayed frequency by default, which no single-pass
+  curve describes;
 * the **SLO verdicts**: compliance, burn rates, and the typed alerts that
   fired during the crowd;
 * the **latency attribution**: per-span-kind self time over the retained

@@ -8,7 +8,8 @@ serves a seeded request mix (with data updates interleaved, so misses,
 invalidations and TTL expiries all occur) and reduces every response to
 its exact ``generation_s``, block counts, GET/SET counts and a digest of
 its body.  The values were recorded before the block path lost its
-per-block closures.
+per-block closures, with an LRU BEM; its 20 slots evict, so those cases
+keep LRU, and one more case runs the directory's default policy.
 
 Run this file as a script to print the current fingerprints.
 """
@@ -22,6 +23,7 @@ from repro.appserver import HttpRequest
 from repro.baselines.esi import EsiAssembler
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
+from repro.core.replacement import LruPolicy
 from repro.network.clock import SimulatedClock
 from repro.sites import books, financial, synthetic
 from repro.sites.synthetic import SyntheticParams
@@ -52,12 +54,20 @@ def summarize(prints):
     }
 
 
-def make_monitor(kind, clock):
-    """``(bem, origin_dpc)`` server arguments for one origin mode."""
+def make_monitor(kind, clock, policy=LruPolicy):
+    """``(bem, origin_dpc)`` server arguments for one origin mode.
+
+    The capacity-20 BEM evicts, so its replacement policy is part of the
+    pinned behaviour: the recorded cases run LRU, whatever the directory's
+    default; ``policy=None`` takes the default.
+    """
     if kind == "no_cache":
         return None, None
     origin_dpc = DynamicProxyCache(capacity=20) if kind == "backend" else None
-    return BackEndMonitor(capacity=20, clock=clock), origin_dpc
+    bem = BackEndMonitor(
+        capacity=20, clock=clock, policy=policy() if policy is not None else None
+    )
+    return bem, origin_dpc
 
 
 def attach(server, monitor):
@@ -65,13 +75,13 @@ def attach(server, monitor):
         monitor.attach_database(server.services.db.bus)
 
 
-def run_synthetic(kind):
+def run_synthetic(kind, policy=LruPolicy):
     params = SyntheticParams(
         num_pages=12, fragments_per_page=5, fragment_size=300,
         cacheability=0.8, pool_size=30,
     )
     clock = SimulatedClock()
-    monitor, origin_dpc = make_monitor(kind, clock)
+    monitor, origin_dpc = make_monitor(kind, clock, policy)
     server = synthetic.build_server(
         params, clock=clock, bem=monitor, origin_dpc=origin_dpc
     )
@@ -170,6 +180,7 @@ def run_esi():
 
 CASES = {
     ("synthetic", "dpc"): lambda: run_synthetic("dpc"),
+    ("synthetic", "dpc-default-policy"): lambda: run_synthetic("dpc", policy=None),
     ("synthetic", "backend"): lambda: run_synthetic("backend"),
     ("books", "dpc"): lambda: run_books("dpc"),
     ("books", "backend"): lambda: run_books("backend"),
@@ -178,7 +189,7 @@ CASES = {
     ("esi", "books"): run_esi,
 }
 
-#: Recorded with the closure-based block path.
+#: Recorded with the closure-based block path, except where noted.
 EXPECTED = {
     ('books', 'backend'): {'requests': 240, 'hits': 760, 'misses': 181, 'requests_digest': 'bf6fc656074d34c3'},
     ('books', 'dpc'): {'requests': 240, 'hits': 760, 'misses': 181, 'requests_digest': '8a26ff1861976367'},
@@ -187,6 +198,8 @@ EXPECTED = {
     ('financial', 'dpc'): {'requests': 240, 'hits': 524, 'misses': 321, 'requests_digest': 'f2b44f7422b405e9'},
     ('synthetic', 'backend'): {'requests': 240, 'hits': 781, 'misses': 179, 'requests_digest': '26f1f414cf44be0a'},
     ('synthetic', 'dpc'): {'requests': 240, 'hits': 781, 'misses': 179, 'requests_digest': 'da3f20347fef1ad7'},
+    # Recorded when the decayed-frequency policy became the default.
+    ('synthetic', 'dpc-default-policy'): {'requests': 240, 'hits': 769, 'misses': 191, 'requests_digest': 'c1e585697e08848b'},
 }
 
 

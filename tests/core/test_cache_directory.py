@@ -225,7 +225,7 @@ class TestDesyncedVictim:
     ``flip_valid`` corruption) is repaired, not evicted, when the policy
     picks it."""
 
-    @pytest.mark.parametrize("policy", ["lru", "lfu", "fifo", "ttl", "gds"])
+    @pytest.mark.parametrize("policy", ["lrfu", "lru", "lfu", "fifo", "ttl", "gds"])
     def test_insert_repairs_desynced_victim(self, policy):
         directory = CacheDirectory(2, policy=make_policy(policy))
         log = RemovalLog()

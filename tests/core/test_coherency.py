@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.coherency import ProxyGroup
 from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
+from repro.core.replacement import DecayedFrequencyPolicy, LruPolicy
 from repro.core.template import GetInstruction, SetInstruction
 from repro.database import Database, schema
 from repro.errors import ConfigurationError
@@ -39,6 +40,14 @@ class TestMembership:
     def test_remove(self, group):
         group.remove_proxy("edge-west")
         assert group.names() == ["edge-east"]
+
+    def test_members_take_the_directory_default_policy(self, group):
+        bem, _ = group.member("edge-east")
+        assert type(bem.directory.policy) is DecayedFrequencyPolicy
+
+    def test_policy_name_picks_the_members_policy(self):
+        bem, _ = ProxyGroup(capacity_per_proxy=4, policy_name="lru").add_proxy("a")
+        assert type(bem.directory.policy) is LruPolicy
 
 
 class TestIndependentCopies:

@@ -1,10 +1,13 @@
 """Tests for replacement policies in isolation."""
 
+from math import log2
+
 import pytest
 
 from repro.core.cache_directory import CacheDirectory, DirectoryEntry
 from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.replacement import (
+    DecayedFrequencyPolicy,
     FifoPolicy,
     LfuPolicy,
     LruPolicy,
@@ -64,7 +67,7 @@ class TestPolicies:
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["lru", "lfu", "fifo", "ttl"])
+    @pytest.mark.parametrize("name", ["lrfu", "lru", "lfu", "fifo", "ttl"])
     def test_known_names(self, name):
         assert make_policy(name).name == name
 
@@ -191,8 +194,99 @@ class TestLruIndex:
     def test_access_back_in_time_reindexes(self):
         """A hit at an earlier ``now`` lowers the entry's key; a record left
         at the old key would hide it behind entries in between."""
-        directory = CacheDirectory(3)
+        directory = CacheDirectory(3, policy=LruPolicy())
         for i, t in enumerate((4.0, 5.0, 6.0, 7.0)):  # the 4th insert evicts
             directory.insert(FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, t)
         late = directory.lookup(FragmentID.create("f", {"i": 3}), now=1.0)
         assert directory.policy.select_victim(NotIterable(), now=1.0) is late
+
+
+def full_decayed_directory(capacity):
+    """A full directory on the default policy, index built by one eviction."""
+    directory = CacheDirectory(capacity)
+    for i in range(capacity + 1):
+        directory.insert(
+            FragmentID.create("f", {"i": i}), FragmentMetadata(), 1, now=float(i)
+        )
+    assert directory.stats.evictions == 1
+    return directory, directory.policy
+
+
+class TestDecayedFrequency:
+    def test_is_the_directory_default(self):
+        assert type(CacheDirectory(4).policy) is DecayedFrequencyPolicy
+
+    def test_hooks_are_noops_until_first_selection(self):
+        policy = DecayedFrequencyPolicy()
+        a = entry("a", 0, accessed=1.0)
+        policy.on_insert(a)
+        policy.on_access(a)
+        policy.on_remove(a)
+        assert policy._keys is None
+        assert (policy._at, policy._key, policy._tick) == ({}, {}, 0)
+        assert not policy._ghost
+
+    def test_first_selection_replays_lru_order(self):
+        entries = [entry("a", 0, accessed=5.0), entry("b", 1, accessed=2.0)]
+        policy = DecayedFrequencyPolicy()
+        assert policy.select_victim(entries, now=10.0).dpc_key == 1
+        assert policy._capacity == 2
+        assert policy._tick == 2
+
+    def test_frequency_beats_recency(self):
+        directory, policy = full_decayed_directory(4)
+        hot = FragmentID.create("f", {"i": 1})  # the oldest survivor
+        for n in range(3):
+            assert directory.lookup(hot, now=10.0 + n) is not None
+        directory.insert(FragmentID.create("g"), FragmentMetadata(), 1, now=20.0)
+        assert directory.peek(hot).is_valid
+        assert directory.peek(FragmentID.create("f", {"i": 2})) is None
+
+    def test_count_survives_invalidation(self):
+        """A hot fragment invalidated and re-inserted keeps its count, so a
+        one-shot fragment is evicted before it."""
+        directory, policy = full_decayed_directory(4)
+        hot = FragmentID.create("f", {"i": 4})
+        for n in range(3):
+            directory.lookup(hot, now=10.0 + n)
+        directory.invalidate(hot)
+        assert hot in policy._ghost
+        directory.insert(hot, FragmentMetadata(), 1, now=13.0)
+        assert hot not in policy._ghost
+        # Four one-shot inserts: the three older survivors go first, then
+        # the oldest one-shot, not the re-inserted fragment, although LRU
+        # (and a count that restarted at one) would take it.
+        for n in range(4):
+            directory.insert(
+                FragmentID.create("once", {"n": n}), FragmentMetadata(), 1, 14.0 + n
+            )
+        assert directory.peek(hot).is_valid
+        assert directory.peek(FragmentID.create("once", {"n": 0})) is None
+        assert directory.stats.evictions == 5
+
+    def test_built_index_never_iterates_entries(self):
+        directory, policy = full_decayed_directory(8)
+        for i in (3, 5, 2, 3):
+            directory.lookup(FragmentID.create("f", {"i": i}), now=100.0 + i)
+        victim = policy.select_victim(NotIterable(), now=200.0)
+        assert victim.fragment_id == FragmentID.create("f", {"i": 1})
+        directory.invalidate(victim.fragment_id)
+        assert policy.select_victim(NotIterable(), now=200.0).fragment_id == (
+            FragmentID.create("f", {"i": 4})
+        )
+
+    def test_key_stays_finite_over_long_runs(self):
+        """The key's tick term grows without bound; the score is added in
+        log space, so neither term overflows a float."""
+        policy = DecayedFrequencyPolicy()
+        a = entry("a", 0)
+        policy.select_victim([a], now=0.0)
+        policy._tick = 10 ** 9
+        for _ in range(3):
+            policy.on_access(a)
+        # H is 10 here: the three hits score 1 + 2^-0.1 + 2^-0.2; the
+        # access a billion ticks back adds nothing.
+        score = 1 + 2 ** -0.1 + 2 ** -0.2
+        assert policy._key[a] == pytest.approx(
+            (10 ** 9 + 3) * policy._per_tick + log2(score), abs=1e-6
+        )

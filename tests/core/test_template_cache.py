@@ -1,6 +1,10 @@
 """Tests for template serialization, assembly plans and the parse cache."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.appserver import HttpRequest, ScriptContext, Session, SiteServices
 from repro.core import fragments
@@ -97,6 +101,78 @@ class TestTemplateCache:
             TemplateCache(maxsize=0)
         with pytest.raises(ConfigurationError):
             TemplateCache(max_wire_bytes=0)
+
+
+class CountingStr(str):
+    """A wire that counts how often it is hashed."""
+
+    hashed = 0
+
+    def __hash__(self):
+        self.hashed += 1
+        return super().__hash__()
+
+
+class TestLengthIndex:
+    def test_probe_of_an_unmatched_length_is_not_hashed(self):
+        cache = TemplateCache()
+        cache.put("abc", Template())
+        probe = CountingStr("abcd")
+        assert cache.get(probe) is None
+        assert probe.hashed == 0
+        assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_probe_of_a_cached_length_is_hashed(self):
+        cache = TemplateCache()
+        cache.put("abc", Template())
+        probe = CountingStr("xyz")
+        assert cache.get(probe) is None
+        assert probe.hashed == 1
+        hit = CountingStr("abc")
+        assert cache.get(hit) is not None
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["put", "put", "get", "get", "clear"]),
+                st.text(alphabet="abé", max_size=5),
+            ),
+            max_size=80,
+        ),
+        st.integers(1, 4),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_length_counts_match_a_plain_dict_oracle(self, ops, maxsize, limit):
+        """Through puts, LRU evictions, oversized skips and clears, the
+        counts are exactly the lengths of the cached wires, and every probe
+        answers and counts as the plain LRU dict does."""
+        cache = TemplateCache(maxsize=maxsize, max_wire_bytes=limit)
+        oracle = {}  # wire -> plan, in LRU order (oldest first)
+        hits = misses = 0
+        for op, wire in ops:
+            if op == "put":
+                cache.put(wire, (wire,))
+                if len(wire.encode("utf-8")) <= limit:
+                    oracle.pop(wire, None)
+                    oracle[wire] = (wire,)
+                    while len(oracle) > maxsize:
+                        del oracle[next(iter(oracle))]
+            elif op == "get":
+                expected = oracle.pop(wire, None)
+                if expected is None:
+                    misses += 1
+                else:
+                    hits += 1
+                    oracle[wire] = expected
+                assert cache.get(wire) == expected
+            else:
+                cache.clear()
+                oracle.clear()
+            assert list(cache._entries) == list(oracle)
+            assert cache._lengths == Counter(len(w) for w in oracle)
+            assert (cache.hits, cache.misses) == (hits, misses)
 
 
 class TestDpcParseCache:

@@ -155,7 +155,11 @@ class World:
         directory.check_invariants()
 
 
-@given(operations, st.integers(1, 4), st.sampled_from(["lru", "lfu", "fifo", "ttl", "gds"]))
+@given(
+    operations,
+    st.integers(1, 4),
+    st.sampled_from(["lrfu", "lru", "lfu", "fifo", "ttl", "gds"]),
+)
 @settings(max_examples=300, deadline=None)
 def test_index_invalidates_exactly_what_a_scan_would(ops, capacity, policy):
     world = World(capacity, policy)

@@ -41,7 +41,11 @@ def apply_ops(directory, ops):
         directory.check_invariants()
 
 
-@given(operations, st.integers(1, 6), st.sampled_from(["lru", "lfu", "fifo", "ttl", "gds"]))
+@given(
+    operations,
+    st.integers(1, 6),
+    st.sampled_from(["lrfu", "lru", "lfu", "fifo", "ttl", "gds"]),
+)
 @settings(max_examples=200)
 def test_slot_discipline_under_random_ops(ops, capacity, policy):
     """Every dpcKey is either free or backing exactly one valid entry,
