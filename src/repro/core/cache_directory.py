@@ -355,7 +355,18 @@ class CacheDirectory:
         ``fault_quarantine``).
         """
         entry = self._entries.get(fragment_id)
-        if entry is None or not entry.is_valid:
+        return entry is not None and self.invalidate_entry(entry, reason)
+
+    def invalidate_entry(
+        self, entry: DirectoryEntry, reason: str = "data_invalidated"
+    ) -> bool:
+        """Invalidate one row already in hand (as :meth:`invalidate` does
+        after its probe); True if it was valid.
+
+        The invalidation manager passes the rows :meth:`dependents` named,
+        so it does not look each one up again by fragment id.
+        """
+        if not entry.is_valid:
             return False
         self.stats.invalidations += 1
         self._invalidate_entry(entry, reason=reason)
@@ -490,13 +501,26 @@ class CacheDirectory:
         """Valid entries a change to row ``key`` of ``table`` could match.
 
         Those keyed to that row plus those with a dependency on the table
-        that is not row-keyed, in ascending dpcKey order.
+        that is not row-keyed, in ascending dpcKey order.  The common case,
+        no table-wide dependent and one row keyed to ``key``, takes neither
+        a set union nor a sort.
         """
-        keys = self._by_table.get(table, {}).keys()
+        wide = self._by_table.get(table)
         rows = self._by_row.get(table)
-        if rows:
-            keys = keys | rows.get(key, {}).keys()
+        bucket = rows.get(key) if rows else None
         valid = self._valid_by_key
+        if not wide:
+            if not bucket:
+                return []
+            if len(bucket) == 1:
+                (k,) = bucket
+                entry = valid[k]
+                return [entry] if entry.is_valid else []
+            keys = bucket
+        elif bucket:
+            keys = wide.keys() | bucket.keys()
+        else:
+            keys = wide
         return [valid[k] for k in sorted(keys) if valid[k].is_valid]
 
     def entry_for_key(self, dpc_key: int) -> Optional[DirectoryEntry]:

@@ -48,7 +48,7 @@ def _canonical(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
     )
 
 
-#: Builds an id without a Python-level ``__new__`` call.
+#: Builds an id (or a dependency) without a Python-level ``__new__`` call.
 _new_id = tuple.__new__
 
 
@@ -115,8 +115,7 @@ class FragmentID(tuple):
         return (FragmentID, (self[0], self[1]))
 
 
-@dataclass(frozen=True)
-class Dependency:
+class Dependency(tuple):
     """A data-source dependency of a fragment.
 
     A fragment depends on a ``table``, optionally narrowed along three
@@ -130,13 +129,45 @@ class Dependency:
 
     A database :class:`ChangeEvent` matches when the table matches and every
     given narrowing also matches.
+
+    As with :class:`FragmentID`, the dependency *is* the tuple
+    ``(table, key, column, where_column, where_value)``: a ``tuple``
+    subclass with no instance storage and read-only fields, so a miss
+    builds one without a frozen dataclass's per-field ``__setattr__``, and
+    equality and hashing are the tuple's (and the dataclass's were).
+    Instances are immutable.
     """
 
-    table: str
-    key: Optional[object] = None
-    column: Optional[str] = None
-    where_column: Optional[str] = None
-    where_value: Optional[object] = None
+    __slots__ = ()
+
+    #: The field names in tuple order (as a named tuple has them, so that
+    #: ``dataclasses.asdict`` on metadata rebuilds a dependency by position).
+    _fields = ("table", "key", "column", "where_column", "where_value")
+
+    def __new__(
+        cls,
+        table: str,
+        key: Optional[object] = None,
+        column: Optional[str] = None,
+        where_column: Optional[str] = None,
+        where_value: Optional[object] = None,
+    ) -> "Dependency":
+        return _new_id(cls, (table, key, column, where_column, where_value))
+
+    table = property(itemgetter(0))
+    key = property(itemgetter(1))
+    column = property(itemgetter(2))
+    where_column = property(itemgetter(3))
+    where_value = property(itemgetter(4))
+
+    def __repr__(self) -> str:
+        return (
+            "Dependency(table=%r, key=%r, column=%r, where_column=%r, where_value=%r)"
+            % tuple(self)
+        )
+
+    def __reduce__(self):
+        return (Dependency, tuple(self))
 
     def matches(
         self,
@@ -147,22 +178,23 @@ class Dependency:
         old_row: Optional[Dict[str, object]] = None,
     ) -> bool:
         """Whether a change event falls within this dependency."""
-        if table != self.table:
+        dep_table, dep_key, column, where_column, where_value = self
+        if table != dep_table:
             return False
-        if self.key is not None and key != self.key:
+        if dep_key is not None and key != dep_key:
             return False
-        if self.column is not None:
+        if column is not None:
             changed = tuple(changed_columns)
             # Inserts/deletes report no changed columns: treat them as
             # touching every column of the row.
-            if changed and self.column not in changed:
+            if changed and column not in changed:
                 return False
-        if self.where_column is not None:
+        if where_column is not None:
             # Match against either image: an update that moves a row into
             # OR out of the watched set invalidates fragments built on it.
             images = [img for img in (row, old_row) if img is not None]
             if images and not any(
-                img.get(self.where_column) == self.where_value for img in images
+                img.get(where_column) == where_value for img in images
             ):
                 return False
         return True
@@ -190,6 +222,27 @@ class FragmentMetadata:
 
     def __post_init__(self) -> None:
         check_ttl(self.ttl)
+
+
+#: Allocates metadata without running its ``__init__``.
+_new_object = object.__new__
+
+
+def checked_metadata(
+    ttl: Optional[float], dependencies: Tuple[Dependency, ...], cacheable: bool
+) -> FragmentMetadata:
+    """A :class:`FragmentMetadata` whose ``ttl`` was already checked.
+
+    Fills the fields without running ``__init__``/``__post_init__``: a
+    tagged block's TTL is checked once, when the block is tagged, and a
+    miss then builds its metadata without checking it again.
+    """
+    metadata = _new_object(FragmentMetadata)
+    fields = metadata.__dict__
+    fields["ttl"] = ttl
+    fields["dependencies"] = dependencies
+    fields["cacheable"] = cacheable
+    return metadata
 
 
 @dataclass

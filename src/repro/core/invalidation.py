@@ -54,10 +54,11 @@ class InvalidationManager:
     def on_change(self, event: ChangeEvent) -> None:
         """Trigger-bus callback: invalidate fragments hit by this change."""
         self.events_seen += 1
-        table, key, directory = event.table, event.key, self.directory
+        table, _, key, row, old_row, changed_columns = event
+        directory = self.directory
         for entry in directory.dependents(table, key):
-            if any(
-                dep.matches(table, key, event.changed_columns, event.row, event.old_row)
-                for dep in entry.dependencies
-            ) and directory.invalidate(entry.fragment_id, reason="data_invalidated"):
-                self.fragments_invalidated += 1
+            for dep in entry.dependencies:
+                if dep.matches(table, key, changed_columns, row, old_row):
+                    if directory.invalidate_entry(entry, "data_invalidated"):
+                        self.fragments_invalidated += 1
+                    break

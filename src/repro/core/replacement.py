@@ -19,17 +19,23 @@ The directory also reports each entry's lifecycle to its policy through
 three hooks -- ``on_insert``, ``on_access`` (a fresh lookup hit) and
 ``on_remove`` (the entry left the valid set) -- so a policy can keep its
 own index instead of scanning every entry per eviction.  LRU and the
-decayed-frequency policy do: each keeps a heap, so an insert costs
-O(log n), a hit O(1) and an eviction O(log n) (amortized, for LRU) instead
-of O(n).  LFU, FIFO, TTL-aware and GreedyDual-Size ignore the hooks and
-scan the candidates.  A policy instance serves one directory.
+decayed-frequency policy do, through one helper
+(:class:`DpcKeyIndexedPolicy`): each entry's current key lives in a list
+slot indexed by its dpcKey, and a C :mod:`heapq` holds lazy
+``(key, dpcKey, generation)`` records.  A removal only clears the slot
+(its record goes stale and is dropped when it reaches the top), a hit
+only updates the slot, an insert is one push, and an eviction pops stale
+records and re-files out-of-date ones until the top is current.  The
+records hold no object reference, so the garbage collector stops
+tracking them after its first pass.  LFU, FIFO, TTL-aware and
+GreedyDual-Size ignore the hooks and scan the candidates.  A policy
+instance serves one directory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush, heapreplace
-from itertools import count
 from math import log2
 from typing import Iterable, Optional, TYPE_CHECKING
 
@@ -83,22 +89,99 @@ class ReplacementPolicy:
             )
 
 
-class LruPolicy(ReplacementPolicy):
+class DpcKeyIndexedPolicy(ReplacementPolicy):
+    """A victim index over dpcKey-indexed slots and a lazy C heap.
+
+    Each indexed entry has a slot at its ``dpc_key`` (a row's dpcKey never
+    changes while it is valid) in three lists: the entry, its current key
+    and the generation of its live heap record.  The heap holds
+    ``(key, dpc_key, generation)`` records; a record is live while its slot
+    still holds an entry and the same generation, so a removal just clears
+    the slot and a record that reaches the top stale is popped.  A live
+    record's key is a lower bound on its entry's current key: a record that
+    reaches the top out of date is re-filed with the current key, so the
+    first up-to-date record on top is the exact minimum of (current key,
+    dpcKey).  Once the heap holds more than ``2 * live + SLACK`` records it
+    is rebuilt from the slots.
+
+    Records are tuples of a float and two ints, which the garbage collector
+    stops tracking after its first pass, so a pile of stale records never
+    ages into the older generations.  Subclasses file entries through
+    :meth:`_file`, forget them through :meth:`_forget` and build the heap
+    in their first ``select_victim``; until then ``_heap`` is ``None``.
+    """
+
+    #: Records the heap may hold beyond twice the live count before it is
+    #: rebuilt.
+    SLACK = 32
+
+    def __init__(self) -> None:
+        self._heap: Optional[list] = None  # built by the first select_victim
+        self._entries: list = []  # dpc_key -> its indexed entry, or None
+        self._keys: list = []     # dpc_key -> the entry's current key
+        self._gens: list = []     # dpc_key -> the generation of its live record
+        self._live = 0            # slots holding an entry
+
+    def _file(self, entry: "DirectoryEntry", key: float) -> None:
+        """Index ``entry`` under ``key`` with a new live record."""
+        k = entry.dpc_key
+        slots = self._entries
+        if k >= len(slots):
+            grow = k + 1 - len(slots)
+            slots.extend([None] * grow)
+            self._keys.extend([0.0] * grow)
+            self._gens.extend([0] * grow)
+        if slots[k] is None:
+            self._live += 1
+        slots[k] = entry
+        self._keys[k] = key
+        gens = self._gens
+        gen = gens[k] = gens[k] + 1
+        heap = self._heap
+        heappush(heap, (key, k, gen))
+        if len(heap) > 2 * self._live + self.SLACK:
+            keys = self._keys
+            heap[:] = [
+                (keys[i], i, gens[i]) for i, e in enumerate(slots) if e is not None
+            ]
+            heapify(heap)
+
+    def _forget(self, entry: "DirectoryEntry") -> bool:
+        """Clear ``entry``'s slot; False if it was not indexed."""
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            slots[k] = None
+            self._live -= 1
+            return True
+        return False
+
+    def _top(self) -> Optional["DirectoryEntry"]:
+        """The entry with the lowest (current key, dpcKey), or None."""
+        heap = self._heap
+        slots = self._entries
+        keys = self._keys
+        gens = self._gens
+        while heap:
+            filed, k, gen = heap[0]
+            entry = slots[k]
+            if entry is None or gens[k] != gen:
+                heappop(heap)
+            elif keys[k] != filed:
+                heapreplace(heap, (keys[k], k, gen))
+            else:
+                return entry
+        return None
+
+
+class LruPolicy(DpcKeyIndexedPolicy):
     """Evict the least-recently-used entry (ties go to the lower dpcKey).
 
-    The victim is the top of a heap of ``(last_access, dpc_key, seq, entry)``
-    records, one live record per valid entry, kept by the lifecycle hooks.
-    A record counts only while ``_live[entry]`` is that very record: a
-    removal just forgets the entry, and its record is dropped when it
-    reaches the top.  A record's key is a lower bound on its entry's key,
-    because a hit that moves ``last_access`` forward leaves the record in
-    place; a record that reaches the top with an out-of-date key is pushed
-    back with the current one, so the first up-to-date record on top is the
-    exact minimum.  Each entry therefore costs at most one push per time it
-    reaches the top, not one per hit.  Once the heap holds more than twice
-    as many records as there are live entries it is rebuilt from them.
-    ``seq`` breaks ties between records with equal keys, so entries are
-    never compared.
+    An entry's key is its ``last_access``.  A hit that moves it forward
+    only updates the slot, so the entry's record stays a lower bound and
+    is re-filed when it reaches the top: each entry costs at most one push
+    per time it reaches the top, not one per hit.  A hit that moves it
+    back in time files a new record (the old one goes stale).
 
     The index is built from ``entries`` on the first ``select_victim`` call
     and ignores ``entries`` after that.  Until then the hooks do nothing, so
@@ -107,67 +190,37 @@ class LruPolicy(ReplacementPolicy):
 
     name = "lru"
 
-    #: Records the heap may hold beyond twice the live count before it is
-    #: rebuilt.
-    SLACK = 32
-
-    def __init__(self) -> None:
-        self._heap: Optional[list] = None  # built by the first select_victim
-        self._live: dict = {}  # entry -> its current heap record
-        self._seq = count()
-
-    def _record(self, entry: "DirectoryEntry") -> tuple:
-        return (entry.last_access, entry.dpc_key, next(self._seq), entry)
-
-    def _push(self, entry: "DirectoryEntry") -> None:
-        live = self._live
-        record = live[entry] = self._record(entry)
-        heap = self._heap
-        heappush(heap, record)
-        if len(heap) > 2 * len(live) + self.SLACK:
-            heap[:] = live.values()
-            heapify(heap)
-
     def on_insert(self, entry):
         """Index the new entry at its creation time."""
         if self._heap is not None:
-            self._push(entry)
+            self._file(entry, entry.last_access)
 
     def on_access(self, entry):
-        """Re-index the entry only if its last access moved back in time."""
-        if self._heap is not None:
-            record = self._live.get(entry)
-            if record is not None and entry.last_access < record[0]:
-                self._push(entry)
+        """Note the new last access; re-file only if it moved back in time."""
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            key = entry.last_access
+            if key < self._keys[k]:
+                self._file(entry, key)
+            else:
+                self._keys[k] = key
 
     def on_remove(self, entry):
-        """Forget the entry; its record goes stale."""
-        if self._heap is not None:
-            self._live.pop(entry, None)
+        """Clear the entry's slot; its record goes stale."""
+        self._forget(entry)
 
     def select_victim(self, entries, now):
         """Pick the entry with the oldest last access (lowest dpcKey on ties)."""
-        heap = self._heap
-        live = self._live
-        if heap is None:
-            for entry in entries:
-                live[entry] = self._record(entry)
-            heap = self._heap = list(live.values())
-            heapify(heap)
-        while heap:
-            record = heap[0]
-            entry = record[3]
-            if live.get(entry) is not record:
-                heappop(heap)
-            elif entry.last_access != record[0]:
-                record = live[entry] = self._record(entry)
-                heapreplace(heap, record)
-            else:
-                return entry
-        return None
+        if self._heap is None:
+            self._heap = []
+            # Filed in ascending key order, each push is O(1).
+            for entry in sorted(entries, key=lambda e: (e.last_access, e.dpc_key)):
+                self._file(entry, entry.last_access)
+        return self._top()
 
 
-class DecayedFrequencyPolicy(ReplacementPolicy):
+class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
     """Evict the entry with the lowest decayed access count (LRFU).
 
     An entry's score is ``sum(2 ** (-age / H))`` over its past accesses
@@ -178,12 +231,10 @@ class DecayedFrequencyPolicy(ReplacementPolicy):
 
     Each entry is indexed under the key ``log2(score) + tick / H`` of its
     last access.  Keys compare the way scores do at any common tick, and a
-    key only grows (on a hit), so, as in :class:`LruPolicy`, a hit leaves
-    the entry's heap position alone: the key it is filed under is a lower
-    bound, refreshed when it reaches the top.  The heap is an array with a
-    position map, so a removal takes its entry out at once in O(log n):
-    the heap holds exactly the live entries, and serving never frees
-    records in bulk nor rebuilds anything.  Ties go to the lower dpcKey.
+    key only grows (on a hit), so a hit only updates the entry's slot: the
+    key its heap record was filed under is a lower bound, refreshed when it
+    reaches the top.  An insert is one push and a removal clears the slot
+    (see :class:`DpcKeyIndexedPolicy`).  Ties go to the lower dpcKey.
 
     A fragment's history outlives its row: a removed fragment's key goes to
     a FIFO *ghost* of at most ``capacity`` fragment ids, and a re-insert
@@ -205,10 +256,7 @@ class DecayedFrequencyPolicy(ReplacementPolicy):
     HALF_LIFE_PER_SLOT = 10
 
     def __init__(self) -> None:
-        self._keys: Optional[list] = None  # heap of index keys, built lazily
-        self._entries: list = []           # the entry at each heap position
-        self._at: dict = {}                # entry -> its heap position
-        self._key: dict = {}               # entry -> its current key
+        super().__init__()
         self._ghost: "OrderedDict" = OrderedDict()  # removed id -> its key
         self._capacity = 0
         self._per_tick = 0.0               # 1 / H
@@ -225,59 +273,9 @@ class DecayedFrequencyPolicy(ReplacementPolicy):
         now = self._tick * self._per_tick
         return now + log2(1.0 + 2.0 ** (key - now))
 
-    def _sift_up(self, i: int, key: float, entry: "DirectoryEntry") -> None:
-        """File ``entry`` under ``key`` at position ``i`` or above it; the
-        parents it passes move down a level."""
-        keys = self._keys
-        entries = self._entries
-        at = self._at
-        while i:
-            parent = (i - 1) >> 1
-            pkey = keys[parent]
-            if pkey < key or (pkey == key and entries[parent].dpc_key < entry.dpc_key):
-                break
-            keys[i] = pkey
-            moved = entries[i] = entries[parent]
-            at[moved] = i
-            i = parent
-        keys[i] = key
-        entries[i] = entry
-        at[entry] = i
-
-    def _sift_down(self, i: int, key: float, entry: "DirectoryEntry") -> None:
-        """File ``entry`` under ``key`` where position ``i``'s entry was.
-
-        As in :mod:`heapq`, the smaller child moves up all the way to a
-        leaf, and ``entry`` then climbs back from there: the entry placed
-        here is usually the heap's last leaf, so this takes one comparison
-        per level instead of two.  The climb may pass ``i``, which serves a
-        removal whose replacement belongs above the hole.
-        """
-        keys = self._keys
-        entries = self._entries
-        at = self._at
-        n = len(keys)
-        child = 2 * i + 1
-        while child < n:
-            right = child + 1
-            if right < n:
-                ckey = keys[child]
-                rkey = keys[right]
-                if rkey < ckey or (
-                    rkey == ckey and entries[right].dpc_key < entries[child].dpc_key
-                ):
-                    child = right
-            keys[i] = keys[child]
-            moved = entries[i] = entries[child]
-            at[moved] = i
-            i = child
-            child = 2 * i + 1
-        self._sift_up(i, key, entry)
-
     def on_insert(self, entry):
         """Index the new entry, resuming its ghost's count if it has one."""
-        keys = self._keys
-        if keys is None:
+        if self._heap is None:
             return
         ghost = self._ghost.pop(entry.fragment_id, None)
         if ghost is None:
@@ -285,56 +283,36 @@ class DecayedFrequencyPolicy(ReplacementPolicy):
             key = self._tick * self._per_tick
         else:
             key = self._accessed(ghost)
-        self._key[entry] = key
-        keys.append(key)
-        self._entries.append(entry)
-        self._sift_up(len(keys) - 1, key, entry)
+        self._file(entry, key)
 
     def on_access(self, entry):
-        """Count the hit; the heap position stays a lower bound."""
-        current = self._key
-        key = current.get(entry)
-        if key is not None:
-            current[entry] = self._accessed(key)
+        """Count the hit; the entry's heap record stays a lower bound."""
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            keys = self._keys
+            keys[k] = self._accessed(keys[k])
 
     def on_remove(self, entry):
-        """Take the entry out of the heap and file its key in the ghost."""
-        i = self._at.pop(entry, None)
-        if i is None:
-            return
-        ghost = self._ghost
-        ghost[entry.fragment_id] = self._key.pop(entry)
-        if len(ghost) > self._capacity:
-            ghost.popitem(last=False)
-        keys = self._keys
-        key = keys.pop()
-        last = self._entries.pop()
-        if i < len(keys):
-            self._sift_down(i, key, last)
+        """Clear the entry's slot and file its key in the ghost."""
+        if self._forget(entry):
+            ghost = self._ghost
+            ghost[entry.fragment_id] = self._keys[entry.dpc_key]
+            if len(ghost) > self._capacity:
+                ghost.popitem(last=False)
 
     def select_victim(self, entries, now):
         """Pick the entry with the lowest decayed score (lowest dpcKey on ties)."""
-        keys = self._keys
-        if keys is None:
-            # Keys ascend in this order, so the list is already a heap.
+        if self._heap is None:
             ordered = sorted(entries, key=lambda e: (e.last_access, e.dpc_key))
             self._capacity = len(ordered)
             self._per_tick = 1.0 / (self.HALF_LIFE_PER_SLOT * max(1, len(ordered)))
-            keys = self._keys = []
-            for i, entry in enumerate(ordered):
+            self._heap = []
+            # Keys ascend in this order, so each push is O(1).
+            for entry in ordered:
                 self._tick += 1
-                self._at[entry] = i
-                self._key[entry] = self._tick * self._per_tick
-                keys.append(self._key[entry])
-            self._entries = ordered
-        current = self._key
-        while keys:
-            entry = self._entries[0]
-            key = current[entry]
-            if key == keys[0]:
-                return entry
-            self._sift_down(0, key, entry)
-        return None
+                self._file(entry, self._tick * self._per_tick)
+        return self._top()
 
 
 class LfuPolicy(ReplacementPolicy):

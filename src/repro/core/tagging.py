@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import TaggingError
-from .fragments import Dependency, FragmentMetadata, check_ttl
+from .fragments import Dependency, FragmentMetadata, check_ttl, checked_metadata
 
 #: Computes a block's data dependencies from its run-time parameters.
 DependencyFactory = Callable[[Mapping[str, object]], Tuple[Dependency, ...]]
@@ -50,13 +50,15 @@ class BlockTag:
         check_ttl(self.ttl)
 
     def metadata_for(self, params: Mapping[str, object]) -> FragmentMetadata:
-        """Materialize FragmentMetadata for one invocation's params."""
+        """Materialize FragmentMetadata for one invocation's params.
+
+        The TTL was checked by ``__post_init__``, so it is not checked
+        again here.
+        """
         dependencies: Tuple[Dependency, ...] = ()
         if self.dependency_factory is not None:
             dependencies = tuple(self.dependency_factory(params))
-        return FragmentMetadata(
-            ttl=self.ttl, dependencies=dependencies, cacheable=self.cacheable
-        )
+        return checked_metadata(self.ttl, dependencies, self.cacheable)
 
 
 class TagRegistry:

@@ -12,7 +12,7 @@ in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional
 
 INSERT = "insert"
@@ -22,25 +22,55 @@ DELETE = "delete"
 _OPERATIONS = (INSERT, UPDATE, DELETE)
 
 
-@dataclass(frozen=True)
-class ChangeEvent:
+_new_event = tuple.__new__
+
+
+class ChangeEvent(tuple):
     """One committed row mutation.
 
     ``row`` is the post-image (``None`` for deletes); ``old_row`` the
     pre-image (``None`` for inserts).  ``changed_columns`` is populated for
     updates so listeners can do column-granular dependency matching.
+
+    The event is the tuple ``(table, operation, key, row, old_row,
+    changed_columns)``: a ``tuple`` subclass with no instance storage and
+    read-only fields, built once per committed row, so a listener may also
+    unpack it in that order.
     """
 
-    table: str
-    operation: str
-    key: object
-    row: Optional[Dict[str, object]] = None
-    old_row: Optional[Dict[str, object]] = None
-    changed_columns: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.operation not in _OPERATIONS:
-            raise ValueError("unknown operation %r" % (self.operation,))
+    #: The field names in tuple order, as a named tuple has them.
+    _fields = ("table", "operation", "key", "row", "old_row", "changed_columns")
+
+    def __new__(
+        cls,
+        table: str,
+        operation: str,
+        key: object,
+        row: Optional[Dict[str, object]] = None,
+        old_row: Optional[Dict[str, object]] = None,
+        changed_columns: tuple = (),
+    ) -> "ChangeEvent":
+        if operation not in _OPERATIONS:
+            raise ValueError("unknown operation %r" % (operation,))
+        return _new_event(cls, (table, operation, key, row, old_row, changed_columns))
+
+    table = property(itemgetter(0))
+    operation = property(itemgetter(1))
+    key = property(itemgetter(2))
+    row = property(itemgetter(3))
+    old_row = property(itemgetter(4))
+    changed_columns = property(itemgetter(5))
+
+    def __repr__(self) -> str:
+        return (
+            "ChangeEvent(table=%r, operation=%r, key=%r, row=%r, old_row=%r, "
+            "changed_columns=%r)" % tuple(self)
+        )
+
+    def __reduce__(self):
+        return (ChangeEvent, tuple(self))
 
 
 Listener = Callable[[ChangeEvent], None]

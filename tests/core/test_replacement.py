@@ -162,7 +162,7 @@ class TestLruIndex:
         policy.on_insert(a)
         policy.on_access(a)
         policy.on_remove(a)
-        assert policy._heap is None and policy._live == {}
+        assert policy._heap is None and policy._entries == [] and policy._live == 0
 
     def test_built_index_never_iterates_entries(self):
         directory, policy = full_lru_directory(8)
@@ -222,8 +222,9 @@ class TestDecayedFrequency:
         policy.on_insert(a)
         policy.on_access(a)
         policy.on_remove(a)
-        assert policy._keys is None
-        assert (policy._at, policy._key, policy._tick) == ({}, {}, 0)
+        assert policy._heap is None
+        assert (policy._entries, policy._keys, policy._gens) == ([], [], [])
+        assert (policy._live, policy._tick) == (0, 0)
         assert not policy._ghost
 
     def test_first_selection_replays_lru_order(self):
@@ -287,6 +288,6 @@ class TestDecayedFrequency:
         # H is 10 here: the three hits score 1 + 2^-0.1 + 2^-0.2; the
         # access a billion ticks back adds nothing.
         score = 1 + 2 ** -0.1 + 2 ** -0.2
-        assert policy._key[a] == pytest.approx(
+        assert policy._keys[a.dpc_key] == pytest.approx(
             (10 ** 9 + 3) * policy._per_tick + log2(score), abs=1e-6
         )

@@ -10,10 +10,16 @@ for each candidate.  Lookups hit, expire and miss; inserts evict and
 re-insert fragments that were invalidated, expired or evicted, inside and
 outside the ghost's window.  After every operation both must have picked
 the same victims and agree on stats, freeList order and valid rows; the
-policy's keys must match the oracle's scores, its ghost must hold at most
-``capacity`` ids and its heap exactly the live entries.
+policy's keys must match the oracle's scores and its ghost must hold at
+most ``capacity`` ids.  The heap's live records must name exactly the
+valid entries, one each, filed under lower bounds of their current keys,
+and the heap may hold at most ``2 * live + SLACK`` records.
+
+The heap's records hold no object reference, so after a collection the
+garbage collector tracks none of them, under either indexed policy.
 """
 
+import gc
 from collections import OrderedDict
 from dataclasses import asdict
 from math import log2
@@ -23,7 +29,11 @@ from hypothesis import strategies as st
 
 from repro.core.cache_directory import CacheDirectory
 from repro.core.fragments import FragmentID, FragmentMetadata
-from repro.core.replacement import DecayedFrequencyPolicy, ReplacementPolicy
+from repro.core.replacement import (
+    DecayedFrequencyPolicy,
+    LruPolicy,
+    ReplacementPolicy,
+)
 
 NAMES = 12
 
@@ -171,27 +181,29 @@ def check_index(policy, oracle, live):
     """The policy's structures against the oracle and the valid set."""
     assert len(policy._ghost) <= policy._capacity
     assert list(policy._ghost) == list(oracle.ghost)
-    if policy._keys is None:
-        assert not policy._at and not policy._key and not policy._ghost
+    if policy._heap is None:
+        assert not policy._entries and not policy._live and not policy._ghost
         return
-    # The heap holds exactly the live entries, one position each, in order.
-    keys, entries = policy._keys, policy._entries
-    assert len(keys) == len(entries) == len(live)
-    assert {id(e) for e in entries} == {id(e) for e in live}
-    assert all(policy._at[e] == i for i, e in enumerate(entries))
-    for i in range(1, len(keys)):
-        parent = (i - 1) // 2
-        assert (keys[parent], entries[parent].dpc_key) <= (
-            keys[i], entries[i].dpc_key
-        )
-        # A position's key is a lower bound on its entry's current key.
-        assert keys[i] <= policy._key[entries[i]]
+    heap, slots, keys, gens = policy._heap, policy._entries, policy._keys, policy._gens
+    for i in range(1, len(heap)):
+        assert heap[(i - 1) // 2] <= heap[i]
+    # Live records correspond one-to-one to the valid entries.
+    records = [
+        (filed, k) for filed, k, gen in heap if slots[k] is not None and gens[k] == gen
+    ]
+    assert sorted(k for _, k in records) == sorted(e.dpc_key for e in live)
+    assert all(slots[e.dpc_key] is e for e in live)
+    assert policy._live == len(live)
+    # Every filed key is a lower bound on its entry's current key.
+    assert all(filed <= keys[k] for filed, k in records)
+    assert len(heap) <= 2 * len(live) + policy.SLACK
     assert policy._tick == oracle.tick
     now = oracle.tick / oracle.half_life
     scores = {(e.fragment_id, e.dpc_key): oracle.score(e) for e in oracle.ticks}
     for entry in live:
         expected = log2(scores[entry.fragment_id, entry.dpc_key]) + now
-        assert abs(policy._key[entry] - expected) <= 1e-9 * max(1.0, abs(expected))
+        current = keys[entry.dpc_key]
+        assert abs(current - expected) <= 1e-9 * max(1.0, abs(expected))
 
 
 @given(operations, st.integers(1, 6))
@@ -207,3 +219,23 @@ def test_indexed_policy_matches_scan_oracle(ops, capacity):
         assert apply(indexed, op, arg, ttl, now) == apply(oracle, op, arg, ttl, now)
         assert state(indexed) == state(oracle)
         check_index(indexed.policy, oracle.policy, indexed._valid_by_key.values())
+
+
+@given(operations, st.sampled_from([DecayedFrequencyPolicy, LruPolicy]))
+@settings(max_examples=50, deadline=None)
+def test_heap_records_are_untracked_after_a_collection(ops, policy_type):
+    capacity = 4
+    directory = CacheDirectory(capacity, policy=policy_type())
+    for i in range(capacity + 1):  # the last insert evicts: the heap is built
+        directory.insert(FragmentID.create("g", {"i": i}), FragmentMetadata(), 10, 0.0)
+    now = 0.0
+    for op, arg, ttl in ops:
+        if op == "tick":
+            now = max(0.0, now + TICKS[arg % len(TICKS)])
+        else:
+            apply(directory, op, arg, ttl, now)
+    directory.insert(FragmentID.create("h"), FragmentMetadata(), 10, now)
+    gc.collect()
+    heap = directory.policy._heap
+    assert heap
+    assert not any(gc.is_tracked(record) for record in heap)

@@ -9,7 +9,18 @@ desynced rows that get repaired.  For every committed change the set of
 fragments invalidated must equal the oracle: every valid entry with any
 dependency matching the event.  ``check_invariants`` (slot discipline and
 index consistency) must hold after every operation.
+
+A second property drives the manager with random change events directly
+(inserts, updates of one or both columns, deletes, and updates that move a
+row into or out of a category) and checks the invalidation walk itself:
+each event must invalidate exactly the valid entries that a scan over
+``valid_entries()`` selects with the frozen-dataclass ``Dependency.matches``
+the tuple-backed one replaced, in ascending dpcKey order, and return their
+dpcKeys to the freeList in that order.
 """
+
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +29,7 @@ from repro.core.cache_directory import CacheDirectory
 from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
 from repro.core.invalidation import InvalidationManager
 from repro.core.replacement import make_policy
-from repro.database import Database, schema
+from repro.database import DELETE, INSERT, UPDATE, ChangeEvent, Database, schema
 
 TABLES = ("items", "users")
 ROWS = (0, 1, 2, 3)
@@ -169,3 +180,187 @@ def test_index_invalidates_exactly_what_a_scan_would(ops, capacity, policy):
     for entry in world.directory.valid_entries():
         for dep in entry.dependencies:
             assert entry in world.directory.dependents(dep.table, dep.key)
+
+
+@dataclass(frozen=True)
+class ReferenceDependency:
+    """The previous ``Dependency``, a frozen dataclass, verbatim: the oracle."""
+
+    table: str
+    key: Optional[object] = None
+    column: Optional[str] = None
+    where_column: Optional[str] = None
+    where_value: Optional[object] = None
+
+    def matches(
+        self,
+        table: str,
+        key: object,
+        changed_columns: Iterable[str],
+        row: Optional[Dict[str, object]] = None,
+        old_row: Optional[Dict[str, object]] = None,
+    ) -> bool:
+        """Whether a change event falls within this dependency."""
+        if table != self.table:
+            return False
+        if self.key is not None and key != self.key:
+            return False
+        if self.column is not None:
+            changed = tuple(changed_columns)
+            # Inserts/deletes report no changed columns: treat them as
+            # touching every column of the row.
+            if changed and self.column not in changed:
+                return False
+        if self.where_column is not None:
+            # Match against either image: an update that moves a row into
+            # OR out of the watched set invalidates fragments built on it.
+            images = [img for img in (row, old_row) if img is not None]
+            if images and not any(
+                img.get(self.where_column) == self.where_value for img in images
+            ):
+                return False
+        return True
+
+
+#: One row more than any dependency names, so some events match no row key.
+EVENT_ROWS = ROWS + (len(ROWS),)
+
+images = st.fixed_dictionaries({
+    "id": st.sampled_from(EVENT_ROWS),
+    "cat": st.sampled_from(CATEGORIES),
+    "price": st.sampled_from([1.0, 2.0]),
+})
+
+
+def _update(table, old, columns):
+    """An update of ``columns``: ``cat`` moves the row to the other
+    category (out of one watched set, into the other)."""
+    new = dict(old)
+    for column in columns:
+        if column == "cat":
+            new["cat"] = CATEGORIES[1 - CATEGORIES.index(old["cat"])]
+        else:
+            new["price"] = old["price"] + 1.0
+    return ChangeEvent(table, UPDATE, old["id"], row=new, old_row=dict(old),
+                       changed_columns=tuple(columns))
+
+
+events = st.one_of(
+    st.builds(lambda table, row: ChangeEvent(table, INSERT, row["id"], row=row),
+              st.sampled_from(TABLES), images),
+    st.builds(lambda table, row: ChangeEvent(table, DELETE, row["id"], old_row=row),
+              st.sampled_from(TABLES), images),
+    st.builds(_update, st.sampled_from(TABLES), images,
+              st.sampled_from([("cat",), ("price",), ("cat", "price"), ("price", "cat")])),
+)
+
+@given(dependencies, events)
+@settings(max_examples=500)
+def test_matches_agrees_with_the_dataclass_oracle(dep, event):
+    args = (event.table, event.key, event.changed_columns, event.row, event.old_row)
+    assert dep.matches(*args) == ReferenceDependency(*dep).matches(*args)
+
+
+walk_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.integers(0, NAMES - 1),
+                  st.lists(dependencies, max_size=3)),
+        st.tuples(st.just("event"), events),
+        st.tuples(st.just("invalidate"), st.integers(0, NAMES - 1)),
+        st.tuples(st.just("flip"), st.integers(0, NAMES - 1), events),
+    ),
+    max_size=60,
+)
+
+
+class Removals:
+    """Insight stand-in: records the directory's removals in order."""
+
+    def __init__(self):
+        self.removed = []
+
+    def record_access(self, fragment_id, hit):
+        pass
+
+    def record_insert(self, fragment_id):
+        pass
+
+    def record_eviction(self, policy, idle, hits, size):
+        pass
+
+    def record_removal(self, fragment_id, reason):
+        self.removed.append((fragment_id, reason))
+
+
+@given(
+    walk_operations,
+    st.integers(1, 4),
+    st.sampled_from(["lrfu", "lru", "lfu", "fifo", "ttl", "gds"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_walk_invalidates_what_the_dataclass_oracle_selects_in_order(
+    ops, capacity, policy
+):
+    directory = CacheDirectory(capacity, policy=make_policy(policy))
+    removals = Removals()
+    directory.attach_insight(removals)
+    manager = InvalidationManager(directory)
+    for op in ops:
+        if op[0] == "insert":
+            _, index, deps = op
+            directory.insert(
+                fid(index), FragmentMetadata(dependencies=tuple(deps)), 10, 0.0
+            )
+        elif op[0] == "invalidate":
+            directory.invalidate(fid(op[1]))
+        elif op[0] == "event":
+            check_event(directory, manager, removals, op[1])
+        else:
+            # Desync one row (flag cleared, bookkeeping skipped): it stays
+            # indexed but is no candidate, until the repair drops it.
+            _, index, event = op
+            entry = directory.peek(fid(index))
+            if entry is not None:
+                entry.is_valid = False
+            check_event(directory, manager, removals, event)
+            directory.audit_and_repair()
+        directory.check_invariants()
+
+
+def check_event(directory, manager, removals, event):
+    """Run one event through the manager and compare with the oracle."""
+    valid = [
+        entry
+        for entry in sorted(directory.valid_entries(), key=lambda e: e.dpc_key)
+        if entry.is_valid
+    ]
+    candidates = [
+        entry for entry in valid
+        if any(
+            dep.table == event.table and dep.key in (None, event.key)
+            for dep in entry.dependencies
+        )
+    ]
+    assert directory.dependents(event.table, event.key) == candidates
+    expected = [
+        entry for entry in valid
+        if any(
+            ReferenceDependency(*dep).matches(
+                event.table, event.key, event.changed_columns,
+                row=event.row, old_row=event.old_row,
+            )
+            for dep in entry.dependencies
+        )
+    ]
+    free_before = list(directory.free_list._keys)
+    count = manager.fragments_invalidated
+    del removals.removed[:]
+    manager.on_change(event)
+    assert removals.removed == [
+        (entry.fragment_id, "data_invalidated") for entry in expected
+    ]
+    assert list(directory.free_list._keys) == free_before + [
+        entry.dpc_key for entry in expected
+    ]
+    assert manager.fragments_invalidated - count == len(expected)
+    assert not any(entry.is_valid for entry in expected)

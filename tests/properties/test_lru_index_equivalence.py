@@ -137,6 +137,6 @@ def test_indexed_lru_matches_scan_oracle(ops, capacity, slack):
         assert apply(indexed, op, arg, ttl, now) == apply(oracle, op, arg, ttl, now)
         assert state(indexed) == state(oracle)
         if indexed.policy._heap is not None:
-            assert set(map(id, indexed.policy._live)) == set(
+            assert {id(e) for e in indexed.policy._entries if e is not None} == set(
                 map(id, indexed._valid_by_key.values())
             )
