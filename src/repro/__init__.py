@@ -32,7 +32,6 @@ __version__ = "1.0.0"
 from . import analysis, appserver, baselines, cms, core, database, faults
 from . import harness, insight, network, overload, sites, telemetry, workload
 from .errors import (
-    CircuitOpenError,
     DeadlineExceededError,
     DeliveryTimeoutError,
     FaultError,
@@ -42,7 +41,6 @@ from .errors import (
     QueueFullError,
     RecoveryError,
     ReproError,
-    RequestShedError,
 )
 
 __all__ = [
@@ -60,7 +58,6 @@ __all__ = [
     "sites",
     "telemetry",
     "workload",
-    "CircuitOpenError",
     "DeadlineExceededError",
     "DeliveryTimeoutError",
     "FaultError",
@@ -70,6 +67,5 @@ __all__ = [
     "QueueFullError",
     "RecoveryError",
     "ReproError",
-    "RequestShedError",
     "__version__",
 ]

@@ -111,10 +111,9 @@ class ApplicationServer:
 
         With tracing enabled the same work is reported as a ``bem.process``
         span containing ``script.exec`` (itself split into
-        ``script.compute`` and ``db.query`` leaves, plus any ``queue.wait``
-        the connection pool injected mid-script) and origin-side
-        ``queue.wait`` spans — every clock advance lands in a leaf, so the
-        tree tiles exactly.
+        ``script.compute`` and ``db.query`` leaves) and origin-side
+        ``queue.wait`` spans for the application and DB-pool queues —
+        every clock advance lands in a leaf, so the tree tiles exactly.
         """
         with self.tracer.span("bem.process", path=request.path) as process_span:
             response = self._handle_inner(request)

@@ -1,42 +1,23 @@
 """In-memory relational engine substrate (stands in for Oracle 8.1.6).
 
-Provides typed tables, hash indexes, a tiny SQL dialect, and row-level
-change notification.  The change events are what drive data-dependency
-invalidation of cached fragments in the BEM.
+Provides typed tables with keyed and equality-indexed access, and
+row-level change notification.  The change events are what drive
+data-dependency invalidation of cached fragments in the BEM.
 """
 
-from .engine import Database, QueryResult
+from .engine import Database
 from .indexes import HashIndex
 from .schema import Column, TableSchema, schema
-from .sql import (
-    Aggregate,
-    Condition,
-    DeleteStatement,
-    InsertStatement,
-    SelectStatement,
-    UpdateStatement,
-    parse,
-)
 from .table import Table
-from .transactions import TransactionManager
 from .triggers import DELETE, INSERT, UPDATE, ChangeEvent, TriggerBus
 
 __all__ = [
     "Database",
-    "QueryResult",
     "HashIndex",
     "Column",
     "TableSchema",
     "schema",
-    "Aggregate",
-    "Condition",
-    "SelectStatement",
-    "InsertStatement",
-    "UpdateStatement",
-    "DeleteStatement",
-    "parse",
     "Table",
-    "TransactionManager",
     "TriggerBus",
     "ChangeEvent",
     "INSERT",

@@ -7,7 +7,7 @@ for fragments (a fragment can depend on a whole table or on specific rows).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional
 
 from ..errors import IntegrityError, SchemaError
 from .indexes import HashIndex
@@ -75,10 +75,6 @@ class Table:
         self._indexes[column] = index
         return index
 
-    def has_index(self, column: str) -> bool:
-        """Whether a hash index exists on ``column``."""
-        return column in self._indexes
-
     # -- mutation ---------------------------------------------------------------
 
     def insert(self, row: Dict[str, object]) -> Dict[str, object]:
@@ -96,64 +92,61 @@ class Table:
         self._publish(ChangeEvent(self.name, INSERT, pk, row=dict(validated)))
         return dict(validated)
 
-    def update(
-        self,
-        changes: Dict[str, object],
-        where: Optional[Predicate] = None,
-        key: object = None,
-    ) -> int:
-        """Apply ``changes`` to matching rows; returns the count updated.
+    def update(self, changes: Dict[str, object], key: object) -> int:
+        """Apply ``changes`` to the row with primary key ``key``.
 
-        Either a ``key`` (primary key) or a ``where`` predicate selects the
-        rows; passing neither updates every row.  Changing the primary key
-        itself is not supported (no script in the reproduction needs it, and
-        forbidding it keeps slot/index bookkeeping simple).
+        Returns 1 if the row changed, 0 if no row has that key or every
+        value already matched.  Changing the primary key itself is not
+        supported (no script in the reproduction needs it, and forbidding
+        it keeps slot/index bookkeeping simple).
         """
         if self.schema.primary_key in changes:
             raise SchemaError("updating the primary key is not supported")
-        for column in changes:
-            self.schema.column(column)
-        updated = 0
-        for pk in self._matching_keys(where, key):
-            old = self._rows[pk]
-            new = dict(old)
-            changed_columns = []
-            for column, value in changes.items():
-                validated = self.schema.column(column).validate_value(value)
-                if old[column] != validated:
-                    changed_columns.append(column)
-                new[column] = validated
-            if not changed_columns:
-                continue
-            for column in changed_columns:
-                if column in self._indexes:
-                    self._indexes[column].remove(old[column], pk)
-                    self._indexes[column].add(new[column], pk)
-            self._rows[pk] = new
-            updated += 1
-            self.rows_written += 1
-            self._publish(
-                ChangeEvent(
-                    self.name,
-                    UPDATE,
-                    pk,
-                    row=dict(new),
-                    old_row=dict(old),
-                    changed_columns=tuple(changed_columns),
-                )
+        columns = [(name, self.schema.column(name)) for name in changes]
+        old = self._rows.get(key)
+        if old is None:
+            return 0
+        new = dict(old)
+        changed_columns = []
+        for name, column in columns:
+            validated = column.validate_value(changes[name])
+            if old[name] != validated:
+                changed_columns.append(name)
+            new[name] = validated
+        if not changed_columns:
+            return 0
+        indexes = self._indexes
+        for name in changed_columns:
+            index = indexes.get(name)
+            if index is not None:
+                index.remove(old[name], key)
+                index.add(new[name], key)
+        self._rows[key] = new
+        self.rows_written += 1
+        # The replaced pre-image is referenced by nothing else now, so the
+        # event may carry it as is; the stored row goes out as a copy.
+        self._publish(
+            ChangeEvent(
+                self.name,
+                UPDATE,
+                key,
+                row=dict(new),
+                old_row=old,
+                changed_columns=tuple(changed_columns),
             )
-        return updated
+        )
+        return 1
 
-    def delete(self, where: Optional[Predicate] = None, key: object = None) -> int:
-        """Delete matching rows; returns the count deleted."""
-        doomed = list(self._matching_keys(where, key))
-        for pk in doomed:
-            old = self._rows.pop(pk)
-            for column, index in self._indexes.items():
-                index.remove(old[column], pk)
-            self.rows_written += 1
-            self._publish(ChangeEvent(self.name, DELETE, pk, old_row=dict(old)))
-        return len(doomed)
+    def delete(self, key: object) -> int:
+        """Delete the row with primary key ``key``; returns 1, or 0 if absent."""
+        old = self._rows.pop(key, None)
+        if old is None:
+            return 0
+        for column, index in self._indexes.items():
+            index.remove(old[column], key)
+        self.rows_written += 1
+        self._publish(ChangeEvent(self.name, DELETE, key, old_row=old))
+        return 1
 
     # -- reads ------------------------------------------------------------------
 
@@ -183,6 +176,7 @@ class Table:
         """Equality lookup, via the index on ``column`` when one exists."""
         index = self._indexes.get(column)
         if index is None:
+            self.schema.column(column)  # validates existence
             return list(self.scan(lambda row: row[column] == value))
         rows = [dict(self._rows[pk]) for pk in index.lookup(value)]
         self.rows_read += len(rows)
@@ -201,46 +195,9 @@ class Table:
 
     # -- internals ---------------------------------------------------------------
 
-    def _matching_keys(
-        self, where: Optional[Predicate], key: object
-    ) -> Iterable[object]:
-        if key is not None:
-            return [key] if key in self._rows else []
-        if where is None:
-            return list(self._rows.keys())
-        matches = []
-        tally = self.tally
-        for pk, row in self._rows.items():
-            self.rows_read += 1
-            tally.rows += 1
-            if where(dict(row)):
-                matches.append(pk)
-        return matches
-
     def _publish(self, event: ChangeEvent) -> None:
         if self._bus is not None:
             self._bus.publish(event)
-
-    # -- transaction support (undo primitives; never publish events) --------------
-
-    def silent_delete(self, key: object) -> None:
-        """Undo an INSERT: remove the row without emitting any event."""
-        old = self._rows.pop(key)
-        for column, index in self._indexes.items():
-            index.remove(old[column], key)
-
-    def silent_restore(self, key: object, row: Dict[str, object]) -> None:
-        """Undo an UPDATE or DELETE: put the pre-image back, eventlessly."""
-        current = self._rows.get(key)
-        if current is not None:
-            for column, index in self._indexes.items():
-                if current[column] != row[column]:
-                    index.remove(current[column], key)
-                    index.add(row[column], key)
-        else:
-            for column, index in self._indexes.items():
-                index.add(row[column], key)
-        self._rows[key] = dict(row)
 
     def reset_counters(self) -> None:
         """Zero the rows-read/rows-written counters."""

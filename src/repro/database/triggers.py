@@ -80,9 +80,10 @@ class TriggerBus:
     """Dispatches :class:`ChangeEvent` objects to subscribed listeners.
 
     Listeners can subscribe to a single table or to all tables (``None``).
-    Dispatch order is subscription order; listeners must not mutate the
-    database from inside a callback (the engine guards against re-entrant
-    mutation and raises).
+    Dispatch order is subscription order.  Listeners must not mutate the
+    database from inside a callback; nothing enforces this, and a
+    re-entrant mutation would publish its event before the remaining
+    listeners of the first one have run.
     """
 
     def __init__(self) -> None:

@@ -106,10 +106,6 @@ class QueryError(DatabaseError):
     """A query was malformed or referenced unknown tables/columns."""
 
 
-class SqlSyntaxError(QueryError):
-    """The tiny SQL dialect parser rejected a statement."""
-
-
 class IntegrityError(DatabaseError):
     """A constraint (primary key uniqueness, NOT NULL) was violated."""
 
@@ -194,10 +190,3 @@ class QueueFullError(OverloadError):
 class DeadlineExceededError(OverloadError):
     """A request's deadline expired before (or while) it could be served."""
 
-
-class RequestShedError(OverloadError):
-    """An admission-control policy refused an origin-bound request."""
-
-
-class CircuitOpenError(OverloadError):
-    """The circuit breaker toward a saturated origin is open."""

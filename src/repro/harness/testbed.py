@@ -315,7 +315,6 @@ class Testbed:
         # component, so a request's span tree tiles its virtual latency.
         self.tracer = Tracer(self.clock, enabled=config.tracing)
         self.server.tracer = self.tracer
-        self.services.db.tracer = self.tracer
 
         # The measured path: firewall, origin link and its Sniffer.
         self.path = Figure4Path(

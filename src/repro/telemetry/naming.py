@@ -89,9 +89,7 @@ METRIC_NAMES = (
     "channel.messages_sent",
     "channel.messages_dropped",
     # -- database ---------------------------------------------------------
-    "db.statements_executed",
     "db.rows_read",
-    "db.queue_wait_s",
     "db.tables",
     # -- fault recovery (repro.faults) ------------------------------------
     "recovery.synced_epoch",

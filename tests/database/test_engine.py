@@ -1,8 +1,9 @@
-"""Tests for the database engine executing the tiny SQL dialect."""
+"""Tests for the database engine: DDL, table lookup, events and statistics."""
 
 import pytest
 
 from repro.database import Database, schema
+from repro.database.triggers import INSERT, UPDATE
 from repro.errors import QueryError, SchemaError
 
 
@@ -16,9 +17,9 @@ def db():
         )
     )
     table.create_index("category")
-    database.execute("INSERT INTO products (pid, category, price) VALUES ('a', 'books', 10.0)")
-    database.execute("INSERT INTO products (pid, category, price) VALUES ('b', 'books', 20.0)")
-    database.execute("INSERT INTO products (pid, category, price) VALUES ('c', 'toys', 5.0)")
+    table.insert({"pid": "a", "category": "books", "price": 10.0})
+    table.insert({"pid": "b", "category": "books", "price": 20.0})
+    table.insert({"pid": "c", "category": "toys", "price": 5.0})
     return database
 
 
@@ -30,109 +31,61 @@ class TestDdl:
     def test_drop_table(self, db):
         db.drop_table("products")
         assert not db.has_table("products")
+        assert db.table_names() == []
         with pytest.raises(SchemaError):
             db.drop_table("products")
 
     def test_unknown_table_query(self, db):
         with pytest.raises(QueryError):
-            db.execute("SELECT * FROM nope")
+            db.table("nope")
+
+    def test_table_names_sorted(self, db):
+        db.create_table(schema("authors", [("aid", "str")]))
+        assert db.table_names() == ["authors", "products"]
+        assert db.has_table("authors")
 
 
 class TestSelect:
-    def test_select_star(self, db):
-        result = db.execute("SELECT * FROM products")
-        assert result.rowcount == 3
-
-    def test_select_columns_projects(self, db):
-        result = db.execute("SELECT pid FROM products WHERE category = 'books'")
-        assert all(set(row) == {"pid"} for row in result.rows)
-        assert {row["pid"] for row in result.rows} == {"a", "b"}
-
-    def test_where_uses_index(self, db):
-        result = db.execute("SELECT * FROM products WHERE category = 'books'")
-        # Index probe touches only the 2 matching rows, not all 3.
-        assert result.rows_touched == 2
-
-    def test_where_pk_lookup(self, db):
-        result = db.execute("SELECT * FROM products WHERE pid = 'c'")
-        assert result.rowcount == 1
-        assert result.rows_touched == 1
-
     def test_where_scan_touches_everything(self, db):
-        result = db.execute("SELECT * FROM products WHERE price > 7.0")
-        assert result.rowcount == 2
-        assert result.rows_touched == 3
-
-    def test_order_by_desc_and_limit(self, db):
-        result = db.execute("SELECT pid FROM products ORDER BY price DESC LIMIT 2")
-        assert [row["pid"] for row in result.rows] == ["b", "a"]
-
-    def test_multiple_conditions(self, db):
-        result = db.execute(
-            "SELECT * FROM products WHERE category = 'books' AND price > 15.0"
-        )
-        assert [row["pid"] for row in result.rows] == ["b"]
-
-    def test_params_bound_in_order(self, db):
-        result = db.execute(
-            "SELECT * FROM products WHERE category = ? AND price < ?", ("books", 15.0)
-        )
-        assert [row["pid"] for row in result.rows] == ["a"]
-
-    def test_param_arity_checked(self, db):
-        with pytest.raises(QueryError):
-            db.execute("SELECT * FROM products WHERE pid = ?", ())
-        with pytest.raises(QueryError):
-            db.execute("SELECT * FROM products", ("x",))
-
-    def test_unknown_column_rejected(self, db):
-        with pytest.raises(SchemaError):
-            db.execute("SELECT nope FROM products")
+        db.reset_counters()
+        rows = list(db.table("products").scan(lambda row: row["price"] > 7.0))
+        assert sorted(row["pid"] for row in rows) == ["a", "b"]
+        assert db.total_rows_read() == 3
 
 
 class TestMutations:
     def test_update_via_sql(self, db):
-        result = db.execute("UPDATE products SET price = 99.0 WHERE pid = 'a'")
-        assert result.rowcount == 1
-        assert db.execute("SELECT price FROM products WHERE pid = 'a'").rows[0][
-            "price"
-        ] == 99.0
-
-    def test_update_all(self, db):
-        assert db.execute("UPDATE products SET price = 1.0").rowcount == 3
+        products = db.table("products")
+        assert products.update({"price": 99.0}, key="a") == 1
+        assert products.get("a")["price"] == 99.0
+        assert db.total_rows_written() == 4
 
     def test_delete_via_sql(self, db):
-        assert db.execute("DELETE FROM products WHERE category = 'toys'").rowcount == 1
-        assert db.execute("SELECT * FROM products").rowcount == 2
+        products = db.table("products")
+        assert products.delete(key="c") == 1
+        assert not products.lookup("category", "toys")
+        assert sorted(row["pid"] for row in products.scan()) == ["a", "b"]
 
-    def test_insert_with_params(self, db):
-        db.execute(
-            "INSERT INTO products (pid, category, price) VALUES (?, ?, ?)",
-            ("d", "toys", 3.0),
-        )
-        assert db.execute("SELECT * FROM products").rowcount == 4
+
+class TestEvents:
+    def test_tables_publish_on_the_database_bus(self, db):
+        events = []
+        db.bus.subscribe(events.append)
+        products = db.table("products")
+        products.update({"price": 11.0}, key="a")
+        products.insert({"pid": "d", "category": "toys", "price": 3.0})
+        assert [(event.operation, event.key) for event in events] == [
+            (UPDATE, "a"),
+            (INSERT, "d"),
+        ]
 
 
 class TestStatistics:
-    def test_statement_counter(self, db):
-        before = db.statements_executed
-        db.execute("SELECT * FROM products")
-        assert db.statements_executed == before + 1
-
     def test_rows_read_written_roll_up(self, db):
         db.reset_counters()
-        db.execute("SELECT * FROM products")
-        db.execute("UPDATE products SET price = 0.0 WHERE pid = 'a'")
-        assert db.total_rows_read() >= 3
+        products = db.table("products")
+        list(products.scan())
+        products.lookup("category", "books")
+        products.update({"price": 0.0}, key="a")
+        assert db.total_rows_read() == 5
         assert db.total_rows_written() == 1
-
-    def test_order_by_handles_mixed_nulls(self):
-        database = Database()
-        database.create_table(
-            schema("t", [("k", "int"), ("v", "str")], nullable=["v"])
-        )
-        database.execute("INSERT INTO t (k, v) VALUES (1, 'b')")
-        database.execute("INSERT INTO t (k, v) VALUES (2, NULL)")
-        database.execute("INSERT INTO t (k, v) VALUES (3, 'a')")
-        result = database.execute("SELECT k FROM t ORDER BY v")
-        assert [row["k"] for row in result.rows] == [2, 3, 1]  # NULLs first

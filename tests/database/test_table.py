@@ -48,13 +48,6 @@ class TestUpdate:
         assert table.update({"price": 11.0}, key="a") == 1
         assert table.get("a")["price"] == 11.0
 
-    def test_update_by_predicate(self, table):
-        seed(table)
-        count = table.update(
-            {"price": 0.0}, where=lambda row: row["category"] == "books"
-        )
-        assert count == 2
-
     def test_noop_update_returns_zero(self, table):
         seed(table)
         assert table.update({"price": 10.0}, key="a") == 0
@@ -62,6 +55,17 @@ class TestUpdate:
     def test_update_missing_key_is_zero(self, table):
         seed(table)
         assert table.update({"price": 1.0}, key="zzz") == 0
+
+    def test_update_missing_key_validates_no_value(self, table):
+        seed(table)
+        assert table.update({"price": "free"}, key="zzz") == 0
+
+    def test_update_unknown_column_rejected(self, table):
+        seed(table)
+        with pytest.raises(SchemaError):
+            table.update({"nope": 1.0}, key="a")
+        with pytest.raises(SchemaError):
+            table.update({"nope": 1.0}, key="zzz")
 
     def test_update_pk_forbidden(self, table):
         seed(table)
@@ -80,15 +84,10 @@ class TestDelete:
         assert table.delete(key="a") == 1
         assert table.get("a") is None
 
-    def test_delete_by_predicate(self, table):
+    def test_delete_missing_key_is_zero(self, table):
         seed(table)
-        assert table.delete(where=lambda row: row["category"] == "books") == 2
-        assert len(table) == 1
-
-    def test_delete_all(self, table):
-        seed(table)
-        assert table.delete() == 3
-        assert len(table) == 0
+        assert table.delete(key="zzz") == 0
+        assert len(table) == 3
 
 
 class TestIndexes:
@@ -102,6 +101,11 @@ class TestIndexes:
         seed(table)
         rows = table.lookup("category", "toys")
         assert [row["pid"] for row in rows] == ["c"]
+
+    def test_lookup_unknown_column_rejected(self, table):
+        seed(table)
+        with pytest.raises(SchemaError):
+            table.lookup("nope", 1)
 
     def test_index_created_after_rows_backfills(self, table):
         seed(table)
@@ -166,8 +170,39 @@ class TestChangeEvents:
         assert events[-1].operation == DELETE
         assert events[-1].old_row == {"k": 1, "v": 10}
 
+    def test_listener_cannot_reach_the_stored_row(self):
+        bus = TriggerBus()
+        table = Table(schema("t", [("k", "int"), ("v", "int")]), bus=bus)
+
+        def vandal(event):
+            for image in (event.row, event.old_row):
+                if image is not None:
+                    image["v"] = -1
+
+        bus.subscribe(vandal)
+        table.insert({"k": 1, "v": 10})
+        assert table.get(1) == {"k": 1, "v": 10}
+        table.update({"v": 20}, key=1)
+        assert table.get(1) == {"k": 1, "v": 20}
+        assert list(table.scan()) == [{"k": 1, "v": 20}]
+        table.update({"v": 30}, key=1)
+        assert table.get(1) == {"k": 1, "v": 30}
+
 
 class TestCounters:
+    def test_get_counts_one_row(self, table):
+        seed(table)
+        table.reset_counters()
+        assert table.get("c")["price"] == 5.0
+        assert table.rows_read == 1
+
+    def test_index_lookup_counts_only_matches(self, table):
+        table.create_index("category")
+        seed(table)
+        table.reset_counters()
+        assert len(table.lookup("category", "books")) == 2
+        assert table.rows_read == 2
+
     def test_scan_counts_all_rows_examined(self, table):
         seed(table)
         table.reset_counters()

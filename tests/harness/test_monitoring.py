@@ -107,11 +107,17 @@ class TestRemovedShim:
 
 class TestNewSections:
     def test_database_rows_surface(self):
-        from repro.database import Database
+        from repro.database import Database, schema
 
-        snapshot = take_snapshot(db=Database())
-        assert snapshot.get("db.statements_executed") == 0
-        assert snapshot.get("db.tables") == 0
+        db = Database()
+        table = db.create_table(schema("t", [("k", "int")]))
+        table.insert({"k": 1})
+        table.get(1)
+        snapshot = take_snapshot(db=db)
+        db_rows = [name for name in snapshot.names() if name.startswith("db.")]
+        assert db_rows == ["db.rows_read", "db.tables"]
+        assert snapshot.get("db.rows_read") == 1
+        assert snapshot.get("db.tables") == 1
 
     def test_breaker_rows_surface(self):
         from repro.overload import CircuitBreaker

@@ -96,14 +96,6 @@ def test_tutorial_end_to_end():
     assert fresh.meta["hits"] == 1          # dish_of_the_day survives
     assert "Khao Soi" in dpc.process_response(fresh.body).html
 
-    # §5: transactional updates invalidate at commit, atomically.
-    events_before = bem.invalidation.events_seen
-    with db.transaction():
-        db.table("dishes").update({"minutes": 20}, key="d1")
-        db.table("dishes").update({"minutes": 30}, key="d2")
-        assert bem.invalidation.events_seen == events_before
-    assert bem.invalidation.events_seen == events_before + 2
-
     # §6: warming + snapshot.
     report = CacheWarmer(server, dpc).warm_pages(
         [PageSpec.create("/cuisine.jsp", {"cuisine": c})

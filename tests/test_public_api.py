@@ -76,7 +76,7 @@ class TestErrorHierarchy:
     def test_domain_errors_are_distinct_branches(self):
         assert not issubclass(errors.DatabaseError, errors.CacheError)
         assert not issubclass(errors.NetworkError, errors.AppServerError)
-        assert issubclass(errors.SqlSyntaxError, errors.QueryError)
+        assert issubclass(errors.QueryError, errors.DatabaseError)
         assert issubclass(errors.AssemblyError, errors.CacheError)
 
     def test_all_error_classes_documented(self):
