@@ -24,7 +24,14 @@ from ..cms import ContentRepository, PersonalizationEngine, ProfileStore
 from ..core.fragments import FragmentID, FragmentMetadata
 from ..core.scanner import utf8_len
 from ..core.tagging import TagRegistry
-from ..core.template import DEFAULT_CONFIG, GetInstruction, Template
+from ..core.template import (
+    DEFAULT_CONFIG,
+    GetInstruction,
+    Literal,
+    Template,
+    escape_literal,
+    parse_template,
+)
 from ..database import Database
 from ..errors import ScriptError, ScriptNotFound
 from ..network.latency import GenerationCostModel
@@ -67,12 +74,20 @@ class ScriptContext:
 
     It is also the page writer.  With a monitor (``bem``) attached, tagged
     blocks run its ``process_block`` protocol and the page is a *template*
-    of literals and GET/SET instructions, framed with the monitor's
+    of literals and GET/SET tags, framed with the monitor's
     ``template_config``; without one (caching disabled) every block runs
     and the page is plain text, which doubles as the correctness oracle for
     DPC assembly.  Scripts cannot tell the two apart: that transparency
     lets the system work without changing the site's MVC structure
     (§3.2.2's critique of ESI).
+
+    The page is written as wire text while blocks resolve, as the paper's
+    BEM writes its tags into the response (§4.3.2): a hit appends its
+    memoized GET tag, a miss its SET frame around the escaped content.
+    Literal text (writes and uncached blocks) collects as a run that is
+    joined and escaped once before the next tag, so a sentinel split
+    across two writes is still escaped.  :attr:`template` decodes the
+    result for readers that want instructions.
     """
 
     def __init__(
@@ -90,9 +105,12 @@ class ScriptContext:
         #: The block monitor: a :class:`~repro.core.bem.BackEndMonitor`,
         #: the ESI capture monitor, or ``None`` for an uncached page.
         self.bem = bem
-        self.template = Template(
-            config=DEFAULT_CONFIG if bem is None else bem.template_config
-        )
+        self._config = DEFAULT_CONFIG if bem is None else bem.template_config
+        self._get_tags = self._config.get_tags
+        #: Finished wire text: escaped literal runs and tags, in page order.
+        self._parts: List[str] = []
+        #: Literal texts since the last tag, awaiting one join and escape.
+        self._run: List[str] = []
         self._lookup_tag = services.tags.lookup
         self._describe = _Describe()
         #: Blocks written, cacheable blocks served by a GET (hits) and
@@ -115,7 +133,7 @@ class ScriptContext:
     def write(self, text: str) -> "ScriptContext":
         """Emit layout markup (never cacheable, ships with every response)."""
         if text:
-            self.template.literal(text)
+            self._run.append(text)
         return self
 
     def block(
@@ -151,7 +169,7 @@ class ScriptContext:
         if tag is None or not tag.cacheable or bem is None:
             content = generate()
             if content:
-                self.template.literal(content)
+                self._run.append(content)
         else:
             describe = self._describe
             describe.tag = tag
@@ -159,13 +177,23 @@ class ScriptContext:
             instruction = bem.process_block(
                 FragmentID.create(name, params), describe, generate
             )
-            self.template.instructions.append(instruction)
+            # The run is flushed only now: a generator may have written.
+            parts = self._parts
+            run = self._run
+            if run:
+                parts.append(escape_literal("".join(run)))
+                run.clear()
             if type(instruction) is GetInstruction:
+                parts.append(self._get_tags[instruction.key])
                 self.hits += 1
                 self.generation_cost_s += self.cost_model.block_hit_cost()
                 return self
             self.misses += 1
             content = instruction.content
+            key = self._config.format_key(instruction.key)
+            parts.append("<~S:" + key + "~>")
+            parts.append(escape_literal(content))
+            parts.append("<~E:" + key + "~>")
         output_bytes = utf8_len(content)
         self.generated_bytes += output_bytes
         rows = db.total_rows_read() - rows_before
@@ -183,15 +211,36 @@ class ScriptContext:
         return self
 
     def response_body(self) -> str:
-        """What the origin ships for this page.
+        """What the origin ships for this page: the wire text written so far.
 
-        With a monitor, the serialized template (:meth:`Template.serialize`
-        merges adjacent literals itself); without one, every instruction is
-        a literal and the body is the full page.
+        With a monitor, the template's wire form (what
+        :meth:`Template.serialize` renders for the same writes and blocks);
+        without one, the full page.
         """
+        run = self._run
+        if self.bem is None:
+            return "".join(run)
+        parts = self._parts
+        if not run:
+            return "".join(parts)
+        # The open run stays open: a later write may complete a sentinel.
+        parts.append(escape_literal("".join(run)))
+        body = "".join(parts)
+        parts.pop()
+        return body
+
+    @property
+    def template(self) -> Template:
+        """The page written so far, decoded: a read-only view.
+
+        ``parse_template`` of the body with a monitor; one literal of the
+        whole page without one.  The serve path never builds it; the ESI
+        capture and the tests read it.
+        """
+        body = self.response_body()
         if self.bem is not None:
-            return self.template.serialize()
-        return "".join([literal.text for literal in self.template.instructions])
+            return parse_template(body, self._config)
+        return Template([Literal(body)] if body else [], self._config)
 
     # -- intermediate objects ------------------------------------------------------
 

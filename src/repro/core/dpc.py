@@ -19,29 +19,27 @@ entire coordination protocol: no explicit BEM->DPC control messages exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (
     AssemblyError,
     ConfigurationError,
     OversizedFragmentError,
     SlotError,
+    TemplateError,
 )
 from .scanner import TagScanner, utf8_len
 from .template import (
     DEFAULT_CONFIG,
-    OP_GET,
-    OP_SET,
-    OP_TEXT,
     SENTINEL,
     GetInstruction,
     Literal,
-    PlanOp,
     SetInstruction,
     Template,
     TemplateCache,
     TemplateConfig,
-    compile_wire,
+    read_tag,
+    tag_matcher,
 )
 
 
@@ -105,11 +103,11 @@ class DynamicProxyCache:
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
         self.scanner = TagScanner(SENTINEL)
-        #: LRU parse cache: SET-free wire string -> compiled plan.  A warm
-        #: proxy repeatedly receives identical GET-only wire forms;
-        #: re-compiling them is avoidable interpreter cost.  The cache only
-        #: affects *how* a plan is obtained — scanned-byte accounting,
-        #: stats, and assembled pages are byte-identical.
+        #: LRU parse cache: SET-free wire string -> its part skeleton.  A
+        #: warm proxy repeatedly receives identical GET-only wire forms;
+        #: re-scanning them is avoidable interpreter cost.  The cache only
+        #: affects *how* a page's parts are found — scanned-byte
+        #: accounting, stats, and assembled pages are byte-identical.
         self.parse_cache = TemplateCache()
         self.stats = DpcStats()
         #: Generation counter: bumped every time the slot array is wiped
@@ -175,24 +173,153 @@ class DynamicProxyCache:
     def process_response(self, wire: str) -> AssembledPage:
         """Scan an origin response and assemble the user-deliverable page.
 
-        This is the ISAPI-filter equivalent: one pass over the bytes, tags
-        dispatched as encountered, literals copied through.  The wire
-        compiles straight to an assembly plan
-        (:func:`~repro.core.template.compile_wire`); a SET-free wire form
-        the proxy has already compiled is served from the LRU parse cache.
-        The whole response compiles before any SET is stored, so a
-        malformed wire mutates no slot.  The scan-cost counter is charged
-        the response's UTF-8 bytes whether or not the plan was cached
-        (:meth:`TagScanner.charge`).
+        This is the ISAPI-filter equivalent: one pass over the wire, text
+        pieces and slot reads going straight into the page's part list
+        (:meth:`_scan`).  A SET-free wire the proxy has already scanned is
+        served from the LRU parse cache, which keeps its part skeleton:
+        the text parts, and the part index and dpcKey of each GET.  The
+        scan-cost counter is charged the response's UTF-8 bytes whether or
+        not the wire was cached (:meth:`TagScanner.charge`).
         """
         wire_bytes = utf8_len(wire)
         self.scanner.charge(wire_bytes)
-        entry = self.parse_cache.get(wire)
-        if entry is None:
-            entry = compile_wire(wire, self.template_config)
-            if not entry[2]:
-                self.parse_cache.put(wire, entry)
-        return self._run_plan(entry[0], entry[1], wire_bytes)
+        skeleton = self.parse_cache.get(wire)
+        if skeleton is None:
+            return self._scan(wire, wire_bytes)
+        parts, gets, literal_bytes = skeleton
+        page = list(parts)
+        slots = self._slots
+        capacity = self.capacity
+        for index, key in gets:
+            content = slots[key] if key < capacity else None
+            if content is None:
+                content = self.fetch(key)  # raises the typed error
+            page[index] = content
+        return self._emit(page, 0, len(gets), literal_bytes, wire_bytes)
+
+    def _scan(self, wire: str, wire_bytes: int) -> AssembledPage:
+        """Scan ``wire`` and assemble its page in the same pass.
+
+        A ``str.find`` walk over the sentinels, each decoded by one
+        precompiled regex match; a sentinel that begins no well-formed tag
+        goes to the reference decoder
+        :func:`~repro.core.template.read_tag` for the exact error, so a
+        malformed wire raises what ``parse_template`` raises.  SETs are
+        held until the whole wire has validated, then stored in wire
+        order, so a malformed wire mutates no slot.  A GET of a key an
+        earlier SET of this wire wrote reads the new content.  A GET of an
+        empty slot, or a SET or GET of a key outside the slot array,
+        raises once the SETs before it are stored, as the per-instruction
+        walk of :meth:`assemble` does.
+        """
+        config = self.template_config
+        match = tag_matcher(config.key_width)
+        max_fragment_bytes = config.max_fragment_bytes
+        slots = self._slots
+        capacity = self.capacity
+        find = wire.find
+        parts: List[Optional[str]] = []
+        append = parts.append
+        pieces: List[str] = []  # text split by <~Q~> escapes, awaiting a join
+        gets: List[Tuple[int, int]] = []    # (part index, dpcKey) per GET
+        sets: List[Tuple[int, str]] = []    # (dpcKey, content) per SET
+        written: Dict[int, str] = {}        # dpcKey -> this wire's last SET
+        # The first SET or GET that cannot run: (SETs before it, dpcKey,
+        # the SET's content or None for a GET).
+        failure: Optional[Tuple[int, int, Optional[str]]] = None
+        literal_bytes = 0
+        open_key = -1           # the SET's key while inside its body
+        cursor = 0
+        while True:
+            # Find the next sentinel: memchr for its "~" is several times
+            # faster than the two-character search, and "~" is rare outside
+            # tags.  If that "~" is not a sentinel's, fall back to the pair
+            # search from there, so hostile "~"-laden text costs one extra
+            # memchr per tag, never a Python step per "~".
+            position = find("~", cursor)
+            if position > cursor and wire[position - 1] == "<":
+                position -= 1
+            elif position != -1:
+                position = find(SENTINEL, position)
+            if position == -1:
+                break
+            tag = match(wire, position)
+            if tag is None:
+                read_tag(wire, position, config)  # raises the parser's error
+            kind, key_text = tag.groups()
+            if kind is None:    # <~Q~>: a literal "<~"
+                pieces.append(wire[cursor:position])
+                pieces.append(SENTINEL)
+                cursor = tag.end()
+                continue
+            key = int(key_text)
+            text = wire[cursor:position]
+            cursor = tag.end()
+            if pieces:
+                pieces.append(text)
+                text = "".join(pieces)
+                pieces.clear()
+            if open_key >= 0:
+                if kind != "E" or key != open_key:
+                    raise TemplateError(
+                        "unexpected %s tag inside SET body for key %d at offset %d"
+                        % (kind, open_key, position)
+                    )
+                size = utf8_len(text)
+                if size > max_fragment_bytes:
+                    raise OversizedFragmentError(
+                        "SET body for key %d is %d bytes (max %d)"
+                        % (open_key, size, max_fragment_bytes)
+                    )
+                if key >= capacity and failure is None:
+                    failure = (len(sets), key, text)
+                sets.append((key, text))
+                written[key] = text
+                append(text)
+                open_key = -1
+            elif kind == "E":
+                raise TemplateError(
+                    "END tag for key %d without a matching SET at offset %d"
+                    % (key, position)
+                )
+            else:
+                if text:
+                    append(text)
+                    literal_bytes += utf8_len(text)
+                if kind == "G":
+                    content = written.get(key) if written else None
+                    if content is None:
+                        content = slots[key] if key < capacity else None
+                        if content is None and failure is None:
+                            failure = (len(sets), key, None)
+                    gets.append((len(parts), key))
+                    append(content)
+                else:
+                    open_key = key
+        text = wire[cursor:]
+        if open_key >= 0:
+            raise TemplateError("unterminated SET body for key %d" % open_key)
+        if pieces:
+            pieces.append(text)
+            text = "".join(pieces)
+        if text:
+            append(text)
+            literal_bytes += utf8_len(text)
+        if not sets:
+            skeleton = parts.copy()
+            for index, _ in gets:
+                skeleton[index] = None  # never pin slot content
+            self.parse_cache.put(wire, (tuple(skeleton), tuple(gets), literal_bytes))
+        if failure is not None:
+            stored, key, content = failure
+            for set_key, set_content in sets[:stored]:
+                slots[set_key] = set_content
+            if content is None:
+                self.fetch(key)         # raises: empty slot or key out of range
+            self.store(key, content)    # raises: key out of range
+        for key, content in sets:
+            slots[key] = content
+        return self._emit(parts, len(sets), len(gets), literal_bytes, wire_bytes)
 
     def assemble(self, template: Template, wire_bytes: Optional[int] = None) -> AssembledPage:
         """Execute a parsed template against the slot array.
@@ -221,35 +348,6 @@ class DynamicProxyCache:
             else:  # pragma: no cover - exhaustive over Instruction
                 raise AssemblyError("unknown instruction %r" % (instruction,))
         return self._emit(parts, sets, gets, template.literal_bytes, wire_bytes)
-
-    def _run_plan(
-        self, plan: Tuple[PlanOp, ...], literal_bytes: int, wire_bytes: int
-    ) -> AssembledPage:
-        """Execute an assembly plan: splices collected, joined once."""
-        parts: List[str] = []
-        append = parts.append
-        slots = self._slots
-        capacity = self.capacity
-        store = self.store
-        sets = 0
-        gets = 0
-        for op in plan:
-            kind = op[0]
-            if kind == OP_TEXT:
-                append(op[1])
-            elif kind == OP_GET:
-                key = op[1]
-                content = slots[key] if 0 <= key < capacity else None
-                if content is None:
-                    # Fall back to fetch() for the exact typed error.
-                    content = self.fetch(key)
-                append(content)
-                gets += 1
-            else:  # OP_SET
-                store(op[1], op[2])
-                append(op[2])
-                sets += 1
-        return self._emit(parts, sets, gets, literal_bytes, wire_bytes)
 
     def _emit(
         self,

@@ -24,30 +24,32 @@ the analysis' miss cost of ``s + 2g``.  dpcKeys are zero-padded integers,
 which is precisely why the paper introduces the integer key: "it reduces the
 tag size" versus embedding the long fragmentID (§4.3.3).
 
-Single-pass codec
------------------
+One pass per leg
+----------------
 
-The wire string is the only representation between the two ends of the
-link, and each end makes one pass over it:
+The wire string is the only form a response takes between the script and
+the client, and each end makes one pass over it:
 
-* the origin renders a template with one pass over its instructions
-  (:meth:`Template.serialize` merges each run of adjacent literals before
-  escaping it, so no ``normalized()`` copy is built);
-* the proxy compiles an origin response straight to the flat assembly plan
-  with :func:`compile_wire` — a ``str.find`` walk over the sentinels with
-  one precompiled tag regex — without building :class:`Literal` /
-  :class:`Template` objects.  The plan is exactly what
-  :meth:`Template.compiled` yields for ``parse_template(wire)``, and the
-  DPC executes it with one ``str.join``;
-* :class:`TemplateCache` is the LRU parse cache of compiled plans, keyed
-  on the wire string, for the SET-free wire forms a warm proxy sees again.
+* the origin writes it as blocks resolve
+  (:class:`~repro.appserver.scripts.ScriptContext` appends each GET tag,
+  SET frame and escaped run of literal text; :func:`escape_literal` is the
+  escape), so no instruction objects or serialize pass sit between a
+  block and the wire;
+* the proxy scans and assembles it in one ``str.find`` walk over the
+  sentinels, each tag decoded by one precompiled regex
+  (:func:`tag_matcher`), inside
+  :meth:`~repro.core.dpc.DynamicProxyCache.process_response`;
+* :class:`TemplateCache` is the proxy's LRU parse cache, keyed on the wire
+  string, for the SET-free wire forms a warm proxy sees again.
 
-:func:`parse_template`, :meth:`Template.compiled` and
-:meth:`Template.render_normalized` are the reference decoder and renderer
-the differential property tests hold the codec to; the DPC never calls
-them (the BEM's dead-letter recovery still parses an undelivered wire to
-find its SET keys).  The instruction classes carry ``__slots__`` (they are
-allocated per block per request).
+:class:`Template` and its instruction classes are the decoded view: the
+ESI capture and the tests read them.  :meth:`Template.serialize` (one pass
+over an instruction stream), :func:`compile_wire` (wire to a flat plan of
+op tuples), :func:`parse_template`, :meth:`Template.compiled` and
+:meth:`Template.render_normalized` are the reference encoder and decoders
+the differential property tests hold the two ends to; the serve path calls
+none of them (the BEM's dead-letter recovery still parses an undelivered
+wire to find its SET keys).
 """
 
 from __future__ import annotations
@@ -239,8 +241,8 @@ PlanOp = Tuple
 class Template:
     """An ordered instruction stream plus its serialization/parsing.
 
-    Nothing is memoized: the origin serializes each template once, so a
-    memo would never hit and every :meth:`add` would pay to invalidate it.
+    The decoded view of a wire, and the oracle the wire writers are tested
+    against; the serve path builds none.  Nothing is memoized.
     """
 
     def __init__(
@@ -324,7 +326,11 @@ class Template:
     # -- serialization --------------------------------------------------------------
 
     def serialize(self) -> str:
-        """Render the wire form sent from the BEM to the DPC, in one pass.
+        """Render the wire form of this instruction stream, in one pass.
+
+        The reference for the origin's wire writer
+        (:class:`~repro.appserver.scripts.ScriptContext`), which must ship
+        exactly this for the same stream of writes and blocks.
 
         Each run of adjacent literals is joined before it is escaped, so a
         sentinel split across two literals (``"<"`` + ``"~"``) is escaped
@@ -343,19 +349,19 @@ class Template:
                 run.append(instruction.text)
                 continue
             if run:
-                append(_escape("".join(run)))
+                append(escape_literal("".join(run)))
                 run.clear()
             if kind is GetInstruction:
                 append(get_tags[instruction.key])
             elif kind is SetInstruction:
                 key = format_key(instruction.key)
                 append("<~S:" + key + "~>")
-                append(_escape(instruction.content))
+                append(escape_literal(instruction.content))
                 append("<~E:" + key + "~>")
             else:  # pragma: no cover - exhaustive over Instruction
                 raise TemplateError("unknown instruction %r" % (instruction,))
         if run:
-            append(_escape("".join(run)))
+            append(escape_literal("".join(run)))
         return "".join(parts)
 
     def render_normalized(self) -> str:
@@ -367,12 +373,12 @@ class Template:
         parts: List[str] = []
         for instruction in self.normalized().instructions:
             if type(instruction) is Literal:
-                parts.append(_escape(instruction.text))
+                parts.append(escape_literal(instruction.text))
             elif type(instruction) is GetInstruction:
                 parts.append(_tag(self.config, "G", instruction.key))
             elif type(instruction) is SetInstruction:
                 parts.append(_tag(self.config, "S", instruction.key))
-                parts.append(_escape(instruction.content))
+                parts.append(escape_literal(instruction.content))
                 parts.append(_tag(self.config, "E", instruction.key))
             else:  # pragma: no cover - exhaustive over Instruction
                 raise TemplateError("unknown instruction %r" % (instruction,))
@@ -412,7 +418,8 @@ def _tag(config: TemplateConfig, kind: str, key: int) -> str:
     return "%s%s:%s%s" % (SENTINEL, kind, config.format_key(key), TAG_CLOSE)
 
 
-def _escape(text: str) -> str:
+def escape_literal(text: str) -> str:
+    """``text`` with every ``<~`` escaped, ready to go on the wire."""
     # A one-character "~" test runs on memchr; most text has no "~", so it
     # skips the slower two-character search inside replace().
     return text.replace(SENTINEL, ESCAPE_TAG) if "~" in text else text
@@ -423,15 +430,16 @@ CompiledWire = Tuple[Tuple[PlanOp, ...], int, int]
 
 
 class TemplateCache:
-    """LRU parse cache: wire string -> compiled assembly plan.
+    """LRU parse cache: wire string -> what the proxy keeps of its decode.
 
     A warm proxy sees the same serialized template again and again — every
     full-hit exchange for a page ships an identical GET-only wire form.
-    Re-compiling it is pure interpreter overhead the paper's design never
-    asks for, so the DPC keeps this cache in front of :func:`compile_wire`
-    and stores the :data:`CompiledWire` tuples it returns.  The DPC caches
-    SET-free wires only: a SET-bearing wire carries fresh fragment content
-    and never repeats, so caching it would only pin its payload.
+    Re-scanning it is pure interpreter overhead the paper's design never
+    asks for, so the DPC keeps this cache in front of its scan and stores
+    the part skeleton of each SET-free wire (see
+    :meth:`~repro.core.dpc.DynamicProxyCache.process_response`).  A
+    SET-bearing wire carries fresh fragment content and never repeats, so
+    caching it would only pin its payload.
 
     Capacity is bounded (LRU eviction) and single wire strings larger than
     ``max_wire_bytes`` (UTF-8 bytes) are never cached.
@@ -449,13 +457,13 @@ class TemplateCache:
             raise ConfigurationError("max_wire_bytes must be positive")
         self.maxsize = maxsize
         self.max_wire_bytes = max_wire_bytes
-        self._entries: "OrderedDict[str, CompiledWire]" = OrderedDict()
+        self._entries: "OrderedDict[str, object]" = OrderedDict()
         self._lengths: Dict[int, int] = {}  # len(wire) -> cached wires that long
         self.hits = 0
         self.misses = 0
 
-    def get(self, wire: str) -> Optional[CompiledWire]:
-        """The cached plan for ``wire``, refreshed to most-recently-used."""
+    def get(self, wire: str) -> Optional[object]:
+        """The cached entry for ``wire``, refreshed to most-recently-used."""
         entry = self._entries.get(wire) if len(wire) in self._lengths else None
         if entry is None:
             self.misses += 1
@@ -464,8 +472,8 @@ class TemplateCache:
         self.hits += 1
         return entry
 
-    def put(self, wire: str, entry: CompiledWire) -> None:
-        """Remember the plan for ``wire``, evicting the LRU entry if full."""
+    def put(self, wire: str, entry: object) -> None:
+        """Remember the entry for ``wire``, evicting the LRU entry if full."""
         if utf8_len(wire) > self.max_wire_bytes:
             return
         entries = self._entries
@@ -482,7 +490,7 @@ class TemplateCache:
                 lengths[size] -= 1
 
     def clear(self) -> None:
-        """Drop every cached plan (e.g. on a proxy restart)."""
+        """Drop every cached entry (e.g. on a proxy restart)."""
         self._entries.clear()
         self._lengths.clear()
 
@@ -491,11 +499,11 @@ class TemplateCache:
 
 
 @lru_cache(maxsize=16)
-def _tag_matcher(key_width: int):
+def tag_matcher(key_width: int):
     """``match`` of the regex for one well-formed tag at ``key_width``.
 
     Group 1 is the kind (``None`` for the ``<~Q~>`` escape), group 2 the
-    key digits.  ``[0-9]`` admits ASCII digits only, as :func:`_read_tag`
+    key digits.  ``[0-9]`` admits ASCII digits only, as :func:`read_tag`
     does, so the two decoders accept exactly the same tags.
     """
     return re.compile(
@@ -512,10 +520,13 @@ def compile_wire(wire: str, config: TemplateConfig = DEFAULT_CONFIG) -> Compiled
     :meth:`Template.compiled` and :attr:`Template.literal_bytes`.  A
     malformed wire raises the same exception, with the same message, as
     :func:`parse_template`: a tag the regex rejects is handed to the
-    reference decoder :func:`_read_tag`, which raises the exact error.
-    Scanned bytes are not charged here; the DPC charges every response.
+    reference decoder :func:`read_tag`, which raises the exact error.
+    The serve path does not call it: the DPC's scan
+    (:meth:`~repro.core.dpc.DynamicProxyCache.process_response`) walks the
+    wire the same way and assembles as it goes.  This is the flat-plan
+    decoder the protocol tests hold to :func:`parse_template`.
     """
-    match = _tag_matcher(config.key_width)
+    match = tag_matcher(config.key_width)
     max_fragment_bytes = config.max_fragment_bytes
     find = wire.find
     plan: List[PlanOp] = []
@@ -540,7 +551,7 @@ def compile_wire(wire: str, config: TemplateConfig = DEFAULT_CONFIG) -> Compiled
             break
         tag = match(wire, position)
         if tag is None:
-            _read_tag(wire, position, config)  # raises the parser's error
+            read_tag(wire, position, config)  # raises the parser's error
         kind, key_text = tag.groups()
         text = wire[cursor:position]
         cursor = tag.end()
@@ -603,8 +614,9 @@ def parse_template(
     The scan for tags is a single linear pass (the cost the Section 5
     analysis charges at ``z`` per byte), via :meth:`TagScanner.positions`.
     Passing a shared :class:`TagScanner` accumulates scanned-byte counts
-    across calls.  This is the reference decoder :func:`compile_wire` is
-    tested against; the DPC's serve path does not call it.
+    across calls.  This is the reference decoder the DPC's scan and
+    :func:`compile_wire` are tested against; the serve path does not call
+    it.
     """
     if scanner is None:
         scanner = TagScanner(SENTINEL)
@@ -628,7 +640,7 @@ def parse_template(
             # the current grammar, but guards against malformed overlap).
             continue
         buffer.append(wire[cursor:position])
-        kind, key, end = _read_tag(wire, position, config)
+        kind, key, end = read_tag(wire, position, config)
         cursor = end
         if kind == "Q":
             buffer.append(SENTINEL)
@@ -672,7 +684,7 @@ def parse_template(
     return template.normalized()
 
 
-def _read_tag(wire: str, position: int, config: TemplateConfig) -> Tuple[str, int, int]:
+def read_tag(wire: str, position: int, config: TemplateConfig) -> Tuple[str, int, int]:
     """Decode one tag at ``position``; returns (kind, key, end_offset)."""
     after = position + len(SENTINEL)
     if wire.startswith("Q" + TAG_CLOSE, after):

@@ -16,6 +16,11 @@ from .triggers import DELETE, INSERT, UPDATE, ChangeEvent, TriggerBus
 
 Predicate = Callable[[Dict[str, object]], bool]
 
+#: Builds a :class:`ChangeEvent` from its six fields in tuple order.  The
+#: mutations below pass module-constant operations, so they skip the
+#: keyword constructor and its operation check.
+_event = tuple.__new__
+
 
 class ReadTally:
     """Running total of rows read, shared by every table of one database.
@@ -89,7 +94,9 @@ class Table:
         for column, index in self._indexes.items():
             index.add(validated[column], pk)
         self.rows_written += 1
-        self._publish(ChangeEvent(self.name, INSERT, pk, row=dict(validated)))
+        self._publish(
+            _event(ChangeEvent, (self.name, INSERT, pk, dict(validated), None, ()))
+        )
         return dict(validated)
 
     def update(self, changes: Dict[str, object], key: object) -> int:
@@ -126,13 +133,9 @@ class Table:
         # The replaced pre-image is referenced by nothing else now, so the
         # event may carry it as is; the stored row goes out as a copy.
         self._publish(
-            ChangeEvent(
-                self.name,
-                UPDATE,
-                key,
-                row=dict(new),
-                old_row=old,
-                changed_columns=tuple(changed_columns),
+            _event(
+                ChangeEvent,
+                (self.name, UPDATE, key, dict(new), old, tuple(changed_columns)),
             )
         )
         return 1
@@ -145,7 +148,7 @@ class Table:
         for column, index in self._indexes.items():
             index.remove(old[column], key)
         self.rows_written += 1
-        self._publish(ChangeEvent(self.name, DELETE, key, old_row=old))
+        self._publish(_event(ChangeEvent, (self.name, DELETE, key, None, old, ())))
         return 1
 
     # -- reads ------------------------------------------------------------------

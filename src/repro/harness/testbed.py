@@ -245,20 +245,25 @@ class Figure4Path:
         dpc = self.dpc
         if dpc is None or bypass:
             return None
-        with tracer.span("dpc.assemble") as assemble_span:
-            scanned_before = dpc.bytes_scanned
+        # One ``dpc.assemble`` leaf, recorded after the work: a failed
+        # assembly is a 0-second leaf whose status is the error's name.
+        scanned_before = dpc.bytes_scanned
+        try:
             assembled = dpc.process_response(body)
-            scan_bytes = dpc.bytes_scanned - scanned_before
-            self.clock.advance(
-                scan_bytes * self.firewall.scan_cost_per_byte  # z ~= y (§5)
-                + self.cost_model.assembly_cost(
-                    assembled.fragments_set + assembled.fragments_get
-                )
-            )
-            assemble_span.annotate(
-                fragments_set=assembled.fragments_set,
-                fragments_get=assembled.fragments_get,
-            )
+        except BaseException as failure:
+            if tracer.enabled:
+                tracer.leaf("dpc.assemble", 0.0, type(failure).__name__, {})
+            raise
+        scan_bytes = dpc.bytes_scanned - scanned_before
+        tracer.advance(
+            "dpc.assemble",
+            scan_bytes * self.firewall.scan_cost_per_byte  # z ~= y (§5)
+            + self.cost_model.assembly_cost(
+                assembled.fragments_set + assembled.fragments_get
+            ),
+            fragments_set=assembled.fragments_set,
+            fragments_get=assembled.fragments_get,
+        )
         return assembled
 
     def serve(self, request: HttpRequest) -> Tuple[str, Optional[AssembledPage]]:

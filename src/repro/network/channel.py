@@ -3,8 +3,9 @@
 A :class:`Channel` models the link between two machines in the Figure 4
 topology (e.g. Origin Site <-> External).  Sending a message:
 
-1. packetizes it under the channel's :class:`ProtocolOverheadModel`,
-2. lets every attached :class:`~repro.network.sniffer.Sniffer` observe it,
+1. packetizes it under the channel's :class:`ProtocolOverheadModel`, once,
+2. hands its packets and wire bytes to every attached
+   :class:`~repro.network.sniffer.Sniffer`,
 3. returns the transfer time implied by the channel's bandwidth/latency,
    which the caller may add to a :class:`SimulatedClock`.
 
@@ -136,28 +137,32 @@ class Channel:
         with status ``dropped`` (a fault hook's drop) or the error's name.
         """
         status = None
+        extra_delay = 0.0
         try:
             if self._closed:
                 raise ChannelClosed("channel %r is closed" % self.name)
             self._validate_endpoints(message)
-            extra_delay = 0.0
-            for fault in list(self._faults):
-                try:
-                    penalty = fault(message)
-                except NetworkError:
-                    self.messages_dropped += 1
-                    status = "dropped"
-                    raise
-                if penalty:
-                    extra_delay += penalty
+            if self._faults:
+                for fault in list(self._faults):
+                    try:
+                        penalty = fault(message)
+                    except NetworkError:
+                        self.messages_dropped += 1
+                        status = "dropped"
+                        raise
+                    if penalty:
+                        extra_delay += penalty
         except BaseException as failure:
             if self.tracer.enabled:
                 self._trace(message, 0.0, status or type(failure).__name__)
             raise
+        payload_bytes = message.payload_bytes
+        packets, wire_bytes = self.overhead.charge(payload_bytes)
+        kind = message.kind
         for sniffer in self._sniffers:
-            sniffer.observe(message)
+            sniffer.count(kind, payload_bytes, packets, wire_bytes)
         self.messages_sent += 1
-        elapsed = self.link.transfer_time(message.wire_bytes(self.overhead)) + extra_delay
+        elapsed = self.link.transfer_time(wire_bytes) + extra_delay
         if self.tracer.enabled:
             self._trace(message, 0.0 if self.clock is None else elapsed)
         elif self.clock is not None:

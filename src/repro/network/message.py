@@ -16,15 +16,17 @@ ACKs are not modeled) still cost one packet.
 Packetization is *analytic*: packet counts and wire bytes are integer
 arithmetic on the payload size — no per-packet objects are ever built.
 :meth:`ProtocolOverheadModel.packets_for` is the single source of truth;
-:meth:`WireMessage.packets`, :meth:`WireMessage.wire_bytes`, the Channel's
-transfer-time charge, and the Sniffer's counters all delegate to it, so the
-empty-message one-packet edge case is encoded exactly once.
+:meth:`ProtocolOverheadModel.charge` derives both figures from it,
+:meth:`WireMessage.packets` and :meth:`WireMessage.wire_bytes` delegate to
+it, and a Channel computes a message's figures once per send and hands
+them to its Sniffers, so the empty-message one-packet edge case is encoded
+exactly once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -85,12 +87,16 @@ class ProtocolOverheadModel:
     def wire_bytes_for(self, payload_bytes: int) -> int:
         """Total wire bytes for one message: payload + per-packet headers
         + the per-message connection overhead."""
+        return self.charge(payload_bytes)[1]
+
+    def charge(self, payload_bytes: int) -> Tuple[int, int]:
+        """``(packets, wire bytes)`` of one message, computed together."""
+        packets = self.packets_for(payload_bytes)
         if not self.enabled:
-            return payload_bytes
+            return packets, payload_bytes
         return (
-            payload_bytes
-            + self.packets_for(payload_bytes) * self.header_bytes
-            + self.per_message_bytes
+            packets,
+            payload_bytes + packets * self.header_bytes + self.per_message_bytes,
         )
 
 
@@ -176,13 +182,7 @@ def request_message(
     **meta: object,
 ) -> WireMessage:
     """Convenience constructor for a request message."""
-    return WireMessage(
-        kind="request",
-        payload_bytes=payload_bytes,
-        source=source,
-        destination=destination,
-        meta=meta,
-    )
+    return WireMessage("request", payload_bytes, source, destination, meta)
 
 
 def response_message(
@@ -192,10 +192,4 @@ def response_message(
     **meta: object,
 ) -> WireMessage:
     """Convenience constructor for a response message."""
-    return WireMessage(
-        kind="response",
-        payload_bytes=payload_bytes,
-        source=source,
-        destination=destination,
-        meta=meta,
-    )
+    return WireMessage("response", payload_bytes, source, destination, meta)

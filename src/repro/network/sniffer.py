@@ -30,14 +30,19 @@ class TrafficCounters:
     def record(self, message: WireMessage, overhead: ProtocolOverheadModel) -> None:
         """Account one message under this direction's counters.
 
-        Wire bytes and packets come from the message's own accessors, which
-        delegate to the overhead model — the same arithmetic the channel
-        charges, so Sniffer totals can never drift from link totals.
+        Wire bytes and packets come from the overhead model — the same
+        arithmetic the channel charges, so Sniffer totals can never drift
+        from link totals.
         """
+        packets, wire_bytes = overhead.charge(message.payload_bytes)
+        self.add(message.payload_bytes, packets, wire_bytes)
+
+    def add(self, payload_bytes: int, packets: int, wire_bytes: int) -> None:
+        """Account one message whose figures are already computed."""
         self.messages += 1
-        self.payload_bytes += message.payload_bytes
-        self.wire_bytes += message.wire_bytes(overhead)
-        self.packets += message.packets(overhead)
+        self.payload_bytes += payload_bytes
+        self.wire_bytes += wire_bytes
+        self.packets += packets
 
     def merged_with(self, other: "TrafficCounters") -> "TrafficCounters":
         """A new counter equal to the element-wise sum."""
@@ -63,8 +68,19 @@ class Sniffer:
 
     def observe(self, message: WireMessage) -> None:
         """Record one message crossing the monitored link."""
-        counters = self.by_kind.setdefault(message.kind, TrafficCounters())
-        counters.record(message, self.overhead)
+        packets, wire_bytes = self.overhead.charge(message.payload_bytes)
+        self.count(message.kind, message.payload_bytes, packets, wire_bytes)
+
+    def count(
+        self, kind: str, payload_bytes: int, packets: int, wire_bytes: int
+    ) -> None:
+        """Record one message of ``kind`` whose figures the channel computed
+        under this sniffer's overhead model; a kind's counters are created
+        on its first message."""
+        counters = self.by_kind.get(kind)
+        if counters is None:
+            counters = self.by_kind[kind] = TrafficCounters()
+        counters.add(payload_bytes, packets, wire_bytes)
 
     # -- reporting ----------------------------------------------------------
 

@@ -205,15 +205,19 @@ class TestDpcParseCache:
         assert dpc.parse_cache.hits == 0
         assert dpc.parse_cache.misses == 2
 
-    def test_get_only_wire_is_cached_as_its_plan(self):
+    def test_get_only_wire_is_cached_as_its_skeleton(self):
+        """The cache keeps the text parts and, per GET, its part index and
+        dpcKey; a GET's part is a hole, so no slot content is pinned."""
         dpc = DynamicProxyCache(capacity=16)
-        wire = Template().literal("a").get(1).serialize()
-        dpc.process_response(Template().set(1, "frag").serialize())
+        wire = Template().literal("a").get(1).literal("b").get(2).serialize()
+        dpc.process_response(Template().set(1, "frag").set(2, "x").serialize())
         dpc.process_response(wire)
         assert len(dpc.parse_cache) == 1
-        plan, literal_bytes, set_count = dpc.parse_cache.get(wire)
-        assert plan == parse_template(wire).compiled()
-        assert (literal_bytes, set_count) == (1, 0)
+        parts, gets, literal_bytes = dpc.parse_cache.get(wire)
+        assert parts == ("a", None, "b", None)
+        assert gets == ((1, 1), (3, 2))
+        assert literal_bytes == parse_template(wire).literal_bytes == 2
+        assert dpc.process_response(wire).html == "afragbx"
 
     def test_clear_drops_parse_cache(self):
         dpc = DynamicProxyCache(capacity=16)

@@ -1,10 +1,18 @@
 """Tests for row storage, indexes maintenance, and change events."""
 
+import pickle
+
 import pytest
 
 from repro.database.schema import schema
 from repro.database.table import Table
-from repro.database.triggers import DELETE, INSERT, UPDATE, TriggerBus
+from repro.database.triggers import (
+    DELETE,
+    INSERT,
+    UPDATE,
+    ChangeEvent,
+    TriggerBus,
+)
 from repro.errors import IntegrityError, SchemaError
 
 
@@ -187,6 +195,50 @@ class TestChangeEvents:
         assert list(table.scan()) == [{"k": 1, "v": 20}]
         table.update({"v": 30}, key=1)
         assert table.get(1) == {"k": 1, "v": 30}
+
+
+class TestPublishedEventForm:
+    """Mutations build their events positionally, skipping the keyword
+    constructor; each must equal the event built with keywords."""
+
+    def published(self):
+        bus = TriggerBus()
+        events = []
+        bus.subscribe(events.append)
+        table = Table(schema("t", [("k", "int"), ("v", "int")]), bus=bus)
+        table.insert({"k": 1, "v": 10})
+        table.update({"v": 20}, key=1)
+        table.delete(key=1)
+        return events
+
+    def keyword_built(self):
+        return [
+            ChangeEvent(table="t", operation=INSERT, key=1, row={"k": 1, "v": 10}),
+            ChangeEvent(
+                table="t", operation=UPDATE, key=1, row={"k": 1, "v": 20},
+                old_row={"k": 1, "v": 10}, changed_columns=("v",),
+            ),
+            ChangeEvent(table="t", operation=DELETE, key=1, old_row={"k": 1, "v": 20}),
+        ]
+
+    def test_fields_match_the_keyword_form(self):
+        for event, expected in zip(self.published(), self.keyword_built()):
+            assert type(event) is ChangeEvent
+            assert event == expected
+            for name in ChangeEvent._fields:
+                assert getattr(event, name) == getattr(expected, name)
+
+    def test_repr_and_pickle_match_the_keyword_form(self):
+        for event, expected in zip(self.published(), self.keyword_built()):
+            assert repr(event) == repr(expected)
+            copy = pickle.loads(pickle.dumps(event))
+            assert type(copy) is ChangeEvent
+            assert copy == expected
+            assert pickle.dumps(event) == pickle.dumps(expected)
+
+    def test_keyword_constructor_still_checks_the_operation(self):
+        with pytest.raises(ValueError):
+            ChangeEvent("t", "upsert", 1)
 
 
 class TestCounters:
