@@ -107,6 +107,10 @@ class ScriptContext:
         self.bem = bem
         self._config = DEFAULT_CONFIG if bem is None else bem.template_config
         self._get_tags = self._config.get_tags
+        self._frame_tags = self._config.frame_tags
+        #: The database's running read total, held once per context.
+        self._reads = services.db.tally
+        self._hit_cost = cost_model.block_hit_cost()
         #: Finished wire text: escaped literal runs and tags, in page order.
         self._parts: List[str] = []
         #: Literal texts since the last tag, awaiting one join and escape.
@@ -164,8 +168,8 @@ class ScriptContext:
         tag = self._lookup_tag(name)
         self.blocks += 1
         bem = self.bem
-        db = self.services.db
-        rows_before = db.total_rows_read()
+        reads = self._reads
+        rows_before = reads.rows
         if tag is None or not tag.cacheable or bem is None:
             content = generate()
             if content:
@@ -186,27 +190,20 @@ class ScriptContext:
             if type(instruction) is GetInstruction:
                 parts.append(self._get_tags[instruction.key])
                 self.hits += 1
-                self.generation_cost_s += self.cost_model.block_hit_cost()
+                self.generation_cost_s += self._hit_cost
                 return self
             self.misses += 1
-            content = instruction.content
-            key = self._config.format_key(instruction.key)
-            parts.append("<~S:" + key + "~>")
+            key, content = instruction  # a SetInstruction
+            set_tag, end_tag = self._frame_tags[key]
+            parts.append(set_tag)
             parts.append(escape_literal(content))
-            parts.append("<~E:" + key + "~>")
+            parts.append(end_tag)
         output_bytes = utf8_len(content)
         self.generated_bytes += output_bytes
-        rows = db.total_rows_read() - rows_before
-        cost_model = self.cost_model
-        self.generation_cost_s += cost_model.block_generation_cost(
-            output_bytes=output_bytes,
-            db_rows=rows,
-            cross_tier_hops=1,
-            needs_db_connection=rows > 0,
-        )
-        self.db_cost_s += cost_model.db_block_cost(
-            db_rows=rows, needs_db_connection=rows > 0
-        )
+        rows = reads.rows - rows_before
+        cost, db_cost = self.cost_model.block_costs(output_bytes, rows, 1, rows > 0)
+        self.generation_cost_s += cost
+        self.db_cost_s += db_cost
         self.db_rows += rows
         return self
 

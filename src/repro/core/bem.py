@@ -38,6 +38,10 @@ from .template import (
     TemplateConfig,
 )
 
+#: Builds a :class:`SetInstruction` from its fields in tuple order, without
+#: a Python-level ``__new__`` call.
+_new_set = tuple.__new__
+
 
 @dataclass
 class BemStats:
@@ -202,8 +206,8 @@ class BackEndMonitor:
         content = generate()
         size = utf8_len(content)
         stats.bytes_generated += size
-        entry = self.directory.insert(fragment_id, metadata, size, now, epoch=self.epoch)
-        return SetInstruction(entry.dpc_key, content)
+        entry = self.directory.insert(fragment_id, metadata, size, now, self.epoch)
+        return _new_set(SetInstruction, (entry.dpc_key, content))
 
     # -- management surface ---------------------------------------------------------
 

@@ -231,25 +231,26 @@ class CacheDirectory:
         expiry, so no background sweeper is required for correctness (one
         exists anyway for memory hygiene; see :meth:`expire_stale`).
         """
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         entry = self._entries.get(fragment_id)
         if entry is None:
-            self.stats.misses += 1
+            stats.misses += 1
             if self.insight is not None:
                 self.insight.record_access(fragment_id, hit=False)
             return None
-        if entry.is_valid and not entry.fresh(now):
-            self.stats.ttl_expirations += 1
-            self._invalidate_entry(entry, reason="ttl_expired")
+        if entry.is_valid and entry.ttl is not None and not entry.fresh(now):
+            stats.ttl_expirations += 1
+            self._invalidate_entry(entry, "ttl_expired")
         if not entry.is_valid:
-            self.stats.misses += 1
+            stats.misses += 1
             if self.insight is not None:
                 self.insight.record_access(fragment_id, hit=False)
             return None
         entry.last_access = now
         entry.hits += 1
         self.policy.on_access(entry)
-        self.stats.hits += 1
+        stats.hits += 1
         if self.insight is not None:
             self.insight.record_access(fragment_id, hit=True)
         return entry
@@ -278,29 +279,35 @@ class CacheDirectory:
         if old is not None and old.is_valid:
             # Re-inserting over a valid entry means the caller decided to
             # regenerate (e.g. forced refresh): recycle the old key first.
-            self._invalidate_entry(old, reason="refreshed")
-        if len(self.free_list) == 0:
+            self._invalidate_entry(old, "refreshed")
+        free_list = self.free_list
+        if not free_list._keys:
             self._evict_one(now)
-        key = self.free_list.pop()
+        key = free_list.pop()
+        dependencies = tuple(metadata.dependencies)
         entry = DirectoryEntry(
-            fragment_id=fragment_id,
-            dpc_key=key,
-            is_valid=True,
-            ttl=metadata.ttl,
-            created_at=now,
-            last_access=now,
-            size_bytes=size_bytes,
-            dependencies=tuple(metadata.dependencies),
-            epoch=epoch,
+            fragment_id, key, True, metadata.ttl, now, now, 0, size_bytes,
+            dependencies, epoch,
         )
         self._entries[fragment_id] = entry
         self._valid_by_key[key] = entry
-        for dep in entry.dependencies:
-            if dep.key is None:
-                self._by_table.setdefault(dep.table, {})[key] = None
+        for dep in dependencies:
+            table, row = dep[0], dep[1]  # Dependency.table, Dependency.key
+            # get-then-store: setdefault would build a dict on every call.
+            if row is None:
+                wide = self._by_table.get(table)
+                if wide is None:
+                    wide = self._by_table[table] = {}
+                wide[key] = None
+                continue
+            rows = self._by_row.get(table)
+            if rows is None:
+                rows = self._by_row[table] = {}
+            bucket = rows.get(row)
+            if bucket is None:
+                rows[row] = {key: None}
             else:
-                rows = self._by_row.setdefault(dep.table, {})
-                rows.setdefault(dep.key, {})[key] = None
+                bucket[key] = None
         self.policy.on_insert(entry)
         self.stats.insertions += 1
         if self.insight is not None:
@@ -324,8 +331,9 @@ class CacheDirectory:
             self._quarantine_desynced(victim)
             return
         self.stats.evictions += 1
-        self.policy.record_victim(victim, now)
-        self._invalidate_entry(victim, reason="evicted_capacity")
+        if self.insight is not None:
+            self.policy.record_victim(victim, now)
+        self._invalidate_entry(victim, "evicted_capacity")
 
     def _quarantine_desynced(self, entry: DirectoryEntry) -> None:
         """Finish the bookkeeping a bare ``isValid`` flip skipped.
@@ -405,8 +413,9 @@ class CacheDirectory:
         if not entry.is_valid:
             return
         entry.is_valid = False
-        self._release(entry.dpc_key)
-        self.free_list.push(entry.dpc_key)
+        key = entry.dpc_key
+        self._release(key)
+        self.free_list.push(key)
         # Drop the stale record entirely: the paper keeps it only until the
         # fragment is re-requested, and removing it bounds directory memory.
         fragment_id = entry.fragment_id
@@ -420,15 +429,16 @@ class CacheDirectory:
         entry = self._valid_by_key.pop(key)
         self.policy.on_remove(entry)
         for dep in entry.dependencies:
-            if dep.key is None:
-                self._by_table[dep.table].pop(key, None)
+            table, row = dep[0], dep[1]  # Dependency.table, Dependency.key
+            if row is None:
+                self._by_table[table].pop(key, None)
                 continue
-            rows = self._by_row[dep.table]
-            bucket = rows.get(dep.key)
+            rows = self._by_row[table]
+            bucket = rows.get(row)
             if bucket is not None:
                 bucket.pop(key, None)
                 if not bucket:
-                    del rows[dep.key]
+                    del rows[row]
 
     # -- repair (recovery API; see repro.faults.recovery) --------------------------
 

@@ -201,7 +201,9 @@ class DynamicProxyCache:
         """Scan ``wire`` and assemble its page in the same pass.
 
         A ``str.find`` walk over the sentinels, each decoded by one
-        precompiled regex match; a sentinel that begins no well-formed tag
+        precompiled regex match, except the END of an open SET, which is
+        recognized with one ``startswith`` of the END tag built from the
+        SET's own key digits; a sentinel that begins no well-formed tag
         goes to the reference decoder
         :func:`~repro.core.template.read_tag` for the exact error, so a
         malformed wire raises what ``parse_template`` raises.  SETs are
@@ -229,6 +231,8 @@ class DynamicProxyCache:
         failure: Optional[Tuple[int, int, Optional[str]]] = None
         literal_bytes = 0
         open_key = -1           # the SET's key while inside its body
+        end_tag = ""            # the open SET's END tag
+        startswith = wire.startswith
         cursor = 0
         while True:
             # Find the next sentinel: memchr for its "~" is several times
@@ -243,6 +247,28 @@ class DynamicProxyCache:
                 position = find(SENTINEL, position)
             if position == -1:
                 break
+            if open_key >= 0 and startswith(end_tag, position):
+                # The open SET's END: its text is the SET's own key digits,
+                # so it needs no regex match and no int().
+                text = wire[cursor:position]
+                cursor = position + len(end_tag)
+                if pieces:
+                    pieces.append(text)
+                    text = "".join(pieces)
+                    pieces.clear()
+                size = utf8_len(text)
+                if size > max_fragment_bytes:
+                    raise OversizedFragmentError(
+                        "SET body for key %d is %d bytes (max %d)"
+                        % (open_key, size, max_fragment_bytes)
+                    )
+                if open_key >= capacity and failure is None:
+                    failure = (len(sets), open_key, text)
+                sets.append((open_key, text))
+                written[open_key] = text
+                append(text)
+                open_key = -1
+                continue
             tag = match(wire, position)
             if tag is None:
                 read_tag(wire, position, config)  # raises the parser's error
@@ -252,6 +278,11 @@ class DynamicProxyCache:
                 pieces.append(SENTINEL)
                 cursor = tag.end()
                 continue
+            if open_key >= 0:   # any other tag: the END was not next
+                raise TemplateError(
+                    "unexpected %s tag inside SET body for key %d at offset %d"
+                    % (kind, open_key, position)
+                )
             key = int(key_text)
             text = wire[cursor:position]
             cursor = tag.end()
@@ -259,43 +290,25 @@ class DynamicProxyCache:
                 pieces.append(text)
                 text = "".join(pieces)
                 pieces.clear()
-            if open_key >= 0:
-                if kind != "E" or key != open_key:
-                    raise TemplateError(
-                        "unexpected %s tag inside SET body for key %d at offset %d"
-                        % (kind, open_key, position)
-                    )
-                size = utf8_len(text)
-                if size > max_fragment_bytes:
-                    raise OversizedFragmentError(
-                        "SET body for key %d is %d bytes (max %d)"
-                        % (open_key, size, max_fragment_bytes)
-                    )
-                if key >= capacity and failure is None:
-                    failure = (len(sets), key, text)
-                sets.append((key, text))
-                written[key] = text
-                append(text)
-                open_key = -1
-            elif kind == "E":
+            if kind == "E":
                 raise TemplateError(
                     "END tag for key %d without a matching SET at offset %d"
                     % (key, position)
                 )
+            if text:
+                append(text)
+                literal_bytes += utf8_len(text)
+            if kind == "G":
+                content = written.get(key) if written else None
+                if content is None:
+                    content = slots[key] if key < capacity else None
+                    if content is None and failure is None:
+                        failure = (len(sets), key, None)
+                gets.append((len(parts), key))
+                append(content)
             else:
-                if text:
-                    append(text)
-                    literal_bytes += utf8_len(text)
-                if kind == "G":
-                    content = written.get(key) if written else None
-                    if content is None:
-                        content = slots[key] if key < capacity else None
-                        if content is None and failure is None:
-                            failure = (len(sets), key, None)
-                    gets.append((len(parts), key))
-                    append(content)
-                else:
-                    open_key = key
+                open_key = key
+                end_tag = "<~E:" + key_text + "~>"
         text = wire[cursor:]
         if open_key >= 0:
             raise TemplateError("unterminated SET body for key %d" % open_key)

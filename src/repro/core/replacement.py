@@ -107,8 +107,9 @@ class DpcKeyIndexedPolicy(ReplacementPolicy):
     Records are tuples of a float and two ints, which the garbage collector
     stops tracking after its first pass, so a pile of stale records never
     ages into the older generations.  Subclasses file entries through
-    :meth:`_file`, forget them through :meth:`_forget` and build the heap
-    in their first ``select_victim``; until then ``_heap`` is ``None``.
+    :meth:`_file` and build the heap in :meth:`_build`, which the first
+    ``select_victim`` calls; until then ``_heap`` is ``None``.
+    :meth:`on_remove` clears the entry's slot.
     """
 
     #: Records the heap may hold beyond twice the live count before it is
@@ -146,19 +147,28 @@ class DpcKeyIndexedPolicy(ReplacementPolicy):
             ]
             heapify(heap)
 
-    def _forget(self, entry: "DirectoryEntry") -> bool:
-        """Clear ``entry``'s slot; False if it was not indexed."""
+    def on_remove(self, entry: "DirectoryEntry") -> None:
+        """Clear ``entry``'s slot, if it is indexed; its record goes stale."""
         slots = self._entries
         k = entry.dpc_key
         if k < len(slots) and slots[k] is entry:
             slots[k] = None
             self._live -= 1
-            return True
-        return False
 
-    def _top(self) -> Optional["DirectoryEntry"]:
-        """The entry with the lowest (current key, dpcKey), or None."""
+    def _build(self, entries: Iterable["DirectoryEntry"]) -> None:
+        """Build ``_heap`` and file ``entries`` (subclass hook)."""
+        raise NotImplementedError
+
+    def select_victim(self, entries, now):
+        """The entry with the lowest (current key, dpcKey), or None.
+
+        The first call builds the index from ``entries`` (:meth:`_build`);
+        later calls ignore them.
+        """
         heap = self._heap
+        if heap is None:
+            self._build(entries)
+            heap = self._heap
         slots = self._entries
         keys = self._keys
         gens = self._gens
@@ -206,18 +216,12 @@ class LruPolicy(DpcKeyIndexedPolicy):
             else:
                 self._keys[k] = key
 
-    def on_remove(self, entry):
-        """Clear the entry's slot; its record goes stale."""
-        self._forget(entry)
-
-    def select_victim(self, entries, now):
-        """Pick the entry with the oldest last access (lowest dpcKey on ties)."""
-        if self._heap is None:
-            self._heap = []
-            # Filed in ascending key order, each push is O(1).
-            for entry in sorted(entries, key=lambda e: (e.last_access, e.dpc_key)):
-                self._file(entry, entry.last_access)
-        return self._top()
+    def _build(self, entries):
+        """File every entry under its last access."""
+        self._heap = []
+        # Filed in ascending key order, each push is O(1).
+        for entry in sorted(entries, key=lambda e: (e.last_access, e.dpc_key)):
+            self._file(entry, entry.last_access)
 
 
 class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
@@ -262,57 +266,59 @@ class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
         self._per_tick = 0.0               # 1 / H
         self._tick = 0
 
-    def _accessed(self, key: float) -> float:
-        """``key`` after one more access, at the next tick.
-
-        The score is ``2 ** (key - now)``, with ``now`` the new tick over
-        ``H``; adding this access's 1 is done in log space, so the key's
-        growing tick term never meets a float's exponent limit.
-        """
-        self._tick += 1
-        now = self._tick * self._per_tick
-        return now + log2(1.0 + 2.0 ** (key - now))
-
     def on_insert(self, entry):
-        """Index the new entry, resuming its ghost's count if it has one."""
+        """Index the new entry, resuming its ghost's count if it has one.
+
+        A resumed entry is filed under its ghost key, a lower bound, and
+        then counted as one access (:meth:`on_access`).
+        """
         if self._heap is None:
             return
         ghost = self._ghost.pop(entry.fragment_id, None)
         if ghost is None:
             self._tick += 1
-            key = self._tick * self._per_tick
+            self._file(entry, self._tick * self._per_tick)
         else:
-            key = self._accessed(ghost)
-        self._file(entry, key)
+            self._file(entry, ghost)
+            self.on_access(entry)
 
     def on_access(self, entry):
-        """Count the hit; the entry's heap record stays a lower bound."""
+        """Count one access; the entry's heap record stays a lower bound.
+
+        The score is ``2 ** (key - now)``, with ``now`` the new tick over
+        ``H``; adding this access's 1 is done in log space, so the key's
+        growing tick term never meets a float's exponent limit.
+        """
         slots = self._entries
         k = entry.dpc_key
         if k < len(slots) and slots[k] is entry:
+            tick = self._tick = self._tick + 1
+            now = tick * self._per_tick
             keys = self._keys
-            keys[k] = self._accessed(keys[k])
+            keys[k] = now + log2(1.0 + 2.0 ** (keys[k] - now))
 
     def on_remove(self, entry):
         """Clear the entry's slot and file its key in the ghost."""
-        if self._forget(entry):
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            slots[k] = None
+            self._live -= 1
             ghost = self._ghost
-            ghost[entry.fragment_id] = self._keys[entry.dpc_key]
+            ghost[entry.fragment_id] = self._keys[k]
             if len(ghost) > self._capacity:
                 ghost.popitem(last=False)
 
-    def select_victim(self, entries, now):
-        """Pick the entry with the lowest decayed score (lowest dpcKey on ties)."""
-        if self._heap is None:
-            ordered = sorted(entries, key=lambda e: (e.last_access, e.dpc_key))
-            self._capacity = len(ordered)
-            self._per_tick = 1.0 / (self.HALF_LIFE_PER_SLOT * max(1, len(ordered)))
-            self._heap = []
-            # Keys ascend in this order, so each push is O(1).
-            for entry in ordered:
-                self._tick += 1
-                self._file(entry, self._tick * self._per_tick)
-        return self._top()
+    def _build(self, entries):
+        """Replay one access per entry, oldest first; fix ``capacity``."""
+        ordered = sorted(entries, key=lambda e: (e.last_access, e.dpc_key))
+        self._capacity = len(ordered)
+        self._per_tick = 1.0 / (self.HALF_LIFE_PER_SLOT * max(1, len(ordered)))
+        self._heap = []
+        # Keys ascend in this order, so each push is O(1).
+        for entry in ordered:
+            self._tick += 1
+            self._file(entry, self._tick * self._per_tick)
 
 
 class LfuPolicy(ReplacementPolicy):

@@ -57,6 +57,7 @@ from __future__ import annotations
 import re
 from collections import OrderedDict
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
@@ -80,7 +81,7 @@ class TemplateConfig:
     :class:`~repro.errors.OversizedFragmentError` before it touches a slot.
     """
 
-    __slots__ = ("key_width", "max_fragment_bytes", "get_tags")
+    __slots__ = ("key_width", "max_fragment_bytes", "get_tags", "frame_tags")
 
     def __init__(
         self, key_width: int = 4, max_fragment_bytes: int = 1 << 20
@@ -95,6 +96,8 @@ class TemplateConfig:
         #: :meth:`format_key` rejects out-of-range keys, so this holds at
         #: most ``10 ** key_width`` entries.
         object.__setattr__(self, "get_tags", KeyMemo(self._render_get_tag))
+        #: dpcKey -> its ``(SET, END)`` frame tags, memoized the same way.
+        object.__setattr__(self, "frame_tags", KeyMemo(self._render_frame_tags))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("TemplateConfig is immutable")
@@ -135,6 +138,10 @@ class TemplateConfig:
 
     def _render_get_tag(self, key: int) -> str:
         return "<~G:" + self.format_key(key) + "~>"
+
+    def _render_frame_tags(self, key: int) -> Tuple[str, str]:
+        text = self.format_key(key)
+        return "<~S:" + text + "~>", "<~E:" + text + "~>"
 
 
 class KeyMemo(dict):
@@ -204,28 +211,32 @@ class GetInstruction:
         return "GetInstruction(key=%r)" % (self.key,)
 
 
-class SetInstruction:
-    """Store ``content`` in slot ``key``, and splice it here (miss)."""
+class SetInstruction(tuple):
+    """Store ``content`` in slot ``key``, and splice it here (miss).
 
-    __slots__ = ("key", "content")
+    The instruction is the pair ``(key, content)``: a ``tuple`` subclass
+    with no instance storage and read-only fields, like
+    :class:`~repro.core.fragments.Dependency`, so the BEM builds one per
+    miss with ``tuple.__new__``.  Equality and hashing are the pair's own
+    (an instruction equals the plain tuple ``(key, content)``).
+    """
 
-    def __init__(self, key: int, content: str) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "content", content)
+    __slots__ = ()
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("SetInstruction is immutable")
+    #: The field names in tuple order, as a named tuple has them.
+    _fields = ("key", "content")
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SetInstruction):
-            return NotImplemented
-        return self.key == other.key and self.content == other.content
+    def __new__(cls, key: int, content: str) -> "SetInstruction":
+        return tuple.__new__(cls, (key, content))
 
-    def __hash__(self) -> int:
-        return hash((SetInstruction, self.key, self.content))
+    key = property(itemgetter(0))
+    content = property(itemgetter(1))
 
     def __repr__(self) -> str:
-        return "SetInstruction(key=%r, content=%r)" % (self.key, self.content)
+        return "SetInstruction(key=%r, content=%r)" % tuple(self)
+
+    def __reduce__(self):
+        return (SetInstruction, tuple(self))
 
 
 Instruction = Union[Literal, GetInstruction, SetInstruction]

@@ -29,7 +29,9 @@ class Database:
         self.bus = TriggerBus()
         self._tables: Dict[str, Table] = {}
         #: Rows read across all tables; every table adds its reads here.
-        self._reads = ReadTally()
+        #: The object stays the same for the database's lifetime, so a
+        #: reader may hold it and read ``tally.rows``.
+        self.tally = ReadTally()
 
     # -- DDL ------------------------------------------------------------------
 
@@ -37,7 +39,7 @@ class Database:
         """Create a table from a schema; its events publish on ``bus``."""
         if schema.name in self._tables:
             raise SchemaError("table %r already exists" % schema.name)
-        table = Table(schema, bus=self.bus, tally=self._reads)
+        table = Table(schema, bus=self.bus, tally=self.tally)
         self._tables[schema.name] = table
         return table
 
@@ -47,7 +49,7 @@ class Database:
             raise SchemaError("no table named %r" % name)
         table = self._tables.pop(name)
         # Take its reads out of the total, and keep later reads out too.
-        self._reads.rows -= table.rows_read
+        self.tally.rows -= table.rows_read
         table.tally = ReadTally(table.rows_read)
 
     def table(self, name: str) -> Table:
@@ -69,7 +71,7 @@ class Database:
 
     def total_rows_read(self) -> int:
         """Rows read across all tables since the last reset."""
-        return self._reads.rows
+        return self.tally.rows
 
     def total_rows_written(self) -> int:
         """Rows written across all tables since the last reset."""

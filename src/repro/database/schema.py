@@ -80,6 +80,8 @@ class TableSchema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError("table %r has duplicate column names" % self.name)
+        # Not a field: equality, hashing and repr stay the declared ones.
+        object.__setattr__(self, "_by_name", {c.name: c for c in self.columns})
         if self.primary_key not in names:
             raise SchemaError(
                 "primary key %r is not a column of table %r"
@@ -96,14 +98,14 @@ class TableSchema:
 
     def column(self, name: str) -> Column:
         """Look up a column by name; raises SchemaError if unknown."""
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise SchemaError("table %r has no column %r" % (self.name, name))
+        col = self._by_name.get(name)
+        if col is None:
+            raise SchemaError("table %r has no column %r" % (self.name, name))
+        return col
 
     def has_column(self, name: str) -> bool:
         """Whether the schema declares this column."""
-        return any(c.name == name for c in self.columns)
+        return name in self._by_name
 
     def validate_row(self, row: Dict[str, object]) -> Dict[str, object]:
         """Validate a full row dict against this schema.

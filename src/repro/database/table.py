@@ -51,6 +51,8 @@ class Table:
         tally: Optional[ReadTally] = None,
     ) -> None:
         self.schema = schema
+        #: The table's name (from its schema).
+        self.name = schema.name
         self._bus = bus
         self._rows: Dict[object, Dict[str, object]] = {}
         self._indexes: Dict[str, HashIndex] = {}
@@ -61,11 +63,6 @@ class Table:
         #: The owning database's running read total (a private one for a
         #: standalone table); kept in step with ``rows_read``.
         self.tally = tally if tally is not None else ReadTally()
-
-    @property
-    def name(self) -> str:
-        """The table's name (from its schema)."""
-        return self.schema.name
 
     # -- index management -----------------------------------------------------
 
@@ -94,9 +91,10 @@ class Table:
         for column, index in self._indexes.items():
             index.add(validated[column], pk)
         self.rows_written += 1
-        self._publish(
-            _event(ChangeEvent, (self.name, INSERT, pk, dict(validated), None, ()))
-        )
+        if self._bus is not None:
+            self._bus.publish(
+                _event(ChangeEvent, (self.name, INSERT, pk, dict(validated), None, ()))
+            )
         return dict(validated)
 
     def update(self, changes: Dict[str, object], key: object) -> int:
@@ -107,9 +105,12 @@ class Table:
         supported (no script in the reproduction needs it, and forbidding
         it keeps slot/index bookkeeping simple).
         """
-        if self.schema.primary_key in changes:
+        schema = self.schema
+        if schema.primary_key in changes:
             raise SchemaError("updating the primary key is not supported")
-        columns = [(name, self.schema.column(name)) for name in changes]
+        columns = []
+        for name in changes:
+            columns.append((name, schema.column(name)))
         old = self._rows.get(key)
         if old is None:
             return 0
@@ -132,12 +133,13 @@ class Table:
         self.rows_written += 1
         # The replaced pre-image is referenced by nothing else now, so the
         # event may carry it as is; the stored row goes out as a copy.
-        self._publish(
-            _event(
-                ChangeEvent,
-                (self.name, UPDATE, key, dict(new), old, tuple(changed_columns)),
+        if self._bus is not None:
+            self._bus.publish(
+                _event(
+                    ChangeEvent,
+                    (self.name, UPDATE, key, dict(new), old, tuple(changed_columns)),
+                )
             )
-        )
         return 1
 
     def delete(self, key: object) -> int:
@@ -148,7 +150,10 @@ class Table:
         for column, index in self._indexes.items():
             index.remove(old[column], key)
         self.rows_written += 1
-        self._publish(_event(ChangeEvent, (self.name, DELETE, key, None, old, ())))
+        if self._bus is not None:
+            self._bus.publish(
+                _event(ChangeEvent, (self.name, DELETE, key, None, old, ()))
+            )
         return 1
 
     # -- reads ------------------------------------------------------------------
@@ -197,10 +202,6 @@ class Table:
         return key in self._rows
 
     # -- internals ---------------------------------------------------------------
-
-    def _publish(self, event: ChangeEvent) -> None:
-        if self._bus is not None:
-            self._bus.publish(event)
 
     def reset_counters(self) -> None:
         """Zero the rows-read/rows-written counters."""

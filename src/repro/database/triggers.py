@@ -108,7 +108,7 @@ class TriggerBus:
     def publish(self, event: ChangeEvent) -> None:
         """Dispatch one change event to matching listeners."""
         self.events_dispatched += 1
-        for listener in self._by_table.get(event.table, ()):
+        for listener in self._by_table.get(event[0], ()):  # event.table
             listener(event)
         for listener in self._global:
             listener(event)

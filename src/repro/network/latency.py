@@ -20,6 +20,7 @@ between cached and uncached paths are what matter, not absolute values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ConfigurationError
 
@@ -66,6 +67,34 @@ class GenerationCostModel:
 
     # -- composite costs ------------------------------------------------------
 
+    def block_costs(
+        self,
+        output_bytes: int,
+        db_rows: int = 0,
+        cross_tier_hops: int = 2,
+        needs_db_connection: bool = True,
+    ) -> Tuple[float, float]:
+        """One block's ``(generation cost, database share)``, in one call.
+
+        The generation cost mirrors the Figure 1 workflow: presentation ->
+        business logic -> CMS -> data access -> DBMS, then conversion of
+        results to HTML.  The database share (connection wait plus per-row
+        charges) is part of it, and is returned on its own so tracing can
+        attribute it to a ``db.query`` span separately from pure compute.
+        :meth:`block_generation_cost` and :meth:`db_block_cost` are its two
+        halves.
+        """
+        db = 0.0
+        if needs_db_connection:
+            db += self.db_connection_wait_s
+        db += db_rows * self.db_row_cost_s
+        cost = self.block_overhead_s
+        cost += cross_tier_hops * self.cross_tier_hop_s
+        cost += db
+        cost += output_bytes * self.compute_per_byte_s
+        cost += output_bytes * self.conversion_per_byte_s
+        return cost, db
+
     def block_generation_cost(
         self,
         output_bytes: int,
@@ -73,31 +102,16 @@ class GenerationCostModel:
         cross_tier_hops: int = 2,
         needs_db_connection: bool = True,
     ) -> float:
-        """Cost to *generate* one fragment's content from scratch.
-
-        Mirrors the Figure 1 workflow: presentation -> business logic ->
-        CMS -> data access -> DBMS, then conversion of results to HTML.
-        """
-        cost = self.block_overhead_s
-        cost += cross_tier_hops * self.cross_tier_hop_s
-        cost += self.db_block_cost(db_rows, needs_db_connection)
-        cost += output_bytes * self.compute_per_byte_s
-        cost += output_bytes * self.conversion_per_byte_s
-        return cost
+        """Cost to *generate* one fragment's content from scratch."""
+        return self.block_costs(
+            output_bytes, db_rows, cross_tier_hops, needs_db_connection
+        )[0]
 
     def db_block_cost(
         self, db_rows: int, needs_db_connection: bool = True
     ) -> float:
-        """The database share of one block's generation cost.
-
-        Split out of :meth:`block_generation_cost` so tracing can attribute
-        it to a ``db.query`` span separately from pure compute.
-        """
-        cost = 0.0
-        if needs_db_connection:
-            cost += self.db_connection_wait_s
-        cost += db_rows * self.db_row_cost_s
-        return cost
+        """The database share of one block's generation cost."""
+        return self.block_costs(0, db_rows, 0, needs_db_connection)[1]
 
     def block_hit_cost(self) -> float:
         """Cost when the BEM finds the fragment valid in its directory.
