@@ -11,32 +11,24 @@ but pure LFU never forgets: after a popularity shift it stays pinned to
 the old favourites.  The directory's default, :class:`DecayedFrequencyPolicy`,
 counts accesses with an exponential decay, so it keeps LFU's edge on a
 stationary stream (0.731) and recovers LRU's hit ratio within two
-thousand accesses of a shift.  A policy sees the candidate directory
-entries and picks a victim; the directory handles the mechanics of marking
-the victim invalid and recycling its dpcKey.
+thousand accesses of a shift.  A policy picks a victim; the directory
+handles the mechanics of marking the victim invalid and recycling its
+dpcKey.
 
-The directory also reports each entry's lifecycle to its policy through
-three hooks -- ``on_insert``, ``on_access`` (a fresh lookup hit) and
-``on_remove`` (the entry left the valid set) -- so a policy can keep its
-own index instead of scanning every entry per eviction.  LRU and the
-decayed-frequency policy do, through one helper
-(:class:`DpcKeyIndexedPolicy`): each entry's current key lives in a list
-slot indexed by its dpcKey, and a C :mod:`heapq` holds lazy
-``(key, dpcKey, generation)`` records.  A removal only clears the slot
-(its record goes stale and is dropped when it reaches the top), a hit
-only updates the slot, an insert is one push, and an eviction pops stale
-records and re-files out-of-date ones until the top is current.  The
-records hold no object reference, so the garbage collector stops
-tracking them after its first pass.  LFU, FIFO, TTL-aware and
-GreedyDual-Size ignore the hooks and scan the candidates.  A policy
-instance serves one directory.
+Every policy is one index, :class:`ReplacementPolicy`, and differs only
+in how it keys an entry (:meth:`ReplacementPolicy.key`): the victim is the
+entry with the lowest (key, dpcKey).  The directory reports each entry's
+lifecycle through three hooks -- ``on_insert``, ``on_access`` (a fresh
+lookup hit) and ``on_remove`` (the entry left the valid set), which keep
+the index current, so no policy scans the entries to pick a victim.  A
+policy instance serves one directory.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from heapq import heapify, heappop, heappush, heapreplace
-from math import log2
+from math import inf, log2
 from typing import Iterable, Optional, TYPE_CHECKING
 
 from ..errors import ConfigurationError
@@ -46,7 +38,31 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 
 class ReplacementPolicy:
-    """Interface: choose one victim among valid entries."""
+    """A victim index over dpcKey-indexed slots and a lazy C heap.
+
+    A policy says how to key an entry (:meth:`key`); the victim is the
+    entry with the lowest (key, dpcKey).  Each indexed entry has a slot at
+    its ``dpc_key`` (a row's dpcKey never changes while it is valid) in
+    three lists: the entry, its current key and the generation of its live
+    heap record.  The heap holds ``(key, dpc_key, generation)`` records; a
+    record is live while its slot still holds an entry and the same
+    generation, so a removal just clears the slot and a record that reaches
+    the top stale is popped.  A live record's key is a lower bound on its
+    entry's current key: a hit that raises the key only updates the slot,
+    and a record that reaches the top out of date is re-filed with the
+    current key, so each entry costs at most one push per time it reaches
+    the top, not one per hit.  A hit that lowers the key files a new record
+    (the old one goes stale).  Once the heap holds more than
+    ``2 * live + SLACK`` records it is rebuilt from the slots.
+
+    Records are tuples of a key and two ints, which the garbage collector
+    stops tracking after its first pass, so a pile of stale records never
+    ages into the older generations.  Nothing is kept until the first
+    ``select_victim`` call, which builds the index from ``entries``
+    (:meth:`_build`) and ignores them after that.  Until then ``_heap`` is
+    ``None`` and the hooks do nothing, so a directory that never fills pays
+    one no-op call per access.
+    """
 
     name = "abstract"
 
@@ -54,63 +70,6 @@ class ReplacementPolicy:
     #: ``record_eviction``); set by ``CacheDirectory.attach_insight`` so
     #: eviction victims carry per-policy diagnostics.  ``None`` disables.
     insight = None
-
-    def select_victim(
-        self, entries: Iterable["DirectoryEntry"], now: float
-    ) -> Optional["DirectoryEntry"]:
-        """Choose one entry to evict, or None if no candidates."""
-        raise NotImplementedError
-
-    def on_insert(self, entry: "DirectoryEntry") -> None:
-        """Hook: ``entry`` was inserted and is now valid.  No-op here."""
-
-    def on_access(self, entry: "DirectoryEntry") -> None:
-        """Hook: a lookup hit just moved ``entry.last_access``.  No-op here."""
-
-    def on_remove(self, entry: "DirectoryEntry") -> None:
-        """Hook: ``entry`` left the directory's valid set.  No-op here."""
-
-    def record_victim(self, victim: "DirectoryEntry", now: float) -> None:
-        """Report one eviction's diagnostics to the attached insight layer.
-
-        Called by the directory just before the victim is invalidated, so
-        ``last_access``/``hits`` still reflect the entry's lived history.
-        The idle time (now minus last access) is the number capacity
-        diagnosis cares about: victims evicted while recently hot indicate
-        a cache that is genuinely too small, victims idle for ages are free
-        to drop.
-        """
-        if self.insight is not None:
-            self.insight.record_eviction(
-                self.name,
-                max(0.0, now - victim.last_access),
-                victim.hits,
-                victim.size_bytes,
-            )
-
-
-class DpcKeyIndexedPolicy(ReplacementPolicy):
-    """A victim index over dpcKey-indexed slots and a lazy C heap.
-
-    Each indexed entry has a slot at its ``dpc_key`` (a row's dpcKey never
-    changes while it is valid) in three lists: the entry, its current key
-    and the generation of its live heap record.  The heap holds
-    ``(key, dpc_key, generation)`` records; a record is live while its slot
-    still holds an entry and the same generation, so a removal just clears
-    the slot and a record that reaches the top stale is popped.  A live
-    record's key is a lower bound on its entry's current key: a record that
-    reaches the top out of date is re-filed with the current key, so the
-    first up-to-date record on top is the exact minimum of (current key,
-    dpcKey).  Once the heap holds more than ``2 * live + SLACK`` records it
-    is rebuilt from the slots.
-
-    Records are tuples of a float and two ints, which the garbage collector
-    stops tracking after its first pass, so a pile of stale records never
-    ages into the older generations.  Subclasses file entries through
-    :meth:`_file` and build the heap in :meth:`_build`, which the first
-    ``select_victim`` calls; until then ``_heap`` is ``None``.
-    :meth:`on_remove` clears the entry's slot.
-    """
 
     #: Records the heap may hold beyond twice the live count before it is
     #: rebuilt.
@@ -123,7 +82,38 @@ class DpcKeyIndexedPolicy(ReplacementPolicy):
         self._gens: list = []     # dpc_key -> the generation of its live record
         self._live = 0            # slots holding an entry
 
-    def _file(self, entry: "DirectoryEntry", key: float) -> None:
+    def key(self, entry: "DirectoryEntry"):
+        """The key ``entry`` is filed under; the lowest is evicted first."""
+        raise NotImplementedError
+
+    def on_insert(self, entry: "DirectoryEntry") -> None:
+        """Hook: ``entry`` was inserted and is now valid; index it."""
+        if self._heap is not None:
+            self._file(entry, self.key(entry))
+
+    def on_access(self, entry: "DirectoryEntry") -> None:
+        """Hook: a lookup hit just moved ``entry.last_access``.
+
+        Notes the entry's new key; re-files it only if the key went down.
+        """
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            key = self.key(entry)
+            if key < self._keys[k]:
+                self._file(entry, key)
+            else:
+                self._keys[k] = key
+
+    def on_remove(self, entry: "DirectoryEntry") -> None:
+        """Hook: ``entry`` left the valid set; clear its slot, if indexed."""
+        slots = self._entries
+        k = entry.dpc_key
+        if k < len(slots) and slots[k] is entry:
+            slots[k] = None
+            self._live -= 1
+
+    def _file(self, entry: "DirectoryEntry", key) -> None:
         """Index ``entry`` under ``key`` with a new live record."""
         k = entry.dpc_key
         slots = self._entries
@@ -147,19 +137,17 @@ class DpcKeyIndexedPolicy(ReplacementPolicy):
             ]
             heapify(heap)
 
-    def on_remove(self, entry: "DirectoryEntry") -> None:
-        """Clear ``entry``'s slot, if it is indexed; its record goes stale."""
-        slots = self._entries
-        k = entry.dpc_key
-        if k < len(slots) and slots[k] is entry:
-            slots[k] = None
-            self._live -= 1
-
     def _build(self, entries: Iterable["DirectoryEntry"]) -> None:
-        """Build ``_heap`` and file ``entries`` (subclass hook)."""
-        raise NotImplementedError
+        """Build ``_heap`` and file every entry under its key."""
+        self._heap = []
+        key = self.key
+        # Filed in ascending key order, each push is O(1).
+        for entry in sorted(entries, key=lambda e: (key(e), e.dpc_key)):
+            self._file(entry, key(entry))
 
-    def select_victim(self, entries, now):
+    def select_victim(
+        self, entries: Iterable["DirectoryEntry"], now: float
+    ) -> Optional["DirectoryEntry"]:
         """The entry with the lowest (current key, dpcKey), or None.
 
         The first call builds the index from ``entries`` (:meth:`_build`);
@@ -183,48 +171,36 @@ class DpcKeyIndexedPolicy(ReplacementPolicy):
                 return entry
         return None
 
+    def record_victim(self, victim: "DirectoryEntry", now: float) -> None:
+        """Report one eviction's diagnostics to the attached insight layer.
 
-class LruPolicy(DpcKeyIndexedPolicy):
-    """Evict the least-recently-used entry (ties go to the lower dpcKey).
+        Called by the directory just before the victim is invalidated, so
+        ``last_access``/``hits`` still reflect the entry's lived history.
+        The idle time (now minus last access) is the number capacity
+        diagnosis cares about: victims evicted while recently hot indicate
+        a cache that is genuinely too small, victims idle for ages are free
+        to drop.
+        """
+        if self.insight is not None:
+            self.insight.record_eviction(
+                self.name,
+                max(0.0, now - victim.last_access),
+                victim.hits,
+                victim.size_bytes,
+            )
 
-    An entry's key is its ``last_access``.  A hit that moves it forward
-    only updates the slot, so the entry's record stays a lower bound and
-    is re-filed when it reaches the top: each entry costs at most one push
-    per time it reaches the top, not one per hit.  A hit that moves it
-    back in time files a new record (the old one goes stale).
 
-    The index is built from ``entries`` on the first ``select_victim`` call
-    and ignores ``entries`` after that.  Until then the hooks do nothing, so
-    a directory that never fills pays one no-op call per access.
-    """
+class LruPolicy(ReplacementPolicy):
+    """Evict the least-recently-used entry (ties go to the lower dpcKey)."""
 
     name = "lru"
 
-    def on_insert(self, entry):
-        """Index the new entry at its creation time."""
-        if self._heap is not None:
-            self._file(entry, entry.last_access)
-
-    def on_access(self, entry):
-        """Note the new last access; re-file only if it moved back in time."""
-        slots = self._entries
-        k = entry.dpc_key
-        if k < len(slots) and slots[k] is entry:
-            key = entry.last_access
-            if key < self._keys[k]:
-                self._file(entry, key)
-            else:
-                self._keys[k] = key
-
-    def _build(self, entries):
-        """File every entry under its last access."""
-        self._heap = []
-        # Filed in ascending key order, each push is O(1).
-        for entry in sorted(entries, key=lambda e: (e.last_access, e.dpc_key)):
-            self._file(entry, entry.last_access)
+    def key(self, entry):
+        """The entry's last access."""
+        return entry.last_access
 
 
-class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
+class DecayedFrequencyPolicy(ReplacementPolicy):
     """Evict the entry with the lowest decayed access count (LRFU).
 
     An entry's score is ``sum(2 ** (-age / H))`` over its past accesses
@@ -238,7 +214,9 @@ class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
     key only grows (on a hit), so a hit only updates the entry's slot: the
     key its heap record was filed under is a lower bound, refreshed when it
     reaches the top.  An insert is one push and a removal clears the slot
-    (see :class:`DpcKeyIndexedPolicy`).  Ties go to the lower dpcKey.
+    (see :class:`ReplacementPolicy`).  Ties go to the lower dpcKey.  The
+    key depends on the tick, not on the entry alone, so this policy keeps
+    its own hooks instead of :meth:`ReplacementPolicy.key`.
 
     A fragment's history outlives its row: a removed fragment's key goes to
     a FIFO *ghost* of at most ``capacity`` fragment ids, and a re-insert
@@ -246,7 +224,7 @@ class DecayedFrequencyPolicy(DpcKeyIndexedPolicy):
     one.  Without it a hot fragment that an update invalidates just before
     its next request would come back as cold as a one-shot fragment.
 
-    As in :class:`LruPolicy`, nothing is kept until the first
+    As in every policy, nothing is kept until the first
     ``select_victim`` call (a directory that never fills pays one no-op
     call per access).  That call replays one access per entry, in LRU order
     (oldest first), and fixes ``capacity`` to the number of entries it
@@ -326,11 +304,9 @@ class LfuPolicy(ReplacementPolicy):
 
     name = "lfu"
 
-    def select_victim(self, entries, now):
-        """Pick the entry with the fewest hits (recency tiebreak)."""
-        return min(
-            entries, key=lambda e: (e.hits, e.last_access, e.dpc_key), default=None
-        )
+    def key(self, entry):
+        """The entry's hit count, then its last access."""
+        return (entry.hits, entry.last_access)
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -338,79 +314,61 @@ class FifoPolicy(ReplacementPolicy):
 
     name = "fifo"
 
-    def select_victim(self, entries, now):
-        """Pick the entry created earliest."""
-        return min(entries, key=lambda e: (e.created_at, e.dpc_key), default=None)
+    def key(self, entry):
+        """The entry's creation time."""
+        return entry.created_at
 
 
 class TtlAwarePolicy(ReplacementPolicy):
-    """Evict the entry closest to (or past) its TTL expiry.
+    """Evict the entry that expires first (ties broken by recency).
 
     Entries without a TTL are considered to expire at infinity, so they are
-    only chosen when every entry is TTL-less (then falls back to LRU order).
+    only chosen when every entry is TTL-less (then in LRU order).  The key
+    is the absolute expiry ``created_at + ttl``: at any one ``now`` it
+    orders entries as the time left does, without a subtraction that can
+    round two distinct expiries together.
     """
 
     name = "ttl"
 
-    def select_victim(self, entries, now):
-        """Pick the entry nearest to (or past) TTL expiry."""
-        def remaining(entry):
-            if entry.ttl is None:
-                return (float("inf"), entry.last_access, entry.dpc_key)
-            return (entry.created_at + entry.ttl - now, entry.last_access, entry.dpc_key)
-
-        return min(entries, key=remaining, default=None)
+    def key(self, entry):
+        """The entry's expiry (infinity without a TTL), then its last access."""
+        ttl = entry.ttl
+        return (inf if ttl is None else entry.created_at + ttl, entry.last_access)
 
 
 class GreedyDualSizePolicy(ReplacementPolicy):
     """GreedyDual-Size (Cao & Irani 1997): the era's web-caching standard.
 
-    Each entry carries a credit ``H = L + cost/size`` where ``L`` is an
-    inflation value that rises to the victim's credit on every eviction.
-    With cost proportional to regeneration work (we use size itself as the
-    proxy: bigger fragments cost more to rebuild AND to ship), the policy
-    trades off recency, size, and cost in one scalar.  Uses the entry's
-    ``hits`` and ``size_bytes`` plus an internal inflation accumulator —
-    no extra per-entry state is required in the directory.
+    Each entry is keyed by its credit ``H = L + cost/size``, computed at
+    insert and at each hit, where ``L`` is an inflation value that rises to
+    the victim's credit on every selection.  With cost proportional to
+    regeneration work (we use size itself as the proxy: bigger fragments
+    cost more to rebuild AND to ship), the policy trades off recency, size,
+    and cost in one scalar.  A row's credit lives in its index slot, so it
+    leaves with the row.
     """
 
     name = "gds"
 
     def __init__(self, cost_of=None) -> None:
         """``cost_of(entry) -> float`` overrides the default size-as-cost."""
+        super().__init__()
         self._inflation = 0.0
-        self._credit: dict = {}  # dpc_key -> (H value, last seen access stamp)
         self._cost_of = cost_of if cost_of is not None else (
             lambda entry: float(max(entry.size_bytes, 1))
         )
 
-    def _credit_of(self, entry) -> float:
-        """Current H value, refreshed on access (hits/last_access moved)."""
-        cached = self._credit.get(entry.dpc_key)
-        stamp = (entry.hits, entry.last_access)
-        if cached is None or cached[1] != stamp:
-            size = float(max(entry.size_bytes, 1))
-            value = self._inflation + self._cost_of(entry) / size
-            self._credit[entry.dpc_key] = (value, stamp)
-            return value
-        return cached[0]
+    def key(self, entry):
+        """The entry's credit at the current inflation."""
+        size = float(max(entry.size_bytes, 1))
+        return self._inflation + self._cost_of(entry) / size
 
     def select_victim(self, entries, now):
-        """Evict the entry with the lowest credit; inflate L to it."""
-        victim = None
-        lowest = float("inf")
-        for entry in entries:
-            credit = self._credit_of(entry)
-            if credit < lowest or (
-                credit == lowest
-                and victim is not None
-                and entry.dpc_key < victim.dpc_key
-            ):
-                lowest = credit
-                victim = entry
+        """The entry with the lowest credit; inflate L to it."""
+        victim = super().select_victim(entries, now)
         if victim is not None:
-            self._inflation = lowest
-            self._credit.pop(victim.dpc_key, None)
+            self._inflation = self._keys[victim.dpc_key]
         return victim
 
 

@@ -13,7 +13,7 @@ deferred maintenance — :meth:`~SimulatedClock.schedule` a callback instead
 of polling every tick; the clock fires due callbacks in timestamp order as
 :meth:`~SimulatedClock.advance` / :meth:`~SimulatedClock.advance_to` sweep
 past them.  A run that schedules nothing pays nothing: the due-event check
-is a single empty-list test.
+is a single empty-list test on the queue's heap.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 class SimulatedClock:
@@ -119,11 +116,10 @@ class SimulatedClock:
 
         A callback may schedule further events; those fire in the same sweep
         when they are also due.  The clock never moves backwards: an event
-        with a timestamp in the past fires with ``now`` unchanged.
+        with a timestamp in the past fires with ``now`` unchanged.  The
+        callers test for a non-empty queue first.
         """
         events = self._events
-        if not events:
-            return
         due = events.pop_due(self._now)
         while due is not None:
             due[1]()
@@ -141,7 +137,7 @@ class SimulatedClock:
                 "cannot advance the clock by a negative amount (%r)" % seconds
             )
         self._now += seconds
-        if self._events:
+        if self._events._heap:
             self._fire_due()
         return self._now
 
@@ -154,7 +150,7 @@ class SimulatedClock:
         """
         if timestamp > self._now:
             self._now = float(timestamp)
-        if self._events:
+        if self._events._heap:
             self._fire_due()
         return self._now
 

@@ -1,6 +1,6 @@
 """Tests for replacement policies in isolation."""
 
-from math import log2
+from math import log2, nextafter
 
 import pytest
 
@@ -9,6 +9,7 @@ from repro.core.fragments import FragmentID, FragmentMetadata
 from repro.core.replacement import (
     DecayedFrequencyPolicy,
     FifoPolicy,
+    GreedyDualSizePolicy,
     LfuPolicy,
     LruPolicy,
     TtlAwarePolicy,
@@ -62,12 +63,24 @@ class TestPolicies:
         ]
         assert TtlAwarePolicy().select_victim(entries, now=0.0).dpc_key == 1
 
+    def test_ttl_keys_on_the_absolute_expiry(self):
+        """Two expiries one ulp apart, far before ``now``: the time left
+        rounds them together (so a scan over it would fall back to
+        recency and take ``b``), while the absolute expiry keeps them
+        apart and takes ``a``."""
+        now = 1e10
+        a = entry("a", 0, created=0.0, ttl=0.1, accessed=5.0)
+        b = entry("b", 1, created=0.0, ttl=nextafter(0.1, 1.0), accessed=1.0)
+        assert a.created_at + a.ttl < b.created_at + b.ttl
+        assert a.created_at + a.ttl - now == b.created_at + b.ttl - now
+        assert TtlAwarePolicy().select_victim([a, b], now=now) is a
+
     def test_empty_candidates_give_none(self):
         assert LruPolicy().select_victim([], now=0.0) is None
 
 
 class TestFactory:
-    @pytest.mark.parametrize("name", ["lrfu", "lru", "lfu", "fifo", "ttl"])
+    @pytest.mark.parametrize("name", ["lrfu", "lru", "lfu", "fifo", "ttl", "gds"])
     def test_known_names(self, name):
         assert make_policy(name).name == name
 
@@ -81,8 +94,6 @@ class TestGreedyDualSize:
         assert make_policy("gds").name == "gds"
 
     def test_small_stale_entry_evicted_before_large_fresh(self):
-        from repro.core.replacement import GreedyDualSizePolicy
-
         policy = GreedyDualSizePolicy()
         small = entry("small", 0)
         small.size_bytes = 100
@@ -95,8 +106,6 @@ class TestGreedyDualSize:
         assert victim in (small, large)
 
     def test_inflation_rises_after_eviction(self):
-        from repro.core.replacement import GreedyDualSizePolicy
-
         policy = GreedyDualSizePolicy(cost_of=lambda e: 1.0)
         a = entry("a", 0)
         a.size_bytes = 1000   # credit 1/1000: cheap to lose
@@ -107,18 +116,41 @@ class TestGreedyDualSize:
         assert policy._inflation == pytest.approx(1.0 / 1000)
 
     def test_refreshed_entries_get_inflated_credit(self):
-        from repro.core.replacement import GreedyDualSizePolicy
-
         policy = GreedyDualSizePolicy(cost_of=lambda e: 1.0)
         a = entry("a", 0)
         a.size_bytes = 1000
         b = entry("b", 1)
         b.size_bytes = 1000
         policy.select_victim([a, b], now=0.0)  # evicts one, inflates L
-        # Touch b (its hits change) -> fresh credit includes inflation.
+        # A hit on b re-keys it at the raised inflation.
         b.hits += 1
-        survivor_credit = policy._credit_of(b)
-        assert survivor_credit > 1.0 / 1000
+        policy.on_access(b)
+        assert policy._keys[b.dpc_key] == pytest.approx(2.0 / 1000)
+
+    def test_invalidated_credit_does_not_pass_to_the_next_row_on_its_key(self):
+        """A row that reuses an invalidated row's dpcKey, with the same
+        ``(hits, last_access)``, is keyed at its own credit."""
+        directory = CacheDirectory(2, policy=make_policy("gds"))
+
+        def insert(name, now):
+            return directory.insert(
+                FragmentID.create(name), FragmentMetadata(), 10, now=now
+            )
+
+        insert("A", 0.0)
+        b = insert("B", 0.0)
+        directory.lookup(b.fragment_id, now=1.0)
+        c = insert("C", 1.0)           # evicts A; L rises to 1
+        assert directory.peek(FragmentID.create("A")) is None
+        directory.invalidate(b.fragment_id)
+        d = insert("D", 1.0)           # B's dpcKey, no eviction
+        assert d.dpc_key == b.dpc_key
+        directory.lookup(d.fragment_id, now=1.0)  # B's stamp: one hit at t=1
+        insert("E", 2.0)
+        # C and D both have credit L + 1 = 2; the tie goes to C's lower key.
+        assert c.dpc_key < d.dpc_key
+        assert directory.peek(c.fragment_id) is None
+        assert directory.peek(d.fragment_id) is d and d.is_valid
 
     def test_gds_works_inside_directory(self):
         from repro.core.cache_directory import CacheDirectory
@@ -153,6 +185,31 @@ def full_lru_directory(capacity):
         )
     assert directory.stats.evictions == 1
     return directory, policy
+
+
+@pytest.mark.parametrize("name", ["lrfu", "lru", "lfu", "fifo", "ttl", "gds"])
+def test_built_index_never_iterates_entries(name):
+    """Once built, every policy picks from its own index: the lowest
+    (current key, dpcKey) among the valid rows."""
+    directory = CacheDirectory(8, policy=make_policy(name))
+    for i in range(9):
+        directory.insert(
+            FragmentID.create("f", {"i": i}),
+            FragmentMetadata(ttl=None if i % 2 else 50.0 - i),
+            10 * (i % 3 + 1),
+            now=float(i),
+        )
+    assert directory.stats.evictions == 1
+    for i in (3, 5, 2, 3):
+        directory.lookup(FragmentID.create("f", {"i": i}), now=100.0 + i)
+    policy = directory.policy
+    for _ in range(3):
+        expected = min(
+            directory.valid_entries(),
+            key=lambda e: (policy._keys[e.dpc_key], e.dpc_key),
+        )
+        assert policy.select_victim(NotIterable(), now=200.0) is expected
+        directory.invalidate(expected.fragment_id)
 
 
 class TestLruIndex:
