@@ -16,6 +16,10 @@ identical.
 A :class:`FragmentID` is that ``(name, parameterList)`` pair as a tuple;
 the directory keys on the pair, and the ``greeting?user=bob`` string is
 rendered only where a string is read (reports, ESI ``src``, span export).
+Every cacheable block of every request asks for its id, so
+:meth:`FragmentID.create` interns the common shapes: a repeated block gets
+the same id object back from a bounded table instead of a fresh
+canonicalization.
 """
 
 from __future__ import annotations
@@ -51,6 +55,16 @@ def _canonical(name: str, params: Tuple[Tuple[str, str], ...]) -> str:
 #: Builds an id (or a dependency) without a Python-level ``__new__`` call.
 _new_id = tuple.__new__
 
+#: Most ids :meth:`FragmentID.create` keeps interned.  A full table is
+#: cleared and refills with the ids asked for next, so a working set
+#: larger than this costs what it cost before interning, never more
+#: memory.
+INTERN_LIMIT = 1 << 15
+
+#: The interned ids: a bare name for an id without params, and
+#: ``(name, key, value)`` for a one-param id.
+_interned: Dict[object, "FragmentID"] = {}
+
 
 class FragmentID(tuple):
     """Unique fragment identifier: block name plus canonicalized parameters.
@@ -60,11 +74,12 @@ class FragmentID(tuple):
     pairs, so logically identical invocations map to the same identifier
     regardless of call-site argument order.  Equality, ordering and hashing
     are the pair's own (an id equals the plain tuple ``(name, params)``),
-    computed in C, which makes an id cheap to build and to probe: every
-    cacheable block builds one per request, and the cache directory and the
-    insight layer key on the id itself.  The canonical string is rendered
-    only where a string is read (:meth:`canonical`).  Instances are
-    immutable.
+    computed in C, which makes an id cheap to probe: every cacheable block
+    asks :meth:`create` for one per request, and the cache directory and
+    the insight layer key on the id itself.  A repeated block gets its
+    interned id back rather than a new one.  The canonical string is
+    rendered only where a string is read (:meth:`canonical`).  Instances
+    are immutable, so sharing one is safe.
     """
 
     __slots__ = ()
@@ -81,13 +96,39 @@ class FragmentID(tuple):
 
     @staticmethod
     def create(name: str, params: Optional[Mapping[str, object]] = None) -> "FragmentID":
-        """Build a FragmentID from a name and a parameter mapping."""
+        """Build a FragmentID from a name and a parameter mapping.
+
+        An id without params, or with one param, whose name is an exact
+        ``str`` and whose key and value are each an exact ``str`` or
+        ``int`` is interned: asking again returns the same object.  Only
+        those inputs can key the table safely.  ``True``, ``1`` and ``1.0``
+        are equal dict keys but render ``"True"``, ``"1"`` and ``"1.0"``,
+        and any other object may render differently from one call to the
+        next, so every other input is canonicalized afresh.  The table
+        holds at most :data:`INTERN_LIMIT` ids.
+        """
         if not name:
             raise ConfigurationError("fragment name cannot be empty")
         if not params:
-            return _new_id(FragmentID, (name, ()))
+            if type(name) is not str:
+                return _new_id(FragmentID, (name, ()))
+            fragment_id = _interned.get(name)
+            if fragment_id is None:
+                fragment_id = _intern(name, (name, ()))
+            return fragment_id
         if len(params) == 1:
-            ((key, value),) = params.items()
+            (key,) = params
+            value = params[key]
+            if (
+                type(name) is str
+                and (type(key) is str or type(key) is int)
+                and (type(value) is str or type(value) is int)
+            ):
+                memo = (name, key, value)
+                fragment_id = _interned.get(memo)
+                if fragment_id is None:
+                    fragment_id = _intern(memo, (name, ((str(key), str(value)),)))
+                return fragment_id
             return _new_id(FragmentID, (name, ((str(key), str(value)),)))
         return _new_id(
             FragmentID,
@@ -113,6 +154,14 @@ class FragmentID(tuple):
 
     def __reduce__(self):
         return (FragmentID, (self[0], self[1]))
+
+
+def _intern(memo: object, fields: Tuple[str, tuple]) -> FragmentID:
+    """Build the id for ``fields`` and intern it under ``memo``."""
+    if len(_interned) >= INTERN_LIMIT:
+        _interned.clear()
+    fragment_id = _interned[memo] = _new_id(FragmentID, fields)
+    return fragment_id
 
 
 class Dependency(tuple):

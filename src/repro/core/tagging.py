@@ -16,10 +16,12 @@ The monitor protocol is ``process_block(fragment_id, describe, generate)``.
 ``describe`` materializes the block's :class:`FragmentMetadata` (through
 :meth:`BlockTag.metadata_for`) and is called only when a miss inserts a
 directory entry, before ``generate`` runs, so a hit pays for one fragment
-id (a ``(name, params)`` tuple; no string is rendered) and one directory
-probe keyed on it.  The returned instruction tells the caller what
-happened, with two outcomes only: a ``GET`` is a hit, a ``SET`` is a miss
-carrying the generated content.  Untagged and non-cacheable blocks never
+id and one directory probe keyed on it.  The id is a ``(name, params)``
+tuple, and for a block with at most one plain ``str``/``int`` param it is
+the interned one :meth:`FragmentID.create` hands back from a dict probe,
+so a hit renders no string and builds no id.  The returned instruction
+tells the caller what happened, with two outcomes only: a ``GET`` is a
+hit, a ``SET`` is a miss carrying the generated content.  Untagged and non-cacheable blocks never
 reach the monitor.
 """
 

@@ -12,6 +12,13 @@ which pool fragments are tagged.  Fragment content derives from a row in a
 backing table, so the experiment harness can drive the hit ratio through
 the real invalidation path (update row -> trigger -> BEM invalidation)
 instead of poking cache internals.
+
+Everything about a page except its rows is fixed by the parameters, so the
+script plans each page once: on a page's first request it records the
+page's blocks as ``(block name, read-only params, pool index)``, and later
+requests only walk that plan.  Every block still goes through
+``ScriptContext.block``, and a generated block still reads its live row,
+so content, rows read and costs are those of an unplanned page.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..appserver import ApplicationServer, DynamicScript, ScriptContext, SiteServices
 from ..core.fragments import Dependency
@@ -84,16 +93,44 @@ class SyntheticParams:
         Bresenham-style spreading: exactly ``floor(n * cacheability)`` of
         any prefix of n fragments are cacheable, and the pattern is evenly
         interleaved, so every page carries close to the configured
-        cacheable fraction (the X_j of the analysis).
+        cacheable fraction (the X_j of the analysis).  Pool fragments are
+        read from a table computed once; an index outside the pool is
+        computed on the spot.
         """
+        table = self._cacheable
+        if 0 <= pool_index < len(table):
+            return table[pool_index]
+        return _spread(pool_index, self.cacheability)
+
+    @cached_property
+    def _cacheable(self) -> Tuple[bool, ...]:
+        """``is_cacheable`` of every pool fragment, in pool order."""
         c = self.cacheability
-        return math.floor((pool_index + 1) * c) - math.floor(pool_index * c) == 1
+        return tuple(_spread(k, c) for k in range(self.effective_pool_size))
 
     def cacheable_count(self) -> int:
         """How many pool fragments are design-time cacheable."""
-        return sum(
-            1 for k in range(self.effective_pool_size) if self.is_cacheable(k)
-        )
+        return sum(self._cacheable)
+
+
+def _spread(pool_index: int, cacheability: float) -> bool:
+    """Whether the Bresenham spread makes pool fragment ``pool_index``
+    cacheable (see :meth:`SyntheticParams.is_cacheable`)."""
+    return (
+        math.floor((pool_index + 1) * cacheability)
+        - math.floor(pool_index * cacheability)
+        == 1
+    )
+
+
+@lru_cache(maxsize=16)
+def _padding(length: int) -> str:
+    """The first ``length`` characters of the repeated filler.
+
+    A site pads every fragment to one size behind a fixed-width prefix,
+    so a few lengths cover all of its fragments.
+    """
+    return (_FILLER * (length // len(_FILLER) + 1))[:length]
 
 
 def fragment_content(pool_index: int, version: int, size: int) -> str:
@@ -101,9 +138,11 @@ def fragment_content(pool_index: int, version: int, size: int) -> str:
     prefix = "F%05d v%08d " % (pool_index, version)
     if size <= len(prefix):
         return prefix[:size]
-    padding_needed = size - len(prefix)
-    repeats = padding_needed // len(_FILLER) + 1
-    return prefix + (_FILLER * repeats)[:padding_needed]
+    return prefix + _padding(size - len(prefix))
+
+
+#: One block of a planned page: ``(block name, read-only params, pool index)``.
+PlannedBlock = Tuple[str, Mapping[str, object], int]
 
 
 class SyntheticPageScript(DynamicScript):
@@ -118,24 +157,42 @@ class SyntheticPageScript(DynamicScript):
 
     def __init__(self, params: SyntheticParams) -> None:
         self.params = params
+        #: Each requested page's blocks, planned on its first request.
+        #: Page ids are range-checked, so at most ``num_pages`` plans.
+        self._plans: Dict[int, Tuple[PlannedBlock, ...]] = {}
+
+    def plan(self, page_id: int) -> Tuple[PlannedBlock, ...]:
+        """Page ``page_id``'s blocks in page order, built once per page."""
+        plan = self._plans.get(page_id)
+        if plan is None:
+            params = self.params
+            plan = self._plans[page_id] = tuple(
+                (
+                    "frag" if params.is_cacheable(pool_index) else "frag_nc",
+                    MappingProxyType({"id": pool_index}),
+                    pool_index,
+                )
+                for pool_index in params.pool_indexes_for_page(page_id)
+            )
+        return plan
 
     def run(self, ctx: ScriptContext) -> None:
         """Emit the page's fragments through the tagging API."""
-        page_id = int(ctx.request.param("pageID", "0"))
+        plan = self.plan(int(ctx.request.param("pageID", "0")))
         table = ctx.services.db.table(SYNTHETIC_TABLE)
-        for pool_index in self.params.pool_indexes_for_page(page_id):
-            block_name = (
-                "frag" if self.params.is_cacheable(pool_index) else "frag_nc"
-            )
+        size = self.params.fragment_size
+        pool_index = 0
 
-            def generate(pool_index: int = pool_index) -> str:
-                row = table.get(pool_index)
-                version = int(row["version"]) if row is not None else 0
-                return fragment_content(
-                    pool_index, version, self.params.fragment_size
-                )
+        # One generator serves the whole page: it reads ``pool_index``
+        # from the loop below when the block it belongs to runs it.
+        def generate() -> str:
+            row = table.get(pool_index)
+            version = int(row["version"]) if row is not None else 0
+            return fragment_content(pool_index, version, size)
 
-            ctx.block(block_name, {"id": pool_index}, generate)
+        block = ctx.block
+        for name, block_params, pool_index in plan:
+            block(name, block_params, generate)
 
 
 def build_services(params: SyntheticParams) -> SiteServices:

@@ -11,6 +11,10 @@ stamps repeat) and may step back.  After every operation both must have
 picked the same victims and agree on stats, freeList order, valid rows and
 GDS's inflation value.
 
+Random operations rarely bring two rows with equal hit counts but a
+different creation and access order to an eviction, which is where LFU's
+recency tie-break decides; a pinned example does (see ``TIE_ON_HITS``).
+
 The GDS oracle keeps the scan's per-dpcKey credit cache but drops a row's
 credit when the row leaves the valid set, not when the scan picks it.
 Dropping it only for victims let an invalidated row's credit pass to the
@@ -22,7 +26,7 @@ the victim's key.
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache_directory import CacheDirectory
@@ -53,6 +57,23 @@ operations = st.lists(
     min_size=20,
     max_size=150,
 )
+
+
+#: Two rows with one hit each, the older one used last, then an insert
+#: into a full two-slot directory: LFU must evict the row used first, not
+#: the row created first.
+TIE_ON_HITS = [
+    ("insert", 0, None),
+    ("tick", 0, None),
+    ("insert", 1, None),
+    ("tick", 0, None),
+    ("lookup", 1, None),
+    ("tick", 0, None),
+    ("lookup", 0, None),
+    ("insert", 2, None),
+    ("lookup", 0, None),
+    ("lookup", 1, None),
+]
 
 
 def describe(entry):
@@ -252,6 +273,7 @@ def state(directory):
     capacity=st.integers(1, 6),
     slack=st.sampled_from([0, ReplacementPolicy.SLACK]),
 )
+@example(ops=TIE_ON_HITS, capacity=2, slack=0)
 @settings(max_examples=400, deadline=None)
 def test_indexed_policy_matches_scan_oracle(case, ops, capacity, slack):
     name, kwargs, scan = CASES[case]
