@@ -105,17 +105,17 @@ class HttpResponse:
     header_bytes: int = DEFAULT_RESPONSE_HEADER_BYTES
     #: Free-form annotations for experiments (page id, hit counts, ...).
     meta: Dict[str, object] = field(default_factory=dict)
+    #: Body plus header bytes, the S_c of the analysis: the body is
+    #: measured once, at construction (a response's body is never
+    #: reassigned).
+    payload_bytes: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.header_bytes < 0:
             raise ConfigurationError("header_bytes cannot be negative")
+        self.payload_bytes = utf8_len(self.body) + self.header_bytes
 
     @property
     def body_bytes(self) -> int:
         """UTF-8 byte length of the body alone."""
-        return utf8_len(self.body)
-
-    @property
-    def payload_bytes(self) -> int:
-        """Body plus header bytes: the S_c of the analysis."""
-        return self.body_bytes + self.header_bytes
+        return self.payload_bytes - self.header_bytes

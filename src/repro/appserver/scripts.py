@@ -115,7 +115,9 @@ class ScriptContext:
         self._parts: List[str] = []
         #: Literal texts since the last tag, awaiting one join and escape.
         self._run: List[str] = []
-        self._lookup_tag = services.tags.lookup
+        #: The registry's ``dict.get``, bound once: a block's tag lookup
+        #: costs no Python frame.
+        self._lookup_tag = services.tags._tags.get
         self._describe = _Describe()
         #: Blocks written, cacheable blocks served by a GET (hits) and
         #: generated into a SET (misses), and the UTF-8 bytes generated.

@@ -109,14 +109,20 @@ class ApplicationServer:
         :class:`~repro.errors.DeadlineExceededError` — both *before* any
         script work runs, so rejections have no side effects.
 
-        With tracing enabled the same work is reported as a ``bem.process``
-        span containing ``script.exec`` (itself split into
-        ``script.compute`` and ``db.query`` leaves) and origin-side
-        ``queue.wait`` spans for the application and DB-pool queues —
-        every clock advance lands in a leaf, so the tree tiles exactly.
+        Untraced, ``handle`` is just the origin step: no span scope, no
+        annotation, and the admission screen runs only when a bounded queue
+        is attached or the request carries a deadline.  Traced, the same
+        work is reported as a ``bem.process`` span containing
+        ``script.exec`` (itself split into ``script.compute`` and
+        ``db.query`` leaves) and origin-side ``queue.wait`` spans for the
+        application and DB-pool queues — every clock advance lands in a
+        leaf, so the tree tiles exactly.
         """
-        with self.tracer.span("bem.process", path=request.path) as process_span:
-            response = self._handle_inner(request)
+        tracer = self.tracer
+        if not tracer._enabled:
+            return self._handle_inner(request, False)
+        with tracer.span("bem.process", path=request.path) as process_span:
+            response = self._handle_inner(request, True)
             process_span.annotate(
                 mode=response.meta["mode"],
                 hits=response.meta["hits"],
@@ -145,47 +151,37 @@ class ApplicationServer:
         )
         return script, ctx
 
-    def _handle_inner(self, request: HttpRequest) -> HttpResponse:
+    def _handle_inner(self, request: HttpRequest, traced: bool) -> HttpResponse:
         arrival = (
             request.arrived_at if request.arrived_at is not None
             else self.clock.now()
         )
-        self._screen_admission(arrival, request.deadline_at, request.priority)
+        if (
+            self.queue is not None
+            or self.db_queue is not None
+            or request.deadline_at is not None
+        ):
+            self._screen_admission(arrival, request.deadline_at, request.priority)
         script, ctx = self.script_run(request, self.bem)
-        rows_before = self.services.db.total_rows_read()
-        tracer = self.tracer
-        with tracer.span("script.exec"):
-            if self.bem is not None:
-                self.bem.deadline_at = request.deadline_at
-            try:
-                script.run(ctx)
-            except Exception as exc:
-                if isinstance(exc, (ScriptError, OverloadError)):
-                    raise
-                raise ScriptError(
-                    "script %r failed: %s" % (request.path, exc)
-                ) from exc
-            finally:
-                if self.bem is not None:
-                    self.bem.deadline_at = None
-
-            body = ctx.response_body()
-            gets, sets = ctx.hits, ctx.misses
-            if self.origin_dpc is not None:
-                body = self.origin_dpc.process_response(body).html
-                gets = sets = 0
-            if tracer.enabled:
+        reads = self.services.db.tally
+        rows_before = reads.rows
+        if traced:
+            tracer = self.tracer
+            with tracer.span("script.exec"):
+                body, gets, sets = self._run_script(request, script, ctx)
                 tracer.advance(
                     "script.compute", ctx.generation_cost_s - ctx.db_cost_s
                 )
                 tracer.advance("db.query", ctx.db_cost_s, rows=ctx.db_rows)
+        else:
+            body, gets, sets = self._run_script(request, script, ctx)
         app_wait_s = db_wait_s = 0.0
         if self.queue is not None:
             app_wait_s = self.queue.offer(
                 arrival, ctx.generation_cost_s, request.priority
             ).wait_s
         if self.db_queue is not None:
-            db_rows = self.services.db.total_rows_read() - rows_before
+            db_rows = reads.rows - rows_before
             db_service_s = (
                 self.cost_model.db_connection_wait_s
                 + db_rows * self.cost_model.db_row_cost_s
@@ -193,11 +189,11 @@ class ApplicationServer:
             db_wait_s = self.db_queue.offer(
                 arrival, db_service_s, request.priority
             ).wait_s
-        if tracer.enabled:
+        if traced:
             if app_wait_s > 0:
-                tracer.advance("queue.wait", app_wait_s, queue="appserver")
+                self.tracer.advance("queue.wait", app_wait_s, queue="appserver")
             if db_wait_s > 0:
-                tracer.advance("queue.wait", db_wait_s, queue="db_pool")
+                self.tracer.advance("queue.wait", db_wait_s, queue="db_pool")
         else:
             self.clock.advance(ctx.generation_cost_s + app_wait_s + db_wait_s)
         self.requests_served += 1
@@ -221,6 +217,33 @@ class ApplicationServer:
                 "set_count": sets,
             },
         )
+
+    def _run_script(
+        self, request: HttpRequest, script: DynamicScript, ctx: ScriptContext
+    ) -> Tuple[str, int, int]:
+        """Run the page's script: ``(body, GET count, SET count)``.
+
+        A failure other than a :class:`ScriptError` or an overload
+        rejection is wrapped in a :class:`ScriptError` naming the path.
+        """
+        bem = self.bem
+        if bem is not None:
+            bem.deadline_at = request.deadline_at
+        try:
+            script.run(ctx)
+        except Exception as exc:
+            if isinstance(exc, (ScriptError, OverloadError)):
+                raise
+            raise ScriptError(
+                "script %r failed: %s" % (request.path, exc)
+            ) from exc
+        finally:
+            if bem is not None:
+                bem.deadline_at = None
+        body = ctx.response_body()
+        if self.origin_dpc is not None:
+            return self.origin_dpc.process_response(body).html, 0, 0
+        return body, ctx.hits, ctx.misses
 
     def _screen_admission(
         self, arrival: float, deadline_at: Optional[float], priority: int = 0

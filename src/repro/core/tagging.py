@@ -67,6 +67,9 @@ class TagRegistry:
     """All tagged blocks of one site — the output of the tagging pass."""
 
     def __init__(self) -> None:
+        #: Never rebound (``tag``/``retag`` assign into it), so
+        #: :class:`~repro.appserver.scripts.ScriptContext` may bind its
+        #: ``get`` once per context in place of calling :meth:`lookup`.
         self._tags: Dict[str, BlockTag] = {}
 
     def tag(

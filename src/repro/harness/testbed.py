@@ -165,6 +165,8 @@ class Figure4Path:
     link through :meth:`transfer`, the one seam a harness may replace (the
     chaos harness retries it).  Entry points are looked up at call time,
     so wrappers put on the instances after construction see every call.
+    Untraced, the legs advance the clock directly; traced, each advance
+    is a leaf span.
     """
 
     def __init__(
@@ -210,9 +212,11 @@ class Figure4Path:
         (the chaos bypass renders the reference page).
         """
         payload_bytes = request.payload_bytes
-        self.tracer.advance(
-            "firewall.scan", self.firewall.scan_bytes(payload_bytes), direction="request"
-        )
+        scan_s = self.firewall.scan_bytes(payload_bytes)
+        if self.tracer._enabled:
+            self.tracer.advance("firewall.scan", scan_s, direction="request")
+        else:
+            self.clock.advance(scan_s)
         self.transfer(
             request_message(payload_bytes, source="external", destination="origin")
         )
@@ -239,31 +243,41 @@ class Figure4Path:
             message.meta["bypass"] = True
         self.transfer(message)
         tracer = self.tracer
-        tracer.advance(
-            "firewall.scan", self.firewall.scan_bytes(payload_bytes), direction="response"
-        )
+        traced = tracer._enabled
+        scan_s = self.firewall.scan_bytes(payload_bytes)
+        if traced:
+            tracer.advance("firewall.scan", scan_s, direction="response")
+        else:
+            self.clock.advance(scan_s)
         dpc = self.dpc
         if dpc is None or bypass:
             return None
         # One ``dpc.assemble`` leaf, recorded after the work: a failed
         # assembly is a 0-second leaf whose status is the error's name.
-        scanned_before = dpc.bytes_scanned
+        scanner = dpc.scanner
+        scanned_before = scanner.bytes_scanned
         try:
             assembled = dpc.process_response(body)
         except BaseException as failure:
-            if tracer.enabled:
+            if traced:
                 tracer.leaf("dpc.assemble", 0.0, type(failure).__name__, {})
             raise
-        scan_bytes = dpc.bytes_scanned - scanned_before
-        tracer.advance(
-            "dpc.assemble",
-            scan_bytes * self.firewall.scan_cost_per_byte  # z ~= y (§5)
+        assemble_s = (
+            (scanner.bytes_scanned - scanned_before)
+            * self.firewall.scan_cost_per_byte  # z ~= y (§5)
             + self.cost_model.assembly_cost(
                 assembled.fragments_set + assembled.fragments_get
-            ),
-            fragments_set=assembled.fragments_set,
-            fragments_get=assembled.fragments_get,
+            )
         )
+        if traced:
+            tracer.advance(
+                "dpc.assemble",
+                assemble_s,
+                fragments_set=assembled.fragments_set,
+                fragments_get=assembled.fragments_get,
+            )
+        else:
+            self.clock.advance(assemble_s)
         return assembled
 
     def serve(self, request: HttpRequest) -> Tuple[str, Optional[AssembledPage]]:
@@ -479,9 +493,12 @@ class Testbed:
         outer harness already did) and every clock advance lands in a leaf
         span — firewall scans, link transfers (the channel's own spans),
         origin generation, and proxy-side assembly — so the finished tree
-        tiles the measured virtual response time exactly.
+        tiles the measured virtual response time exactly.  Untraced, it is
+        the path's :meth:`~Figure4Path.serve` alone.
         """
         tracer = self.tracer
+        if not tracer._enabled:
+            return self.path.serve(request)[0]
         with tracer.request_span(request, mode=self.config.mode) as root:
             html, assembled = self.path.serve(tracer.propagate(request))
             if assembled is not None:

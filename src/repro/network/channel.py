@@ -46,7 +46,11 @@ class LinkParameters:
             raise ConfigurationError("bandwidth cannot be negative")
 
     def transfer_time(self, wire_bytes: int) -> float:
-        """Seconds to move ``wire_bytes`` across this link."""
+        """Seconds to move ``wire_bytes`` across this link.
+
+        :meth:`Channel.send` computes the same sum inline, in the same
+        float order, to stay one frame per message.
+        """
         serialization = 0.0
         if self.bandwidth_bytes_per_s > 0:
             serialization = wire_bytes / self.bandwidth_bytes_per_s
@@ -131,43 +135,73 @@ class Channel:
         whatever a fault hook raises when an injected fault drops the
         message.
 
+        Untraced and without fault hooks, a delivered message runs the
+        endpoint check, the transfer-time arithmetic and the counting
+        inline: beyond this frame it costs the overhead model's
+        :meth:`~ProtocolOverheadModel.charge` (the one copy of the
+        packetization formula), the clock advance and one
+        :meth:`Sniffer.count` per attached sniffer.
+
         Traced, a send is one ``channel.transfer`` leaf around its clock
         advance (the tracer's clock is the channel's), and the message is
         stamped with that leaf's context.  A failed send is a 0-second leaf
         with status ``dropped`` (a fault hook's drop) or the error's name.
         """
-        status = None
         extra_delay = 0.0
-        try:
-            if self._closed:
-                raise ChannelClosed("channel %r is closed" % self.name)
-            self._validate_endpoints(message)
-            if self._faults:
-                for fault in list(self._faults):
-                    try:
-                        penalty = fault(message)
-                    except NetworkError:
-                        self.messages_dropped += 1
-                        status = "dropped"
-                        raise
-                    if penalty:
-                        extra_delay += penalty
-        except BaseException as failure:
-            if self.tracer.enabled:
-                self._trace(message, 0.0, status or type(failure).__name__)
-            raise
+        if (
+            self._closed
+            or self._faults
+            or (
+                message.source
+                and message.destination
+                and (
+                    message.source not in self._ends
+                    or message.destination not in self._ends
+                )
+            )
+        ):
+            extra_delay = self._screen(message)
         payload_bytes = message.payload_bytes
         packets, wire_bytes = self.overhead.charge(payload_bytes)
         kind = message.kind
         for sniffer in self._sniffers:
             sniffer.count(kind, payload_bytes, packets, wire_bytes)
         self.messages_sent += 1
-        elapsed = self.link.transfer_time(wire_bytes) + extra_delay
-        if self.tracer.enabled:
+        link = self.link
+        serialization = 0.0
+        if link.bandwidth_bytes_per_s > 0:
+            serialization = wire_bytes / link.bandwidth_bytes_per_s
+        elapsed = (link.latency_s + serialization) + extra_delay
+        if self.tracer._enabled:
             self._trace(message, 0.0 if self.clock is None else elapsed)
         elif self.clock is not None:
             self.clock.advance(elapsed)
         return elapsed
+
+    def _screen(self, message: WireMessage) -> float:
+        """The slow half of :meth:`send`: a closed link, a misaddressed
+        message or fault hooks.  Raises what the send must raise (tracing
+        the failure) or returns the hooks' extra delay in seconds."""
+        status = None
+        extra_delay = 0.0
+        try:
+            if self._closed:
+                raise ChannelClosed("channel %r is closed" % self.name)
+            self._validate_endpoints(message)
+            for fault in list(self._faults):
+                try:
+                    penalty = fault(message)
+                except NetworkError:
+                    self.messages_dropped += 1
+                    status = "dropped"
+                    raise
+                if penalty:
+                    extra_delay += penalty
+        except BaseException as failure:
+            if self.tracer._enabled:
+                self._trace(message, 0.0, status or type(failure).__name__)
+            raise
+        return extra_delay
 
     def _trace(self, message: WireMessage, seconds: float, status: str = "ok") -> None:
         """Record the ``channel.transfer`` leaf and stamp the message with it."""

@@ -15,12 +15,12 @@ ACKs are not modeled) still cost one packet.
 
 Packetization is *analytic*: packet counts and wire bytes are integer
 arithmetic on the payload size — no per-packet objects are ever built.
-:meth:`ProtocolOverheadModel.packets_for` is the single source of truth;
-:meth:`ProtocolOverheadModel.charge` derives both figures from it,
-:meth:`WireMessage.packets` and :meth:`WireMessage.wire_bytes` delegate to
-it, and a Channel computes a message's figures once per send and hands
-them to its Sniffers, so the empty-message one-packet edge case is encoded
-exactly once.
+:meth:`ProtocolOverheadModel.charge` is the single source of truth:
+:meth:`~ProtocolOverheadModel.packets_for`,
+:meth:`~ProtocolOverheadModel.wire_bytes_for`, :meth:`WireMessage.packets`
+and :meth:`WireMessage.wire_bytes` read from it, and a Channel charges a
+message once per send and hands the figures to its Sniffers, so the
+empty-message one-packet edge case is encoded exactly once.
 """
 
 from __future__ import annotations
@@ -72,17 +72,10 @@ class ProtocolOverheadModel:
         """Number of packets needed to carry ``payload_bytes``.
 
         A zero-byte payload still needs one packet: even an empty HTTP
-        response occupies at least one TCP segment on the wire.  Computed
-        as exact integer ceiling division — payloads are never enumerated
-        packet by packet.
+        response occupies at least one TCP segment on the wire.  Read off
+        :meth:`charge`.
         """
-        if payload_bytes < 0:
-            raise ConfigurationError("payload_bytes cannot be negative")
-        if not self.enabled:
-            return 0
-        if payload_bytes == 0:
-            return 1
-        return -(-payload_bytes // self.mss)
+        return self.charge(payload_bytes)[0]
 
     def wire_bytes_for(self, payload_bytes: int) -> int:
         """Total wire bytes for one message: payload + per-packet headers
@@ -90,10 +83,20 @@ class ProtocolOverheadModel:
         return self.charge(payload_bytes)[1]
 
     def charge(self, payload_bytes: int) -> Tuple[int, int]:
-        """``(packets, wire bytes)`` of one message, computed together."""
-        packets = self.packets_for(payload_bytes)
+        """``(packets, wire bytes)`` of one message, computed together.
+
+        The one copy of the packetization formula: packets are the exact
+        integer ceiling of ``payload_bytes / mss`` (payloads are never
+        enumerated packet by packet), at least one for an empty payload;
+        each packet carries ``header_bytes`` and each message
+        ``per_message_bytes``.  A disabled model charges the bare payload
+        in 0 packets.  One frame per send on the channel's hot path.
+        """
+        if payload_bytes < 0:
+            raise ConfigurationError("payload_bytes cannot be negative")
         if not self.enabled:
-            return packets, payload_bytes
+            return 0, payload_bytes
+        packets = -(-payload_bytes // self.mss) if payload_bytes else 1
         return (
             packets,
             payload_bytes + packets * self.header_bytes + self.per_message_bytes,
@@ -142,9 +145,10 @@ class WireMessage:
     def packets(self, overhead: Optional[ProtocolOverheadModel] = None) -> int:
         """Packets this message occupies on a link under an overhead model.
 
-        Delegates to :meth:`ProtocolOverheadModel.packets_for` — the single
-        place the packetization arithmetic (including the zero-payload
-        one-packet edge) lives.
+        Delegates to :meth:`ProtocolOverheadModel.packets_for`, which reads
+        :meth:`~ProtocolOverheadModel.charge` — the single place the
+        packetization arithmetic (including the zero-payload one-packet
+        edge) lives.
         """
         model = overhead if overhead is not None else ProtocolOverheadModel()
         return model.packets_for(self.payload_bytes)

@@ -76,11 +76,15 @@ class Sniffer:
     ) -> None:
         """Record one message of ``kind`` whose figures the channel computed
         under this sniffer's overhead model; a kind's counters are created
-        on its first message."""
+        on its first message.  Adds in place, as
+        :meth:`TrafficCounters.add` does, in one frame per message."""
         counters = self.by_kind.get(kind)
         if counters is None:
             counters = self.by_kind[kind] = TrafficCounters()
-        counters.add(payload_bytes, packets, wire_bytes)
+        counters.messages += 1
+        counters.payload_bytes += payload_bytes
+        counters.wire_bytes += wire_bytes
+        counters.packets += packets
 
     # -- reporting ----------------------------------------------------------
 
