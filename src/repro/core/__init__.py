@@ -36,7 +36,7 @@ from .replacement import (
     make_policy,
 )
 from .routing import ConsistentHashRing, RequestRouter
-from .scanner import TagScanner, failure_function, kmp_find, kmp_find_all
+from .scanner import TagScanner, failure_function, kmp_find_all
 from .tagging import BlockTag, TagRegistry
 from .template import (
     DEFAULT_CONFIG,
@@ -79,7 +79,6 @@ __all__ = [
     "RequestRouter",
     "TagScanner",
     "failure_function",
-    "kmp_find",
     "kmp_find_all",
     "TagRegistry",
     "BlockTag",

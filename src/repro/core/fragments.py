@@ -176,8 +176,8 @@ class Dependency(tuple):
       ``where_column`` equals ``where_value`` matter (e.g. a category
       listing depends on ``products`` rows *in that category*).
 
-    A database :class:`ChangeEvent` matches when the table matches and every
-    given narrowing also matches.
+    A database :class:`~repro.database.triggers.ChangeEvent` matches when
+    the table matches and every given narrowing also matches.
 
     As with :class:`FragmentID`, the dependency *is* the tuple
     ``(table, key, column, where_column, where_value)``: a ``tuple``

@@ -5,10 +5,9 @@ algorithms (e.g., KMP [18]) are linear-time algorithms" (§5).  The DPC must
 scan every response byte exactly once looking for instruction tags.  The
 serve path runs that linear scan with ``str.find`` (:func:`find_positions`,
 :meth:`TagScanner.positions`), inside the interpreter's C string machinery.
-The classic per-character KMP loop (:func:`kmp_find_all`,
-:meth:`TagScanner.kmp_positions`) is kept as the executable oracle the
-differential tests hold the ``str.find`` scan to: same match positions,
-same scanned-byte charge.
+The classic per-character KMP loop (:func:`kmp_iter`, read through
+:func:`kmp_find_all`) is kept as the one executable oracle the
+differential tests hold the ``str.find`` scan to: same match positions.
 
 :class:`TagScanner` charges the UTF-8 byte length of every text it scans
 (the per-byte ``z`` cost of the Section 5 analysis), so the scan-cost
@@ -87,17 +86,6 @@ def kmp_find_all(text: str, pattern: str) -> List[int]:
     return list(kmp_iter(text, pattern))
 
 
-def kmp_find(text: str, pattern: str, start: int = 0) -> int:
-    """First match position at or after ``start``, or -1.
-
-    Equivalent to ``text.find(pattern, start)`` but via KMP; used where the
-    single-pass guarantee matters for the scan-cost accounting.
-    """
-    for position in kmp_iter(text[start:], pattern):
-        return start + position
-    return -1
-
-
 def find_positions(text: str, pattern: str) -> List[int]:
     """All (possibly overlapping) match positions, via ``str.find``.
 
@@ -124,14 +112,13 @@ class TagScanner:
     One scanner instance accumulates ``bytes_scanned`` across calls so a
     DPC can report total scanning work (the ``z`` per-byte cost in the
     Section 5 comparison).  Every scan charges the text's UTF-8 byte
-    length, whichever loop ran.
+    length.
     """
 
     def __init__(self, sentinel: str) -> None:
         if not sentinel:
             raise ConfigurationError("sentinel cannot be empty")
         self.sentinel = sentinel
-        self._failure = failure_function(sentinel)
         self.bytes_scanned = 0
 
     def positions(self, text: str) -> List[int]:
@@ -139,35 +126,14 @@ class TagScanner:
         self.bytes_scanned += utf8_len(text)
         return find_positions(text, self.sentinel)
 
-    def kmp_positions(self, text: str) -> List[int]:
-        """Reference scan: the per-character KMP loop, charging the counter.
-
-        Kept as the executable oracle for the differential property tests;
-        the serve path never calls it.
-        """
-        self.bytes_scanned += utf8_len(text)
-        matches: List[int] = []
-        matched = 0
-        pattern = self.sentinel
-        table = self._failure
-        for i, char in enumerate(text):
-            while matched > 0 and char != pattern[matched]:
-                matched = table[matched - 1]
-            if char == pattern[matched]:
-                matched += 1
-            if matched == len(pattern):
-                matches.append(i - len(pattern) + 1)
-                matched = table[matched - 1]
-        return matches
-
     def charge(self, nbytes: int) -> None:
         """Account ``nbytes`` of scan work without re-walking the text.
 
-        Used by the DPC, whose wire compiler finds the sentinels itself and
-        whose parse cache skips the walk entirely on a hit.  The scan-cost
-        model (Result 1) still charges ``z`` per response byte: the bytes
-        did cross the proxy and were matched, by the compiler or against
-        the cache.  Callers pass the UTF-8 byte length.
+        Used by the DPC, whose scan finds the sentinels itself and whose
+        parse cache skips the walk entirely on a hit.  The scan-cost model
+        (Result 1) still charges ``z`` per response byte: the bytes did
+        cross the proxy and were matched, by the scan or against the
+        cache.  Callers pass the UTF-8 byte length.
         """
         if nbytes < 0:
             raise ConfigurationError("cannot charge a negative byte count")

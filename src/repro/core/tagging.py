@@ -18,8 +18,8 @@ The monitor protocol is ``process_block(fragment_id, describe, generate)``.
 directory entry, before ``generate`` runs, so a hit pays for one fragment
 id and one directory probe keyed on it.  The id is a ``(name, params)``
 tuple, and for a block with at most one plain ``str``/``int`` param it is
-the interned one :meth:`FragmentID.create` hands back from a dict probe,
-so a hit renders no string and builds no id.  The returned instruction
+the interned one :meth:`~repro.core.fragments.FragmentID.create` hands
+back from a dict probe, so a hit renders no string and builds no id.  The returned instruction
 tells the caller what happened, with two outcomes only: a ``GET`` is a
 hit, a ``SET`` is a miss carrying the generated content.  Untagged and non-cacheable blocks never
 reach the monitor.

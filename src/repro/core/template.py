@@ -43,13 +43,12 @@ the client, and each end makes one pass over it:
   string, for the SET-free wire forms a warm proxy sees again.
 
 :class:`Template` and its instruction classes are the decoded view: the
-ESI capture and the tests read them.  :meth:`Template.serialize` (one pass
-over an instruction stream), :func:`compile_wire` (wire to a flat plan of
-op tuples), :func:`parse_template`, :meth:`Template.compiled` and
-:meth:`Template.render_normalized` are the reference encoder and decoders
-the differential property tests hold the two ends to; the serve path calls
-none of them (the BEM's dead-letter recovery still parses an undelivered
-wire to find its SET keys).
+ESI capture, the BEM's dead-letter recovery (which parses an undelivered
+wire to find its SET keys) and the tests read them.  Each leg keeps one
+reference the differential property tests hold it to, and the serve path
+calls neither: :meth:`Template.serialize` for the origin's writer, and
+:func:`parse_template` followed by
+:meth:`~repro.core.dpc.DynamicProxyCache.assemble` for the proxy's scan.
 """
 
 from __future__ import annotations
@@ -241,13 +240,6 @@ class SetInstruction(tuple):
 
 Instruction = Union[Literal, GetInstruction, SetInstruction]
 
-#: Assembly-plan opcodes (see :meth:`Template.compiled`).
-OP_TEXT = 0   # (OP_TEXT, text)              — splice literal text
-OP_GET = 1    # (OP_GET, key)                — splice slot ``key``
-OP_SET = 2    # (OP_SET, key, content)       — store then splice ``content``
-
-PlanOp = Tuple
-
 
 class Template:
     """An ordered instruction stream plus its serialization/parsing.
@@ -337,49 +329,14 @@ class Template:
     # -- serialization --------------------------------------------------------------
 
     def serialize(self) -> str:
-        """Render the wire form of this instruction stream, in one pass.
+        """Render the wire form of this instruction stream.
 
-        The reference for the origin's wire writer
+        The reference encoder: :meth:`normalized`, then one tag per
+        instruction, each key rendered by
+        :meth:`TemplateConfig.format_key` rather than the config's tag
+        memos, so it shares no code with the origin's wire writer
         (:class:`~repro.appserver.scripts.ScriptContext`), which must ship
         exactly this for the same stream of writes and blocks.
-
-        Each run of adjacent literals is joined before it is escaped, so a
-        sentinel split across two literals (``"<"`` + ``"~"``) is escaped
-        exactly as the merged literal would be, and empty literals vanish:
-        the wire equals :meth:`render_normalized`'s, without building the
-        ``normalized()`` copy.
-        """
-        format_key = self.config.format_key
-        get_tags = self.config.get_tags
-        parts: List[str] = []
-        append = parts.append
-        run: List[str] = []     # adjacent literal texts awaiting one escape
-        for instruction in self.instructions:
-            kind = type(instruction)
-            if kind is Literal:
-                run.append(instruction.text)
-                continue
-            if run:
-                append(escape_literal("".join(run)))
-                run.clear()
-            if kind is GetInstruction:
-                append(get_tags[instruction.key])
-            elif kind is SetInstruction:
-                key = format_key(instruction.key)
-                append("<~S:" + key + "~>")
-                append(escape_literal(instruction.content))
-                append("<~E:" + key + "~>")
-            else:  # pragma: no cover - exhaustive over Instruction
-                raise TemplateError("unknown instruction %r" % (instruction,))
-        if run:
-            append(escape_literal("".join(run)))
-        return "".join(parts)
-
-    def render_normalized(self) -> str:
-        """Reference render: ``normalized()``, then one tag per instruction.
-
-        The oracle the differential tests hold :meth:`serialize` to; the
-        serve path never calls it.
         """
         parts: List[str] = []
         for instruction in self.normalized().instructions:
@@ -399,31 +356,6 @@ class Template:
         """Size of the serialized template in UTF-8 bytes."""
         return utf8_len(self.serialize())
 
-    # -- assembly plan ---------------------------------------------------------------
-
-    def compiled(self) -> Tuple[PlanOp, ...]:
-        """The flat assembly plan for this instruction stream.
-
-        Each op is a tuple starting with one of :data:`OP_TEXT`,
-        :data:`OP_GET`, :data:`OP_SET`.  Executing the ops in order against
-        a slot array reproduces, byte for byte, what the per-instruction
-        walk of :meth:`~repro.core.dpc.DynamicProxyCache.assemble` produces.
-        ``parse_template(wire).compiled()`` is the reference
-        :func:`compile_wire` is tested against.
-        """
-        ops: List[PlanOp] = []
-        for instruction in self.instructions:
-            kind = type(instruction)
-            if kind is Literal:
-                ops.append((OP_TEXT, instruction.text))
-            elif kind is GetInstruction:
-                ops.append((OP_GET, instruction.key))
-            elif kind is SetInstruction:
-                ops.append((OP_SET, instruction.key, instruction.content))
-            else:  # pragma: no cover - exhaustive over Instruction
-                raise TemplateError("unknown instruction %r" % (instruction,))
-        return tuple(ops)
-
 
 def _tag(config: TemplateConfig, kind: str, key: int) -> str:
     return "%s%s:%s%s" % (SENTINEL, kind, config.format_key(key), TAG_CLOSE)
@@ -434,10 +366,6 @@ def escape_literal(text: str) -> str:
     # A one-character "~" test runs on memchr; most text has no "~", so it
     # skips the slower two-character search inside replace().
     return text.replace(SENTINEL, ESCAPE_TAG) if "~" in text else text
-
-
-#: What :func:`compile_wire` returns: ``(plan, literal_bytes, set_count)``.
-CompiledWire = Tuple[Tuple[PlanOp, ...], int, int]
 
 
 class TemplateCache:
@@ -522,99 +450,6 @@ def tag_matcher(key_width: int):
     ).match
 
 
-def compile_wire(wire: str, config: TemplateConfig = DEFAULT_CONFIG) -> CompiledWire:
-    """Compile a serialized template straight to its assembly plan.
-
-    One ``str.find`` walk over the sentinels, each tag decoded by one
-    precompiled regex match.  Returns ``(plan, literal_bytes, set_count)``
-    where ``plan`` and ``literal_bytes`` equal ``parse_template(wire)``'s
-    :meth:`Template.compiled` and :attr:`Template.literal_bytes`.  A
-    malformed wire raises the same exception, with the same message, as
-    :func:`parse_template`: a tag the regex rejects is handed to the
-    reference decoder :func:`read_tag`, which raises the exact error.
-    The serve path does not call it: the DPC's scan
-    (:meth:`~repro.core.dpc.DynamicProxyCache.process_response`) walks the
-    wire the same way and assembles as it goes.  This is the flat-plan
-    decoder the protocol tests hold to :func:`parse_template`.
-    """
-    match = tag_matcher(config.key_width)
-    max_fragment_bytes = config.max_fragment_bytes
-    find = wire.find
-    plan: List[PlanOp] = []
-    emit = plan.append
-    pieces: List[str] = []  # text split by <~Q~> escapes, awaiting a join
-    literal_bytes = 0
-    set_count = 0
-    open_key = -1           # the SET's key while inside its body
-    cursor = 0
-    while True:
-        # Find the next sentinel: memchr for its "~" is several times
-        # faster than the two-character search, and "~" is rare outside
-        # tags.  If that "~" is not a sentinel's, fall back to the pair
-        # search from there, so hostile "~"-laden text costs one extra
-        # memchr per tag, never a Python step per "~".
-        position = find("~", cursor)
-        if position > cursor and wire[position - 1] == "<":
-            position -= 1
-        elif position != -1:
-            position = find(SENTINEL, position)
-        if position == -1:
-            break
-        tag = match(wire, position)
-        if tag is None:
-            read_tag(wire, position, config)  # raises the parser's error
-        kind, key_text = tag.groups()
-        text = wire[cursor:position]
-        cursor = tag.end()
-        if kind is None:    # <~Q~>: a literal "<~"
-            pieces.append(text)
-            pieces.append(SENTINEL)
-            continue
-        if pieces:
-            pieces.append(text)
-            text = "".join(pieces)
-            pieces.clear()
-        key = int(key_text)
-        if open_key >= 0:
-            if kind != "E" or key != open_key:
-                raise TemplateError(
-                    "unexpected %s tag inside SET body for key %d at offset %d"
-                    % (kind, open_key, position)
-                )
-            size = utf8_len(text)
-            if size > max_fragment_bytes:
-                raise OversizedFragmentError(
-                    "SET body for key %d is %d bytes (max %d)"
-                    % (open_key, size, max_fragment_bytes)
-                )
-            emit((OP_SET, key, text))
-            set_count += 1
-            open_key = -1
-        elif kind == "E":
-            raise TemplateError(
-                "END tag for key %d without a matching SET at offset %d"
-                % (key, position)
-            )
-        else:
-            if text:
-                emit((OP_TEXT, text))
-                literal_bytes += utf8_len(text)
-            if kind == "G":
-                emit((OP_GET, key))
-            else:
-                open_key = key
-    if open_key >= 0:
-        raise TemplateError("unterminated SET body for key %d" % open_key)
-    text = wire[cursor:]
-    if pieces:
-        pieces.append(text)
-        text = "".join(pieces)
-    if text:
-        emit((OP_TEXT, text))
-        literal_bytes += utf8_len(text)
-    return tuple(plan), literal_bytes, set_count
-
-
 def parse_template(
     wire: str,
     config: TemplateConfig = DEFAULT_CONFIG,
@@ -625,9 +460,8 @@ def parse_template(
     The scan for tags is a single linear pass (the cost the Section 5
     analysis charges at ``z`` per byte), via :meth:`TagScanner.positions`.
     Passing a shared :class:`TagScanner` accumulates scanned-byte counts
-    across calls.  This is the reference decoder the DPC's scan and
-    :func:`compile_wire` are tested against; the serve path does not call
-    it.
+    across calls.  This is the reference decoder the DPC's scan is tested
+    against; the serve path does not call it.
     """
     if scanner is None:
         scanner = TagScanner(SENTINEL)

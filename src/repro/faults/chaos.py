@@ -303,7 +303,7 @@ class ChaosHarness:
         path = self.testbed.path
         response = path.inbound(request)
         try:
-            return path.outbound(request, response.payload_bytes, response.body)
+            return path.outbound(response.payload_bytes, response.body)
         except (NetworkError, DeliveryTimeoutError):
             # The template never reached the proxy: every SET on it is
             # unconfirmed and must be quarantined, or a recycled slot could
@@ -316,7 +316,7 @@ class ChaosHarness:
         path = self.testbed.path
         html = path.inbound(request, origin=self.testbed.render_oracle)
         page_bytes = len(html.encode("utf-8"))
-        path.outbound(request, page_bytes, html, bypass=True)
+        path.outbound(page_bytes, html, bypass=True)
         self.degrader.record_bypass(page_bytes)
         return html
 

@@ -208,8 +208,8 @@ class Figure4Path:
         """Client -> firewall -> origin link -> origin.
 
         Returns what the origin step returns: the server's
-        :class:`HttpResponse`, or whatever ``origin`` renders in its place
-        (the chaos bypass renders the reference page).
+        :class:`~repro.appserver.http.HttpResponse`, or whatever ``origin``
+        renders in its place (the chaos bypass renders the reference page).
         """
         payload_bytes = request.payload_bytes
         scan_s = self.firewall.scan_bytes(payload_bytes)
@@ -226,7 +226,6 @@ class Figure4Path:
 
     def outbound(
         self,
-        request: HttpRequest,
         payload_bytes: int,
         body: str,
         bypass: bool = False,
@@ -236,12 +235,9 @@ class Figure4Path:
         Returns the assembled page, or ``None`` when no DPC step ran (no
         proxy cache, or a ``bypass`` page that ships fully dynamic).
         """
-        message = response_message(
-            payload_bytes, source="origin", destination="external", page=request.url
+        self.transfer(
+            response_message(payload_bytes, source="origin", destination="external")
         )
-        if bypass:
-            message.meta["bypass"] = True
-        self.transfer(message)
         tracer = self.tracer
         traced = tracer._enabled
         scan_s = self.firewall.scan_bytes(payload_bytes)
@@ -283,7 +279,7 @@ class Figure4Path:
     def serve(self, request: HttpRequest) -> Tuple[str, Optional[AssembledPage]]:
         """Both legs around ``server.handle``: (client HTML, assembled page)."""
         response = self.inbound(request)
-        assembled = self.outbound(request, response.payload_bytes, response.body)
+        assembled = self.outbound(response.payload_bytes, response.body)
         return (response.body if assembled is None else assembled.html), assembled
 
 
@@ -315,6 +311,9 @@ class Testbed:
                 else None
             ),
             cost_model=config.cost_model,
+        )
+        self._page_script = self.server.scripts.resolve(
+            synthetic.SyntheticPageScript.path
         )
         if self.monitor is not None:
             self.monitor.attach_database(self.services.db.bus)
@@ -512,11 +511,11 @@ class Testbed:
         h = self.config.target_hit_ratio
         if h is None or h >= 1.0:
             return
-        page_id = int(request.param("pageID", "0"))
-        for pool_index in self.config.synthetic.pool_indexes_for_page(page_id):
-            if not self.config.synthetic.is_cacheable(pool_index):
-                continue
-            if self._hit_rng.random() < 1.0 - h:
+        # One draw per cacheable block, in page order: the plan's tagged
+        # ("frag") blocks are the page's cacheable pool fragments.
+        plan = self._page_script.plan(int(request.param("pageID", "0")))
+        for name, _, pool_index in plan:
+            if name == "frag" and self._hit_rng.random() < 1.0 - h:
                 touch_fragment(self.services, pool_index)
 
     # -- monitor introspection ----------------------------------------------------

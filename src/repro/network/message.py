@@ -26,7 +26,7 @@ empty-message one-packet edge case is encoded exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..errors import ConfigurationError
 
@@ -107,15 +107,13 @@ class WireMessage:
     """An application-level message with a measurable payload size.
 
     ``kind`` distinguishes requests from responses (the Sniffer reports them
-    separately); ``meta`` carries free-form annotations used by experiments
-    (e.g. which page the response belongs to, whether it was a template or a
-    full page).
+    separately).
 
     The class is ``__slots__``-based: one instance is built per send on the
     hot serve path, and slot storage keeps that allocation dict-free.
     """
 
-    __slots__ = ("kind", "payload_bytes", "source", "destination", "meta", "trace")
+    __slots__ = ("kind", "payload_bytes", "source", "destination", "trace")
 
     def __init__(
         self,
@@ -123,7 +121,6 @@ class WireMessage:
         payload_bytes: int,
         source: str = "",
         destination: str = "",
-        meta: Optional[Dict[str, object]] = None,
         trace: Optional[object] = None,
     ) -> None:
         if kind not in ("request", "response"):
@@ -136,8 +133,6 @@ class WireMessage:
         self.payload_bytes = payload_bytes
         self.source = source
         self.destination = destination
-        #: Free-form experiment annotations; always a fresh dict per message.
-        self.meta: Dict[str, object] = {} if meta is None else meta
         #: Trace context (:class:`repro.telemetry.TraceContext`) stamped by
         #: the sending channel when tracing is enabled; ``None`` otherwise.
         self.trace = trace
@@ -166,7 +161,6 @@ class WireMessage:
             and self.payload_bytes == other.payload_bytes
             and self.source == other.source
             and self.destination == other.destination
-            and self.meta == other.meta
             and self.trace == other.trace
         )
 
@@ -183,17 +177,15 @@ def request_message(
     payload_bytes: int,
     source: str = "client",
     destination: str = "origin",
-    **meta: object,
 ) -> WireMessage:
     """Convenience constructor for a request message."""
-    return WireMessage("request", payload_bytes, source, destination, meta)
+    return WireMessage("request", payload_bytes, source, destination)
 
 
 def response_message(
     payload_bytes: int,
     source: str = "origin",
     destination: str = "client",
-    **meta: object,
 ) -> WireMessage:
     """Convenience constructor for a response message."""
-    return WireMessage("response", payload_bytes, source, destination, meta)
+    return WireMessage("response", payload_bytes, source, destination)

@@ -7,7 +7,7 @@ been shown to describe Web page requests with reasonable accuracy [2, 12]."
 ``P(i) proportional to 1 / rank(i)^alpha`` with ``alpha = 1`` as the classic
 Zipf law; ``alpha = 0`` degenerates to uniform, larger alpha means more
 skew.  Implemented with an explicit CDF table plus binary search so
-sampling is O(log n) and exactly matches :meth:`pmf`.
+sampling is O(log n) and exactly matches :meth:`ZipfDistribution.pmf`.
 """
 
 from __future__ import annotations

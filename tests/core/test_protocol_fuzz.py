@@ -18,7 +18,6 @@ from repro.core.template import (
     SENTINEL,
     Template,
     TemplateConfig,
-    compile_wire,
     parse_template,
 )
 from repro.errors import (
@@ -143,11 +142,11 @@ class TestDpcKeyDigits:
     ``str.isdigit`` also admits superscripts (which ``int`` rejects with a
     bare ``ValueError``) and other scripts' digits (which ``int`` reads as
     a different key), so neither may get past the tag decoder: not the
-    serve path's wire compiler, and not the reference parser.
+    serve path's scan, and not the reference parser.
     """
 
     @pytest.mark.parametrize("wire", ["<~G:000²~>", "<~G:١٢٣٤~>", "<~S:٠٠٠١~>x<~E:٠٠٠١~>"])
-    @pytest.mark.parametrize("decode", [compile_wire, parse_template])
+    @pytest.mark.parametrize("decode", [parse_template])
     def test_non_ascii_digits_are_a_malformed_key(self, wire, decode):
         with pytest.raises(TemplateError, match="malformed dpcKey"):
             decode(wire)

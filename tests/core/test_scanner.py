@@ -5,7 +5,6 @@ import pytest
 from repro.core.scanner import (
     TagScanner,
     failure_function,
-    kmp_find,
     kmp_find_all,
 )
 from repro.errors import ConfigurationError
@@ -51,23 +50,6 @@ class TestKmpFindAll:
 
     def test_empty_text(self):
         assert kmp_find_all("", "ab") == []
-
-
-class TestKmpFind:
-    def test_first_match(self):
-        assert kmp_find("abcabc", "abc") == 0
-
-    def test_with_start(self):
-        assert kmp_find("abcabc", "abc", start=1) == 3
-
-    def test_not_found(self):
-        assert kmp_find("abc", "zz") == -1
-
-    def test_matches_str_find_semantics(self):
-        text = "xyxyxyzxy"
-        for pattern in ("xy", "xyz", "zz"):
-            for start in range(len(text)):
-                assert kmp_find(text, pattern, start) == text.find(pattern, start)
 
 
 class TestTagScanner:

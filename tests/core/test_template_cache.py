@@ -1,4 +1,4 @@
-"""Tests for template serialization, assembly plans and the parse cache."""
+"""Tests for template serialization and the parse cache."""
 
 from collections import Counter
 
@@ -11,14 +11,7 @@ from repro.core import fragments
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
-from repro.core.template import (
-    OP_GET,
-    OP_SET,
-    OP_TEXT,
-    Template,
-    TemplateCache,
-    parse_template,
-)
+from repro.core.template import Template, TemplateCache, parse_template
 from repro.database import Database
 from repro.errors import ConfigurationError
 from repro.insight import InsightLayer
@@ -34,28 +27,14 @@ class TestSerializeMemo:
         template.literal("b")
         second = template.serialize()
         assert second != first
-        assert second == template.render_normalized()
+        assert second == first + "b"
+        assert parse_template(second) == template.normalized()
 
     def test_wire_bytes_tracks_mutation(self):
         template = Template().get(1)
         before = template.wire_bytes()
         template.literal("xyz")
         assert template.wire_bytes() == before + 3
-
-
-class TestCompiledPlan:
-    def test_plan_mirrors_instructions(self):
-        template = Template().literal("a").get(2).set(3, "zz")
-        plan = template.compiled()
-        assert plan == ((OP_TEXT, "a"), (OP_GET, 2), (OP_SET, 3, "zz"))
-
-    def test_plan_invalidated_by_mutation(self):
-        template = Template().get(1)
-        before = template.compiled()
-        template.get(2)
-        after = template.compiled()
-        assert after != before
-        assert after[-1] == (OP_GET, 2)
 
 
 class TestTemplateCache:

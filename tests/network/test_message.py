@@ -86,10 +86,11 @@ class TestWireMessage:
         assert message.wire_bytes(ProtocolOverheadModel(enabled=False)) == 2000
 
     def test_request_helper(self):
-        message = request_message(120, source="a", destination="b", page="/x")
+        message = request_message(120, source="a", destination="b")
         assert message.kind == "request"
         assert message.source == "a"
-        assert message.meta["page"] == "/x"
+        assert message.destination == "b"
+        assert message.payload_bytes == 120
 
     def test_response_helper(self):
         message = response_message(500)
@@ -129,5 +130,6 @@ class TestWireMessage:
         assert message.trace is not None
 
     def test_equality_by_fields(self):
-        assert request_message(5, page="/x") == request_message(5, page="/x")
+        assert request_message(5, "a", "b") == request_message(5, "a", "b")
+        assert request_message(5, "a", "b") != request_message(5, "a", "c")
         assert request_message(5) != request_message(6)

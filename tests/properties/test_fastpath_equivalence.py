@@ -1,15 +1,16 @@
 """Differential properties: the serve path is byte-identical to its oracles.
 
-The serve path scans with ``str.find``, compiles each response straight to
-an assembly plan (behind a parse cache) and renders templates in one pass.
-The reference code it replaced is kept only as test oracles: the KMP scan
-(:meth:`TagScanner.kmp_positions`), :func:`parse_template` followed by the
-per-instruction :meth:`DynamicProxyCache.assemble`, and
-:meth:`Template.render_normalized`.  "Lanes" in the test names means those
-two sides.  Every observable — match positions, decoded plans, assembled
-pages, DPC stats, and the scanned-byte counter behind Result 1 — must be
-equal on randomized inputs, including escaped sentinels, adjacent tags,
-and oversized fragments.
+The serve path scans with ``str.find``, decodes and assembles each
+response in one pass (behind a parse cache), and the origin writes the
+wire as blocks resolve.  Each stage keeps one reference as its test
+oracle: the per-character KMP scan (:func:`kmp_find_all`),
+:func:`parse_template` followed by the per-instruction
+:meth:`DynamicProxyCache.assemble`, and :meth:`Template.serialize`.
+"Lanes" in the test names means the serve path and its oracle.  Every
+observable — match positions, decoded templates, assembled pages, DPC
+stats, and the scanned-byte counter behind Result 1 — must be equal on
+randomized inputs, including escaped sentinels, adjacent tags, and
+oversized fragments.
 """
 
 import string
@@ -27,7 +28,6 @@ from repro.core.template import (
     SetInstruction,
     Template,
     TemplateConfig,
-    compile_wire,
     parse_template,
 )
 from repro.errors import AssemblyError, OversizedFragmentError
@@ -68,12 +68,11 @@ def test_find_scan_matches_kmp_on_arbitrary_patterns(body, pattern):
 
 @given(st.text(alphabet="ab<~é€", max_size=80))
 def test_scanner_lanes_charge_identical_bytes(body):
-    """Result 1 accounting: both scans charge the text's UTF-8 bytes."""
-    fast_scanner = TagScanner(SENTINEL)
-    reference_scanner = TagScanner(SENTINEL)
-    assert fast_scanner.positions(body) == reference_scanner.kmp_positions(body)
-    assert fast_scanner.bytes_scanned == reference_scanner.bytes_scanned
-    assert fast_scanner.bytes_scanned == utf8_len(body)
+    """Result 1 accounting: the scan charges the text's UTF-8 bytes."""
+    scanner = TagScanner(SENTINEL)
+    assert scanner.positions(body) == kmp_find_all(body, SENTINEL)
+    assert scanner.bytes_scanned == utf8_len(body)
+    assert scanner.bytes_scanned == len(body.encode("utf-8"))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -82,21 +81,17 @@ def test_scanner_lanes_charge_identical_bytes(body):
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_parse_identical_across_lanes(instruction_list):
-    """The wire compiler decodes what the reference parser decodes.
+    """The reference parser decodes what was serialized, and the DPC's
+    scan charges the scan counter what the parser's scanner charges.
 
     The generated streams include adjacent tags (consecutive GET/SET with
     no literal between them) and literals containing the raw sentinel,
-    which serialization escapes.  The DPC charges the scan counter what
-    the reference parser's scanner charges.
+    which serialization escapes.
     """
-    wire = Template(instruction_list).render_normalized()
+    wire = Template(instruction_list).serialize()
     reference_scanner = TagScanner(SENTINEL)
     reference_parse = parse_template(wire, scanner=reference_scanner)
     assert reference_parse == Template(instruction_list).normalized()
-    plan, literal_bytes, set_count = compile_wire(wire)
-    assert plan == reference_parse.compiled()
-    assert literal_bytes == reference_parse.literal_bytes
-    assert set_count == reference_parse.set_count
     dpc = DynamicProxyCache(capacity=256)
     try:
         dpc.process_response(wire)
@@ -108,16 +103,16 @@ def test_parse_identical_across_lanes(instruction_list):
 @given(st.lists(instructions, max_size=16))
 @settings(max_examples=200)
 def test_serialize_identical_across_lanes_and_after_mutation(instruction_list):
-    """The one-pass render never drifts from the reference render."""
+    """The render round-trips, and tracks every mutation."""
     template = Template(list(instruction_list))
     first = template.serialize()
-    assert first == template.render_normalized()
+    assert parse_template(first) == template.normalized()
     assert template.serialize() == first
     template.get(7)
     mutated = template.serialize()
-    assert mutated == template.render_normalized()
+    assert parse_template(mutated) == template.normalized()
     assert mutated == first + "<~G:0007~>"
-    assert template.wire_bytes() == utf8_len(template.render_normalized())
+    assert template.wire_bytes() == utf8_len(mutated)
 
 
 # -- assembly -----------------------------------------------------------------
@@ -161,7 +156,7 @@ def test_assembly_identical_across_lanes(fragments, data):
     for key, content in seen.items():
         set_template.literal(data.draw(text)).set(key, content)
         get_template.literal(data.draw(text)).get(key)
-    wires = [set_template.render_normalized()] + [get_template.render_normalized()] * 2
+    wires = [set_template.serialize()] + [get_template.serialize()] * 2
     fast_pages, fast_dpc = _serve_all(wires)
     reference_pages, reference_dpc = _reference_all(wires)
     assert fast_dpc.parse_cache.hits == 1
@@ -173,15 +168,13 @@ def test_assembly_identical_across_lanes(fragments, data):
 def test_oversized_fragment_rejected_identically():
     """Both decoders raise the same typed error on an oversized SET body."""
     config = TemplateConfig(max_fragment_bytes=64)
-    oversized = Template(config=config).set(3, "x" * 65).render_normalized()
+    oversized = Template(config=config).set(3, "x" * 65).serialize()
     with pytest.raises(OversizedFragmentError) as reference:
         parse_template(oversized, config)
-    with pytest.raises(OversizedFragmentError) as fast:
-        compile_wire(oversized, config)
-    assert str(fast.value) == str(reference.value)
     dpc = DynamicProxyCache(capacity=8, template_config=config)
-    with pytest.raises(OversizedFragmentError):
+    with pytest.raises(OversizedFragmentError) as fast:
         dpc.process_response(oversized)
+    assert str(fast.value) == str(reference.value)
     assert dpc.occupied_slots() == 0
 
 
@@ -190,8 +183,8 @@ def test_oversized_fragment_rejected_identically():
 def test_escaped_sentinel_content_identical(prefix, suffix):
     """Content containing the raw sentinel survives both sides unchanged."""
     content = prefix + SENTINEL + suffix + SENTINEL
-    wires = [Template().set(1, content).render_normalized(),
-             Template().get(1).render_normalized()]
+    wires = [Template().set(1, content).serialize(),
+             Template().get(1).serialize()]
     fast_pages, _ = _serve_all(wires)
     reference_pages, _ = _reference_all(wires)
     assert fast_pages == reference_pages

@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.scanner import failure_function, kmp_find, kmp_find_all
+from repro.core.scanner import failure_function, kmp_find_all
 
 small_alphabet = st.text(alphabet="ab<~", max_size=60)
 patterns = st.text(alphabet="ab<~", min_size=1, max_size=6)
@@ -26,11 +26,6 @@ def naive_find_all(text, pattern):
 @settings(max_examples=400)
 def test_kmp_matches_naive(text, pattern):
     assert kmp_find_all(text, pattern) == naive_find_all(text, pattern)
-
-
-@given(small_alphabet, patterns, st.integers(0, 60))
-def test_kmp_find_matches_str_find(text, pattern, start):
-    assert kmp_find(text, pattern, start) == text.find(pattern, start)
 
 
 @given(patterns)

@@ -1,20 +1,14 @@
-"""Differential properties of the single-pass wire codec.
+"""Differential properties of the DPC's one-pass decode and assembly.
 
 The serve path never builds :class:`Template` objects for an origin
-response: :func:`compile_wire` turns the wire straight into the assembly
-plan, and :meth:`Template.serialize` renders in one pass without a
-``normalized()`` copy.  These tests pin both ends to the reference code
-kept as oracles:
-
-* ``compile_wire(wire)`` equals ``parse_template(wire).compiled()`` and its
-  ``literal_bytes``/``set_count``, or raises the same exception type with
-  the same message;
-* a sequence of responses through ``process_response`` yields the same
-  pages, :class:`DpcStats`, scanned bytes and slot array as
-  ``parse_template`` + ``assemble`` on a second DPC, and on an error the
-  same exception with the same slots left behind;
-* the one-pass render equals :meth:`Template.render_normalized`, including
-  a sentinel split across two adjacent literals.
+response: :meth:`DynamicProxyCache.process_response` scans the wire and
+assembles it in one pass.  These tests pin it to the reference decoder
+kept as its oracle: a sequence of responses through ``process_response``
+yields the same pages, :class:`DpcStats`, scanned bytes and slot array as
+``parse_template`` + ``assemble`` on a second DPC, and on an error the
+same exception with the same slots left behind.  The reference encoder,
+:meth:`Template.serialize`, escapes a sentinel split across two adjacent
+literals as the merged literal would be.
 
 "Lanes" in a test name means the serve path and its oracle.
 
@@ -33,7 +27,6 @@ from repro.core.template import (
     SetInstruction,
     Template,
     TemplateConfig,
-    compile_wire,
     parse_template,
     utf8_len,
 )
@@ -70,7 +63,7 @@ RAW_WIRE = st.lists(
 
 def _serialized(config):
     return st.lists(instructions, max_size=10).map(
-        lambda stream: Template(stream, config).render_normalized()
+        lambda stream: Template(stream, config).serialize()
     )
 
 
@@ -87,33 +80,12 @@ def _wires(config):
 
 
 @st.composite
-def config_and_wire(draw):
-    config = draw(CONFIGS)
-    return config, draw(_wires(config))
-
-
-@st.composite
 def config_and_wires(draw):
     """A response sequence; one wire is repeated so parse-cache hits occur."""
     config = draw(CONFIGS)
     wires = draw(st.lists(_wires(config), min_size=1, max_size=5))
     wires.append(draw(st.sampled_from(wires)))
     return config, wires
-
-
-# -- DPC side: the compiler ----------------------------------------------------
-
-
-@given(config_and_wire())
-@settings(max_examples=400, deadline=None)
-def test_compiler_matches_parse_then_compile(case):
-    config, wire = case
-
-    def reference():
-        template = parse_template(wire, config)
-        return template.compiled(), template.literal_bytes, template.set_count
-
-    assert _outcome(lambda: compile_wire(wire, config)) == _outcome(reference)
 
 
 # -- DPC side: whole responses -------------------------------------------------
@@ -161,19 +133,11 @@ def test_process_response_identical_across_lanes(case):
     assert fast_dpc.bytes_scanned == sum(utf8_len(wire) for wire in wires)
 
 
-# -- origin side: the one-pass render ------------------------------------------
-
-
-@given(CONFIGS, st.lists(instructions, max_size=12))
-@settings(max_examples=300, deadline=None)
-def test_one_pass_render_matches_normalized_render(config, stream):
-    template = Template(stream, config)
-    assert _outcome(template.serialize) == _outcome(template.render_normalized)
+# -- origin side: the reference encoder ----------------------------------------
 
 
 def test_sentinel_split_across_adjacent_literals_is_escaped():
     template = Template().literal("a<").literal("~b").get(1).literal("").literal("<~")
     wire = template.serialize()
     assert wire == "a<~Q~>b<~G:0001~><~Q~>"
-    assert wire == template.render_normalized()
     assert parse_template(wire) == template.normalized()
