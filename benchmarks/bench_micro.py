@@ -27,7 +27,7 @@ from repro.core.bem import BackEndMonitor
 from repro.core.cache_directory import CacheDirectory
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID, FragmentMetadata
-from repro.core.scanner import TagScanner
+from repro.core.scanner import find_positions
 from repro.core.template import SENTINEL, Template
 from repro.database import Database, schema
 from repro.network.clock import SimulatedClock
@@ -36,9 +36,8 @@ from repro.network.latency import GenerationCostModel
 
 def test_sentinel_scan_throughput(benchmark):
     """Scanning a 64 KB tag-free response for the sentinel."""
-    scanner = TagScanner(SENTINEL)
     text = ("The quick brown fox jumps over the lazy dog. " * 1456)[:65536]
-    result = benchmark(scanner.positions, text)
+    result = benchmark(find_positions, text, SENTINEL)
     assert result == []
 
 

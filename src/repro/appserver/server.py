@@ -79,7 +79,6 @@ class ApplicationServer:
         self.scripts = ScriptRegistry()
         self.sessions = SessionManager(self.clock)
         self.requests_served = 0
-        self.total_generation_s = 0.0
         #: Tracer breaking origin-side work into ``bem.process`` →
         #: ``script.exec`` → ``script.compute``/``db.query`` spans.  When
         #: left disabled the generation advance stays one combined call,
@@ -197,16 +196,12 @@ class ApplicationServer:
         else:
             self.clock.advance(ctx.generation_cost_s + app_wait_s + db_wait_s)
         self.requests_served += 1
-        self.total_generation_s += ctx.generation_cost_s
 
         return HttpResponse(
             body=body,
             header_bytes=self.response_header_bytes,
             meta={
-                "app_wait_s": app_wait_s,
-                "db_wait_s": db_wait_s,
                 "mode": self.mode,
-                "path": request.path,
                 "url": request.url,
                 "blocks": ctx.blocks,
                 "hits": ctx.hits,

@@ -23,7 +23,7 @@ from .cache_directory import (
 )
 from .coherency import ProxyGroup
 from .dpc import AssembledPage, DpcStats, DynamicProxyCache
-from .fragments import Dependency, Fragment, FragmentID, FragmentMetadata
+from .fragments import Dependency, FragmentID, FragmentMetadata
 from .invalidation import InvalidationManager
 from .replacement import (
     DecayedFrequencyPolicy,
@@ -36,7 +36,7 @@ from .replacement import (
     make_policy,
 )
 from .routing import ConsistentHashRing, RequestRouter
-from .scanner import TagScanner, failure_function, kmp_find_all
+from .scanner import failure_function, kmp_find_all
 from .tagging import BlockTag, TagRegistry
 from .template import (
     DEFAULT_CONFIG,
@@ -63,7 +63,6 @@ __all__ = [
     "DpcStats",
     "AssembledPage",
     "Dependency",
-    "Fragment",
     "FragmentID",
     "FragmentMetadata",
     "InvalidationManager",
@@ -77,7 +76,6 @@ __all__ = [
     "make_policy",
     "ConsistentHashRing",
     "RequestRouter",
-    "TagScanner",
     "failure_function",
     "kmp_find_all",
     "TagRegistry",

@@ -28,7 +28,7 @@ from ..errors import (
     SlotError,
     TemplateError,
 )
-from .scanner import TagScanner, utf8_len
+from .scanner import utf8_len
 from .template import (
     DEFAULT_CONFIG,
     SENTINEL,
@@ -52,7 +52,9 @@ class DpcStats:
     page_bytes_out: int = 0       # what was delivered to clients
     fragments_set: int = 0
     fragments_get: int = 0
-    literal_bytes: int = 0
+    #: Response bytes (UTF-8) the scan was charged for, the ``z`` of §5:
+    #: every response, including one whose assembly raised.
+    bytes_scanned: int = 0
 
     @property
     def bytes_saved(self) -> int:
@@ -102,7 +104,6 @@ class DynamicProxyCache:
         self.capacity = capacity
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
-        self.scanner = TagScanner(SENTINEL)
         #: LRU parse cache: SET-free wire string -> its part skeleton.  A
         #: warm proxy repeatedly receives identical GET-only wire forms;
         #: re-scanning them is avoidable interpreter cost.  The cache only
@@ -178,15 +179,18 @@ class DynamicProxyCache:
         (:meth:`_scan`).  A SET-free wire the proxy has already scanned is
         served from the LRU parse cache, which keeps its part skeleton:
         the text parts, and the part index and dpcKey of each GET.  The
-        scan-cost counter is charged the response's UTF-8 bytes whether or
-        not the wire was cached (:meth:`TagScanner.charge`).
+        scan-cost counter (:attr:`DpcStats.bytes_scanned`) is charged the
+        response's UTF-8 bytes before assembly, whether or not the wire
+        was cached and whether or not its assembly raises: the bytes did
+        cross the proxy and were matched, by the scan or against the
+        cache.
         """
         wire_bytes = utf8_len(wire)
-        self.scanner.charge(wire_bytes)
+        self.stats.bytes_scanned += wire_bytes
         skeleton = self.parse_cache.get(wire)
         if skeleton is None:
             return self._scan(wire, wire_bytes)
-        parts, gets, literal_bytes = skeleton
+        parts, gets = skeleton
         page = list(parts)
         slots = self._slots
         capacity = self.capacity
@@ -195,7 +199,7 @@ class DynamicProxyCache:
             if content is None:
                 content = self.fetch(key)  # raises the typed error
             page[index] = content
-        return self._emit(page, 0, len(gets), literal_bytes, wire_bytes)
+        return self._emit(page, 0, len(gets), wire_bytes)
 
     def _scan(self, wire: str, wire_bytes: int) -> AssembledPage:
         """Scan ``wire`` and assemble its page in the same pass.
@@ -229,7 +233,6 @@ class DynamicProxyCache:
         # The first SET or GET that cannot run: (SETs before it, dpcKey,
         # the SET's content or None for a GET).
         failure: Optional[Tuple[int, int, Optional[str]]] = None
-        literal_bytes = 0
         open_key = -1           # the SET's key while inside its body
         end_tag = ""            # the open SET's END tag
         startswith = wire.startswith
@@ -297,7 +300,6 @@ class DynamicProxyCache:
                 )
             if text:
                 append(text)
-                literal_bytes += utf8_len(text)
             if kind == "G":
                 content = written.get(key) if written else None
                 if content is None:
@@ -317,12 +319,11 @@ class DynamicProxyCache:
             text = "".join(pieces)
         if text:
             append(text)
-            literal_bytes += utf8_len(text)
         if not sets:
             skeleton = parts.copy()
             for index, _ in gets:
                 skeleton[index] = None  # never pin slot content
-            self.parse_cache.put(wire, (tuple(skeleton), tuple(gets), literal_bytes))
+            self.parse_cache.put(wire, (tuple(skeleton), tuple(gets)))
         if failure is not None:
             stored, key, content = failure
             for set_key, set_content in sets[:stored]:
@@ -332,7 +333,7 @@ class DynamicProxyCache:
             self.store(key, content)    # raises: key out of range
         for key, content in sets:
             slots[key] = content
-        return self._emit(parts, len(sets), len(gets), literal_bytes, wire_bytes)
+        return self._emit(parts, len(sets), len(gets), wire_bytes)
 
     def assemble(self, template: Template, wire_bytes: Optional[int] = None) -> AssembledPage:
         """Execute a parsed template against the slot array.
@@ -360,15 +361,10 @@ class DynamicProxyCache:
                 gets += 1
             else:  # pragma: no cover - exhaustive over Instruction
                 raise AssemblyError("unknown instruction %r" % (instruction,))
-        return self._emit(parts, sets, gets, template.literal_bytes, wire_bytes)
+        return self._emit(parts, sets, gets, wire_bytes)
 
     def _emit(
-        self,
-        parts: List[str],
-        sets: int,
-        gets: int,
-        literal_bytes: int,
-        wire_bytes: int,
+        self, parts: List[str], sets: int, gets: int, wire_bytes: int
     ) -> AssembledPage:
         """Join the spliced parts, count the response, build the page."""
         html = "".join(parts)
@@ -378,7 +374,6 @@ class DynamicProxyCache:
         self.stats.page_bytes_out += page_bytes
         self.stats.fragments_set += sets
         self.stats.fragments_get += gets
-        self.stats.literal_bytes += literal_bytes
         return AssembledPage(
             html=html,
             template_bytes=wire_bytes,
@@ -407,7 +402,7 @@ class DynamicProxyCache:
     @property
     def bytes_scanned(self) -> int:
         """Total response bytes (UTF-8) scanned so far."""
-        return self.scanner.bytes_scanned
+        return self.stats.bytes_scanned
 
     def metric_rows(self) -> List[tuple]:
         """Registry rows: the proxy cache's health under ``dpc.*``.

@@ -24,7 +24,7 @@ canonicalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
@@ -293,23 +293,3 @@ def checked_metadata(
     fields["cacheable"] = cacheable
     return metadata
 
-
-@dataclass
-class Fragment:
-    """A generated fragment: identity, content, metadata, birth time."""
-
-    fragment_id: FragmentID
-    content: str
-    metadata: FragmentMetadata = field(default_factory=FragmentMetadata)
-    created_at: float = 0.0
-
-    @property
-    def size_bytes(self) -> int:
-        """UTF-8 byte length of the fragment content."""
-        return len(self.content.encode("utf-8"))
-
-    def expired(self, now: float) -> bool:
-        """Whether the TTL has elapsed at virtual time ``now``."""
-        if self.metadata.ttl is None:
-            return False
-        return now >= self.created_at + self.metadata.ttl

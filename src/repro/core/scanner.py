@@ -1,17 +1,21 @@
-"""Sentinel scanning for the DPC's template scanner.
+"""Sentinel scanning and byte counts for the template codec.
 
 The paper justifies its scan-cost assumption by noting that "string matching
 algorithms (e.g., KMP [18]) are linear-time algorithms" (§5).  The DPC must
 scan every response byte exactly once looking for instruction tags.  The
-serve path runs that linear scan with ``str.find`` (:func:`find_positions`,
-:meth:`TagScanner.positions`), inside the interpreter's C string machinery.
-The classic per-character KMP loop (:func:`kmp_iter`, read through
-:func:`kmp_find_all`) is kept as the one executable oracle the
-differential tests hold the ``str.find`` scan to: same match positions.
+reference parser (:func:`~repro.core.template.parse_template`) runs that
+linear scan with ``str.find`` (:func:`find_positions`), inside the
+interpreter's C string machinery; the DPC's own scan
+(:meth:`~repro.core.dpc.DynamicProxyCache.process_response`) walks the
+sentinels with ``str.find`` as it assembles.  The classic per-character KMP
+loop (:func:`kmp_iter`, read through :func:`kmp_find_all`) is kept as the
+one executable oracle the differential tests hold the ``str.find`` scan to:
+same match positions.
 
-:class:`TagScanner` charges the UTF-8 byte length of every text it scans
-(the per-byte ``z`` cost of the Section 5 analysis), so the scan-cost
-analysis (Result 1) can be measured rather than assumed.
+:func:`utf8_len` is the byte count every layer charges; the DPC adds each
+response's to :attr:`~repro.core.dpc.DpcStats.bytes_scanned` (the per-byte
+``z`` cost of the Section 5 analysis), so the scan-cost analysis (Result 1)
+can be measured rather than assumed.
 """
 
 from __future__ import annotations
@@ -89,7 +93,7 @@ def kmp_find_all(text: str, pattern: str) -> List[int]:
 def find_positions(text: str, pattern: str) -> List[int]:
     """All (possibly overlapping) match positions, via ``str.find``.
 
-    The serve path's scan: the same linear pass as KMP, executed by the
+    The reference parser's scan: the same linear pass as KMP, executed by the
     interpreter's C substring search instead of a per-character Python
     loop.  Overlapping matches are included (the search resumes one
     character past each match start), so the output is position-for-position
@@ -105,40 +109,3 @@ def find_positions(text: str, pattern: str) -> List[int]:
         position = find(pattern, position + 1)
     return matches
 
-
-class TagScanner:
-    """Finds instruction-tag sentinels in serialized templates.
-
-    One scanner instance accumulates ``bytes_scanned`` across calls so a
-    DPC can report total scanning work (the ``z`` per-byte cost in the
-    Section 5 comparison).  Every scan charges the text's UTF-8 byte
-    length.
-    """
-
-    def __init__(self, sentinel: str) -> None:
-        if not sentinel:
-            raise ConfigurationError("sentinel cannot be empty")
-        self.sentinel = sentinel
-        self.bytes_scanned = 0
-
-    def positions(self, text: str) -> List[int]:
-        """Scan ``text`` once with ``str.find``; all sentinel start positions."""
-        self.bytes_scanned += utf8_len(text)
-        return find_positions(text, self.sentinel)
-
-    def charge(self, nbytes: int) -> None:
-        """Account ``nbytes`` of scan work without re-walking the text.
-
-        Used by the DPC, whose scan finds the sentinels itself and whose
-        parse cache skips the walk entirely on a hit.  The scan-cost model
-        (Result 1) still charges ``z`` per response byte: the bytes did
-        cross the proxy and were matched, by the scan or against the
-        cache.  Callers pass the UTF-8 byte length.
-        """
-        if nbytes < 0:
-            raise ConfigurationError("cannot charge a negative byte count")
-        self.bytes_scanned += nbytes
-
-    def reset_counters(self) -> None:
-        """Zero the scanned-byte counter."""
-        self.bytes_scanned = 0

@@ -60,7 +60,7 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, OversizedFragmentError, TemplateError
-from .scanner import TagScanner, utf8_len
+from .scanner import find_positions, utf8_len
 
 SENTINEL = "<~"
 TAG_CLOSE = "~>"
@@ -287,13 +287,6 @@ class Template:
         """Number of SET instructions."""
         return sum(1 for i in self.instructions if type(i) is SetInstruction)
 
-    @property
-    def literal_bytes(self) -> int:
-        """Total UTF-8 bytes of literal text."""
-        return sum(
-            utf8_len(i.text) for i in self.instructions if type(i) is Literal
-        )
-
     def normalized(self) -> "Template":
         """Merge adjacent literals and drop empty ones.
 
@@ -450,25 +443,15 @@ def tag_matcher(key_width: int):
     ).match
 
 
-def parse_template(
-    wire: str,
-    config: TemplateConfig = DEFAULT_CONFIG,
-    scanner: TagScanner = None,
-) -> Template:
+def parse_template(wire: str, config: TemplateConfig = DEFAULT_CONFIG) -> Template:
     """Parse a serialized template back into an instruction stream.
 
     The scan for tags is a single linear pass (the cost the Section 5
-    analysis charges at ``z`` per byte), via :meth:`TagScanner.positions`.
-    Passing a shared :class:`TagScanner` accumulates scanned-byte counts
-    across calls.  This is the reference decoder the DPC's scan is tested
-    against; the serve path does not call it.
+    analysis charges at ``z`` per byte), via :func:`find_positions`.  This
+    is the reference decoder the DPC's scan is tested against; the serve
+    path does not call it.
     """
-    if scanner is None:
-        scanner = TagScanner(SENTINEL)
-    elif scanner.sentinel != SENTINEL:
-        raise ConfigurationError("scanner sentinel must be %r" % SENTINEL)
-
-    positions = scanner.positions(wire)
+    positions = find_positions(wire, SENTINEL)
     template = Template(config=config)
     buffer: List[str] = []          # accumulates literal or SET content text
     open_set: Tuple[int, ...] = ()  # (key,) while inside a SET body

@@ -23,8 +23,8 @@ from ..core.bem import BackEndMonitor
 from ..core.dpc import DynamicProxyCache
 from ..network.firewall import Firewall
 from ..network.sniffer import Sniffer
+from ..telemetry.export import render_metrics
 from ..telemetry.metrics import MetricsRegistry
-from .reporting import format_table
 
 
 class DeploymentSnapshot:
@@ -58,7 +58,7 @@ class DeploymentSnapshot:
 
     def render(self) -> str:
         """ASCII table of every collected metric."""
-        return format_table(["metric", "value"], self.rows)
+        return render_metrics(self.rows)
 
 
 def take_snapshot(

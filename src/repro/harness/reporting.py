@@ -9,21 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-
-def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Render an aligned ASCII table."""
-    materialized: List[List[str]] = [[_cell(value) for value in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in materialized:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for row in materialized:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    return "\n".join(lines)
+from ..telemetry.export import format_table
 
 
 def print_table(
@@ -33,14 +19,6 @@ def print_table(
     print()
     print("=== %s ===" % title)
     print(format_table(headers, rows))
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return "%.4f" % value
-    return str(value)
 
 
 def drops_table(ledger) -> str:

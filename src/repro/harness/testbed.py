@@ -250,8 +250,6 @@ class Figure4Path:
             return None
         # One ``dpc.assemble`` leaf, recorded after the work: a failed
         # assembly is a 0-second leaf whose status is the error's name.
-        scanner = dpc.scanner
-        scanned_before = scanner.bytes_scanned
         try:
             assembled = dpc.process_response(body)
         except BaseException as failure:
@@ -259,7 +257,7 @@ class Figure4Path:
                 tracer.leaf("dpc.assemble", 0.0, type(failure).__name__, {})
             raise
         assemble_s = (
-            (scanner.bytes_scanned - scanned_before)
+            assembled.template_bytes
             * self.firewall.scan_cost_per_byte  # z ~= y (§5)
             + self.cost_model.assembly_cost(
                 assembled.fragments_set + assembled.fragments_get
@@ -312,7 +310,9 @@ class Testbed:
             ),
             cost_model=config.cost_model,
         )
-        self._page_script = self.server.scripts.resolve(
+        #: The synthetic page script; its block plans name each page's
+        #: cacheable (``"frag"``) blocks.
+        self.page_script = self.server.scripts.resolve(
             synthetic.SyntheticPageScript.path
         )
         if self.monitor is not None:
@@ -349,7 +349,6 @@ class Testbed:
         self.sniffer = self.path.sniffer
 
         self._hit_rng = random.Random(config.seed + 1)
-        self._oracle = self._build_oracle_server()
 
         #: Injector hook points: callables invoked as ``hook(testbed, index,
         #: timed)`` by :meth:`arrive`, after the clock reaches the arrival
@@ -366,26 +365,6 @@ class Testbed:
             capacity=config.dpc_capacity,
             clock=self.clock,
             template_config=template_config,
-        )
-
-    def _build_oracle_server(self) -> ApplicationServer:
-        """A plain server over the SAME services, for page oracles."""
-        return synthetic.build_server(
-            params=self.config.synthetic,
-            services=self.services,
-            clock=self.clock,
-            bem=None,
-            cost_model=GenerationCostModel(
-                request_dispatch_s=0.0,
-                compute_per_byte_s=0.0,
-                block_overhead_s=0.0,
-                cross_tier_hop_s=0.0,
-                db_connection_wait_s=0.0,
-                db_row_cost_s=0.0,
-                conversion_per_byte_s=0.0,
-                directory_lookup_s=0.0,
-                dpc_slot_op_s=0.0,
-            ),
         )
 
     # -- workload -----------------------------------------------------------------
@@ -414,7 +393,7 @@ class Testbed:
 
         result = TestbedResult(mode=config.mode, requests=config.requests)
         hits_at_cut = misses_at_cut = 0
-        invalidated_at_cut = 0
+        invalidated_at_cut = scanned_at_cut = 0
 
         for index, timed in enumerate(workload):
             measuring = index >= config.warmup_requests
@@ -422,7 +401,7 @@ class Testbed:
                 self.sniffer.reset()
                 self.firewall.reset()
                 if self.dpc is not None:
-                    self.dpc.scanner.reset_counters()
+                    scanned_at_cut = self.dpc.bytes_scanned
                 hits_at_cut, misses_at_cut = self._monitor_hit_counts()
                 invalidated_at_cut = self._monitor_invalidations()
 
@@ -460,7 +439,7 @@ class Testbed:
         result.request_wire_bytes = requests_.wire_bytes
         result.firewall_bytes = self.firewall.bytes_scanned
         if self.dpc is not None:
-            result.dpc_scanned_bytes = self.dpc.bytes_scanned
+            result.dpc_scanned_bytes = self.dpc.bytes_scanned - scanned_at_cut
         return result
 
     # -- per-request pipeline -----------------------------------------------------
@@ -468,11 +447,14 @@ class Testbed:
     def render_oracle(self, request: HttpRequest) -> str:
         """The reference (caching-disabled) page for a request.
 
-        Rendered by a zero-cost server over the *same* services, so it is
-        byte-comparable with whatever the cached pipeline delivered — the
-        assembly-correctness oracle used by chaos and correctness checks.
+        The origin server's own uncached render
+        (:meth:`~repro.appserver.server.ApplicationServer.render_reference_page`),
+        over the *same* services, without advancing the clock or any
+        counter — byte-comparable with whatever the cached pipeline
+        delivered: the assembly-correctness oracle used by chaos and
+        correctness checks.
         """
-        return self._oracle.render_reference_page(request)
+        return self.server.render_reference_page(request)
 
     def arrive(self, index: int, timed: TimedRequest) -> None:
         """The per-arrival step every harness runs before serving.
@@ -513,7 +495,7 @@ class Testbed:
             return
         # One draw per cacheable block, in page order: the plan's tagged
         # ("frag") blocks are the page's cacheable pool fragments.
-        plan = self._page_script.plan(int(request.param("pageID", "0")))
+        plan = self.page_script.plan(int(request.param("pageID", "0")))
         for name, _, pool_index in plan:
             if name == "frag" and self._hit_rng.random() < 1.0 - h:
                 touch_fragment(self.services, pool_index)

@@ -427,15 +427,19 @@ class OverloadHarness:
                 insight.note_shed(fragment_id)
 
     def _page_freshness(self, request) -> Iterator[Tuple[FragmentID, bool]]:
-        """``(fragment_id, fresh)`` per cacheable pool fragment (peeks only)."""
-        directory = self.testbed.monitor.directory
-        params = self.config.testbed.synthetic
-        page_id = int(request.param("pageID", "0"))
-        now = self.testbed.clock.now()
-        for pool_index in params.pool_indexes_for_page(page_id):
-            if not params.is_cacheable(pool_index):
+        """``(fragment_id, fresh)`` per cacheable block of the page (peeks only).
+
+        The page's tagged (``"frag"``) blocks are read off its block plan,
+        each id built as the serve path builds it.
+        """
+        testbed = self.testbed
+        directory = testbed.monitor.directory
+        plan = testbed.page_script.plan(int(request.param("pageID", "0")))
+        now = testbed.clock.now()
+        for name, params, _ in plan:
+            if name != "frag":
                 continue
-            fragment_id = FragmentID.create("frag", {"id": pool_index})
+            fragment_id = FragmentID.create(name, params)
             entry = directory.peek(fragment_id)
             yield fragment_id, entry is not None and entry.fresh(now)
 

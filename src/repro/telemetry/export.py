@@ -11,7 +11,8 @@ Two machine formats and two human formats:
   annotations (overload/chaos outcomes, recovery epochs) intact.
   Non-JSON meta values are coerced to strings at export time so a trace
   with rich annotations can never fail to serialize.
-* :func:`render_metrics` — the classic two-column aligned table.
+* :func:`format_table` — the aligned text table every report prints, and
+  :func:`render_metrics`, its two-column metrics form.
 * :func:`render_span_tree` — an indented tree with virtual durations,
   statuses, and metadata, suitable for terminals and docs.
 """
@@ -19,7 +20,7 @@ Two machine formats and two human formats:
 from __future__ import annotations
 
 import json
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from ..core.fragments import FragmentID
 from .metrics import MetricsRegistry, Row
@@ -70,41 +71,41 @@ def registry_from_rows(rows: Iterable[Row]) -> MetricsRegistry:
 # -- metrics: aligned text ---------------------------------------------------
 
 
-def render_metrics(rows: Iterable[Row], title: Optional[str] = None) -> str:
-    """Render rows as the two-column aligned table the harness always used.
+def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """Render an aligned ASCII table.
 
-    Implemented locally (rather than importing the harness reporting
-    helpers) so the telemetry package stays a leaf dependency; the output
-    — headers, ``-`` rules, two-space gutters, trailing padding — is
-    byte-identical with ``repro.harness.reporting.format_table``, and a
-    test keeps it that way.
+    Headers, ``-`` rules and two-space gutters, every column padded to its
+    widest cell (trailing padding included); booleans print ``yes``/``no``
+    and floats four decimals.  The one table renderer: the harness reports
+    (:mod:`repro.harness.reporting`) and :func:`render_metrics` use it.
     """
-    def cell(value: object) -> str:
-        if isinstance(value, bool):
-            return "yes" if value else "no"
-        if isinstance(value, float):
-            return "%.4f" % value
-        return str(value)
-
-    materialized: List[Tuple[str, str]] = [
-        (str(name), cell(value)) for name, value in rows
-    ]
-    headers = ("metric", "value")
-    widths = [len(headers[0]), len(headers[1])]
-    for name, value in materialized:
-        widths[0] = max(widths[0], len(name))
-        widths[1] = max(widths[1], len(value))
+    materialized: List[List[str]] = [[_cell(value) for value in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in materialized:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
     lines = [
-        "  ".join(h.ljust(w) for h, w in zip(headers, widths)),
-        "  ".join("-" * w for w in widths),
+        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
+        "  ".join("-" * widths[i] for i in range(len(headers))),
     ]
-    for name, value in materialized:
-        lines.append(
-            "  ".join(c.ljust(w) for c, w in zip((name, value), widths))
-        )
-    if title is not None:
-        return "%s\n%s" % (title, "\n".join(lines))
+    for row in materialized:
+        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines)
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return "%.4f" % value
+    return str(value)
+
+
+def render_metrics(rows: Iterable[Row], title: Optional[str] = None) -> str:
+    """Render rows as the two-column ``metric``/``value`` table, optionally
+    under a title line."""
+    table = format_table(("metric", "value"), rows)
+    return table if title is None else "%s\n%s" % (title, table)
 
 
 # -- traces ------------------------------------------------------------------

@@ -114,6 +114,16 @@ class TestAssembly:
         assert dpc.parse_cache.hits == 1
         assert dpc.bytes_scanned == dpc.stats.template_bytes_in
 
+    def test_scan_charge_counts_a_response_whose_assembly_raises(self, dpc):
+        """The bytes crossed the proxy and were scanned: ``bytes_scanned``
+        counts them, ``template_bytes_in`` (assembled responses) does not."""
+        wire = Template().literal("ab").get(7).serialize()
+        with pytest.raises(AssemblyError):
+            dpc.process_response(wire)
+        assert dpc.bytes_scanned == dpc.stats.bytes_scanned == len(wire)
+        assert dpc.stats.template_bytes_in == 0
+        assert dpc.stats.responses_processed == 0
+
     def test_escaped_sentinel_in_content_survives(self, dpc):
         wire = Template().set(1, "tag-ish <~ content").serialize()
         page = dpc.process_response(wire)

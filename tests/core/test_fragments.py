@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.fragments import Dependency, Fragment, FragmentID, FragmentMetadata
+from repro.core.fragments import Dependency, FragmentID, FragmentMetadata
 from repro.errors import ConfigurationError
 
 
@@ -84,26 +84,6 @@ class TestFragmentMetadata:
 
     def test_infinite_ttl_accepted(self):
         assert FragmentMetadata(ttl=float("inf")).ttl == float("inf")
-
-
-class TestFragment:
-    def test_size_in_bytes_utf8(self):
-        frag = Fragment(FragmentID.create("f"), content="héllo")
-        assert frag.size_bytes == 6  # é is two bytes
-
-    def test_expiry(self):
-        frag = Fragment(
-            FragmentID.create("f"),
-            content="x",
-            metadata=FragmentMetadata(ttl=10.0),
-            created_at=100.0,
-        )
-        assert not frag.expired(105.0)
-        assert frag.expired(110.0)
-
-    def test_no_ttl_never_expires(self):
-        frag = Fragment(FragmentID.create("f"), content="x")
-        assert not frag.expired(1e12)
 
 
 class TestDependency:

@@ -1,12 +1,14 @@
-"""Tests for KMP matching and the tag scanner."""
+"""Tests for KMP matching and the tag scan."""
 
 import pytest
 
+from repro.core.dpc import DynamicProxyCache
 from repro.core.scanner import (
-    TagScanner,
     failure_function,
+    find_positions,
     kmp_find_all,
 )
+from repro.core.template import SENTINEL, Template
 from repro.errors import ConfigurationError
 
 
@@ -53,29 +55,27 @@ class TestKmpFindAll:
 
 
 class TestTagScanner:
+    """The sentinel scan (:func:`find_positions`) and the DPC's per-byte
+    scan charge (``DynamicProxyCache.bytes_scanned``)."""
+
     def test_positions(self):
-        scanner = TagScanner("<~")
-        assert scanner.positions("a<~b<~c") == [1, 4]
+        assert find_positions("a<~b<~c", SENTINEL) == [1, 4]
 
     def test_bytes_scanned_accumulates(self):
-        scanner = TagScanner("<~")
-        scanner.positions("x" * 100)
-        scanner.positions("y" * 50)
-        assert scanner.bytes_scanned == 150
-
-    def test_reset_counters(self):
-        scanner = TagScanner("<~")
-        scanner.positions("abc")
-        scanner.reset_counters()
-        assert scanner.bytes_scanned == 0
+        dpc = DynamicProxyCache(capacity=4)
+        dpc.process_response("x" * 100)
+        dpc.process_response("y" * 50)
+        assert dpc.bytes_scanned == 150
 
     def test_empty_sentinel_rejected(self):
         with pytest.raises(ConfigurationError):
-            TagScanner("")
+            find_positions("abc", "")
 
     def test_single_pass_guarantee(self):
-        """Scanned bytes equal text length exactly — linear, one pass."""
-        scanner = TagScanner("<~")
-        text = "<~" * 500
-        scanner.positions(text)
-        assert scanner.bytes_scanned == len(text)
+        """Scanned bytes equal the response length exactly — linear, one
+        pass — and every sentinel is found once."""
+        dpc = DynamicProxyCache(capacity=4)
+        wire = Template().literal("<~" * 500).serialize()
+        assert len(find_positions(wire, SENTINEL)) == 500
+        dpc.process_response(wire)
+        assert dpc.bytes_scanned == len(wire)

@@ -143,7 +143,6 @@ class TestInspection:
         template = Template().get(1).set(2, "x").get(3).literal("abc")
         assert template.get_count == 2
         assert template.set_count == 1
-        assert template.literal_bytes == 3
 
     def test_normalized_drops_empty_literals(self):
         template = Template().literal("").get(1).literal("")

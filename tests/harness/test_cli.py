@@ -69,6 +69,21 @@ class TestTestbedCommands:
         assert "reverse_proxy" in out
 
 
+    def test_trace_small(self, capsys):
+        """The span tree of the last request, then the deployment metrics
+        table with the proxy's scanned bytes."""
+        assert main(["trace", "--requests", "5"]) == 0
+        out = capsys.readouterr().out
+        tree, metrics = out.split("Deployment metrics\n")
+        assert tree.startswith("Span tree of the last traced request")
+        assert "request" in tree
+        assert "dpc.assemble" in tree
+        assert metrics.startswith("metric")
+        rows = dict(line.split() for line in metrics.splitlines()[2:])
+        assert int(rows["dpc.bytes_scanned"]) > 0
+        assert rows["dpc.bytes_scanned"] == rows["dpc.template_bytes_in"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
         import subprocess

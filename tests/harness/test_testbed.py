@@ -90,9 +90,18 @@ class TestDpcMode:
         assert result.pages_incorrect == 0
 
     def test_dpc_scan_bytes_counted(self):
-        result = run_testbed(TestbedConfig(mode="dpc", **FAST))
-        assert result.dpc_scanned_bytes > 0
+        """Only the measured window's scan bytes are reported: the run
+        marks the proxy's counter at the warm-up cut, and the same 250
+        requests with no warm-up report every byte the proxy scanned."""
+        warmed = Testbed(TestbedConfig(mode="dpc", **FAST))
+        result = warmed.run()
+        assert 0 < result.dpc_scanned_bytes < warmed.dpc.bytes_scanned
         assert result.firewall_bytes > 0
+        whole = Testbed(
+            TestbedConfig(mode="dpc", requests=250, warmup_requests=0)
+        )
+        assert whole.run().dpc_scanned_bytes == whole.dpc.bytes_scanned
+        assert whole.dpc.bytes_scanned == warmed.dpc.bytes_scanned
 
     def test_response_times_faster_with_dpc(self):
         common = dict(target_hit_ratio=0.9, **FAST)

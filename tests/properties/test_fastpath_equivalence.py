@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dpc import DynamicProxyCache
-from repro.core.scanner import TagScanner, find_positions, kmp_find_all, utf8_len
+from repro.core.scanner import find_positions, kmp_find_all, utf8_len
 from repro.core.template import (
     SENTINEL,
     GetInstruction,
@@ -68,11 +68,14 @@ def test_find_scan_matches_kmp_on_arbitrary_patterns(body, pattern):
 
 @given(st.text(alphabet="ab<~é€", max_size=80))
 def test_scanner_lanes_charge_identical_bytes(body):
-    """Result 1 accounting: the scan charges the text's UTF-8 bytes."""
-    scanner = TagScanner(SENTINEL)
-    assert scanner.positions(body) == kmp_find_all(body, SENTINEL)
-    assert scanner.bytes_scanned == utf8_len(body)
-    assert scanner.bytes_scanned == len(body.encode("utf-8"))
+    """Result 1 accounting: the DPC charges a response's UTF-8 bytes, on
+    the scan and again on a parse-cache hit."""
+    wire = Template().literal(body).serialize()
+    dpc = DynamicProxyCache(capacity=4)
+    dpc.process_response(wire)
+    assert dpc.bytes_scanned == utf8_len(wire) == len(wire.encode("utf-8"))
+    dpc.process_response(wire)
+    assert dpc.bytes_scanned == 2 * len(wire.encode("utf-8"))
 
 
 # -- parsing ------------------------------------------------------------------
@@ -82,22 +85,21 @@ def test_scanner_lanes_charge_identical_bytes(body):
 @settings(max_examples=200)
 def test_parse_identical_across_lanes(instruction_list):
     """The reference parser decodes what was serialized, and the DPC's
-    scan charges the scan counter what the parser's scanner charges.
+    scan charges the scan counter the wire's UTF-8 bytes, whether or not
+    its assembly raises.
 
     The generated streams include adjacent tags (consecutive GET/SET with
     no literal between them) and literals containing the raw sentinel,
     which serialization escapes.
     """
     wire = Template(instruction_list).serialize()
-    reference_scanner = TagScanner(SENTINEL)
-    reference_parse = parse_template(wire, scanner=reference_scanner)
-    assert reference_parse == Template(instruction_list).normalized()
+    assert parse_template(wire) == Template(instruction_list).normalized()
     dpc = DynamicProxyCache(capacity=256)
     try:
         dpc.process_response(wire)
     except AssemblyError:
         pass  # a GET of a slot the stream never SET
-    assert dpc.bytes_scanned == reference_scanner.bytes_scanned
+    assert dpc.bytes_scanned == len(wire.encode("utf-8"))
 
 
 @given(st.lists(instructions, max_size=16))
@@ -130,11 +132,16 @@ def _serve_all(wires):
 
 
 def _reference_all(wires):
-    """The oracle: parse each wire, then walk its instructions."""
+    """The oracle: parse each wire, then walk its instructions.
+
+    The parser's pass over each wire is the scan, charged the wire's
+    encoded length.
+    """
     dpc = DynamicProxyCache(capacity=256)
     pages = []
     for wire in wires:
-        template = parse_template(wire, scanner=dpc.scanner)
+        dpc.stats.bytes_scanned += len(wire.encode("utf-8"))
+        template = parse_template(wire)
         pages.append(_page(dpc.assemble(template, wire_bytes=utf8_len(wire))))
     return pages, dpc
 
@@ -145,8 +152,8 @@ def test_assembly_identical_across_lanes(fragments, data):
     """SET-then-GET exchanges produce identical pages, stats, and counters.
 
     The GET-only wire is served twice so the serve path's parse cache takes
-    a hit — where :meth:`TagScanner.charge` must keep the Result 1 counter
-    in lockstep with the oracle's physical re-scan.
+    a hit — where the scan charge must keep the Result 1 counter in
+    lockstep with the oracle's physical re-scan.
     """
     seen = {}
     for key, content in fragments:

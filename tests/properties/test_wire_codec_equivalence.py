@@ -103,7 +103,10 @@ def _process(dpc, wire):
 
 
 def _parse_then_assemble(dpc, wire):
-    template = parse_template(wire, dpc.template_config, scanner=dpc.scanner)
+    # The parser's one pass over the wire is the scan; charge it first, as
+    # the serve path does, so a wire that fails to decode is counted too.
+    dpc.stats.bytes_scanned += len(wire.encode("utf-8"))
+    template = parse_template(wire, dpc.template_config)
     return dpc.assemble(template, wire_bytes=utf8_len(wire))
 
 

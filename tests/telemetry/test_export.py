@@ -7,6 +7,7 @@ import pytest
 from repro.core.fragments import FragmentID
 from repro.harness.reporting import format_table
 from repro.network.clock import SimulatedClock
+from repro.telemetry import export
 from repro.telemetry.export import (
     parse_json_lines,
     registry_from_rows,
@@ -61,7 +62,10 @@ class TestJsonLines:
 
 class TestRenderMetrics:
     def test_matches_harness_format_table(self):
+        """One renderer: the harness's table helper is telemetry's, and the
+        metrics table is its two-column form."""
         rows = sample_rows()
+        assert format_table is export.format_table
         assert render_metrics(rows) == format_table(["metric", "value"], rows)
 
     def test_title_prepended(self):
