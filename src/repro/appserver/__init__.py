@@ -11,7 +11,9 @@ from .http import (
     HttpResponse,
 )
 from .scripts import (
+    NO_PARAMS,
     DynamicScript,
+    PlannedBlock,
     ScriptContext,
     ScriptRegistry,
     SiteServices,
@@ -25,6 +27,8 @@ __all__ = [
     "DEFAULT_REQUEST_HEADER_BYTES",
     "DEFAULT_RESPONSE_HEADER_BYTES",
     "DynamicScript",
+    "NO_PARAMS",
+    "PlannedBlock",
     "ScriptContext",
     "ScriptRegistry",
     "SiteServices",

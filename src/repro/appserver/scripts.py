@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..cms import ContentRepository, PersonalizationEngine, ProfileStore
 from ..core.fragments import FragmentID, FragmentMetadata
@@ -50,8 +50,13 @@ class SiteServices:
     tags: TagRegistry = field(default_factory=TagRegistry)
 
 
-#: ``params`` of a block written without any.
-_NO_PARAMS: Mapping[str, object] = MappingProxyType({})
+#: ``params`` of a block written without any (read-only, so one mapping
+#: serves every such block).
+NO_PARAMS: Mapping[str, object] = MappingProxyType({})
+
+#: One block of a page's plan: ``(name, params, fragment_id, arg)``; see
+#: :meth:`ScriptContext.write_blocks`.
+PlannedBlock = Tuple[str, Mapping[str, object], Optional[FragmentID], object]
 
 
 class _Describe:
@@ -67,6 +72,21 @@ class _Describe:
 
     def __call__(self) -> FragmentMetadata:
         return self.tag.metadata_for(self.params)
+
+
+class _Generate:
+    """The generator a plan with a shared ``generate(arg)`` hands its
+    monitor: ``generate`` bound to the current block's ``arg``.
+
+    One per such :meth:`ScriptContext.write_blocks` call, re-aimed at each
+    cacheable block, so a block costs no closure.  A nested plan gets its
+    own, so it cannot re-aim the outer plan's.
+    """
+
+    __slots__ = ("generate", "arg")
+
+    def __call__(self) -> str:
+        return self.generate(self.arg)
 
 
 class ScriptContext:
@@ -148,14 +168,41 @@ class ScriptContext:
         params: Optional[Mapping[str, object]] = None,
         generate: Callable[[], str] = None,
     ) -> "ScriptContext":
-        """Execute one (possibly tagged) code block, with costing.
+        """Execute one (possibly tagged) code block: a plan of one.
 
         ``generate`` produces the block's HTML and runs only when the
-        content cannot be served from the DPC.  Untagged names behave as
-        non-cacheable blocks and never reach the monitor.  A cacheable
-        block goes to ``bem.process_block`` with the generator as is and
-        the context's one :class:`_Describe`; whether it ran is read off
-        the returned instruction (a ``GET`` is a hit).
+        content cannot be served from the DPC (see :meth:`write_blocks`).
+        """
+        if generate is None:
+            raise ScriptError("block %r needs a generate callable" % name)
+        if params is None:
+            params = NO_PARAMS
+        return self.write_blocks(((name, params, None, generate),))
+
+    def write_blocks(
+        self,
+        plan: Iterable[PlannedBlock],
+        generate: Optional[Callable[[object], str]] = None,
+    ) -> "ScriptContext":
+        """Execute a page's blocks in plan order, with costing.
+
+        Each item is ``(name, params, fragment_id, arg)``.  The block's
+        generator is ``arg`` itself (a zero-argument callable) when
+        ``generate`` is ``None``, and ``generate(arg)`` otherwise.
+        ``fragment_id`` is the block's ``FragmentID.create(name, params)``,
+        or ``None`` to have it built only if the block reaches the monitor.
+
+        A generator runs only when its content cannot be served from the
+        DPC.  Untagged names behave as non-cacheable blocks and never reach
+        the monitor.  A cacheable block goes to ``bem.process_block`` with
+        the context's one :class:`_Describe` and its generator (for a
+        shared ``generate``, the call's one :class:`_Generate`), both
+        aimed at that block; whether it ran is read off the returned
+        instruction (a ``GET`` is a hit).  A generator may write text,
+        blocks or a plan of its own: the literal run is flushed only after
+        the monitor returns, and every counter is updated in place, so a
+        nested write lands where the block-by-block writer puts it and a
+        generator that raises leaves the page as written so far.
 
         A hit is charged just the directory probe.  A block that ran is
         charged its output bytes (measured once, with ``utf8_len``) and
@@ -163,50 +210,59 @@ class ScriptContext:
         that path (dependency factories and the directory insert never
         do), so a block is charged exactly its generator's rows.
         """
-        if generate is None:
-            raise ScriptError("block %r needs a generate callable" % name)
-        if params is None:
-            params = _NO_PARAMS
-        tag = self._lookup_tag(name)
-        self.blocks += 1
+        lookup_tag = self._lookup_tag
         bem = self.bem
         reads = self._reads
-        rows_before = reads.rows
-        if tag is None or not tag.cacheable or bem is None:
-            content = generate()
-            if content:
-                self._run.append(content)
-        else:
-            describe = self._describe
-            describe.tag = tag
-            describe.params = params
-            instruction = bem.process_block(
-                FragmentID.create(name, params), describe, generate
-            )
-            # The run is flushed only now: a generator may have written.
-            parts = self._parts
-            run = self._run
-            if run:
-                parts.append(escape_literal("".join(run)))
-                run.clear()
-            if type(instruction) is GetInstruction:
-                parts.append(self._get_tags[instruction.key])
-                self.hits += 1
-                self.generation_cost_s += self._hit_cost
-                return self
-            self.misses += 1
-            key, content = instruction  # a SetInstruction
-            set_tag, end_tag = self._frame_tags[key]
-            parts.append(set_tag)
-            parts.append(escape_literal(content))
-            parts.append(end_tag)
-        output_bytes = utf8_len(content)
-        self.generated_bytes += output_bytes
-        rows = reads.rows - rows_before
-        cost, db_cost = self.cost_model.block_costs(output_bytes, rows, 1, rows > 0)
-        self.generation_cost_s += cost
-        self.db_cost_s += db_cost
-        self.db_rows += rows
+        parts = self._parts
+        run = self._run
+        describe = self._describe
+        if generate is not None:
+            aimed = _Generate()
+            aimed.generate = generate
+        get_tags = self._get_tags
+        hit_cost = self._hit_cost
+        cost_model = self.cost_model
+        for name, params, fragment_id, arg in plan:
+            tag = lookup_tag(name)
+            self.blocks += 1
+            rows_before = reads.rows
+            if tag is None or not tag.cacheable or bem is None:
+                content = arg() if generate is None else generate(arg)
+                if content:
+                    run.append(content)
+            else:
+                describe.tag = tag
+                describe.params = params
+                if generate is None:
+                    block_generate = arg
+                else:
+                    aimed.arg = arg
+                    block_generate = aimed
+                if fragment_id is None:
+                    fragment_id = FragmentID.create(name, params)
+                instruction = bem.process_block(fragment_id, describe, block_generate)
+                # The run is flushed only now: a generator may have written.
+                if run:
+                    parts.append(escape_literal("".join(run)))
+                    run.clear()
+                if type(instruction) is GetInstruction:
+                    parts.append(get_tags[instruction.key])
+                    self.hits += 1
+                    self.generation_cost_s += hit_cost
+                    continue
+                self.misses += 1
+                key, content = instruction  # a SetInstruction
+                set_tag, end_tag = self._frame_tags[key]
+                parts.append(set_tag)
+                parts.append(escape_literal(content))
+                parts.append(end_tag)
+            output_bytes = utf8_len(content)
+            self.generated_bytes += output_bytes
+            rows = reads.rows - rows_before
+            cost, db_cost = cost_model.block_costs(output_bytes, rows, 1, rows > 0)
+            self.generation_cost_s += cost
+            self.db_cost_s += db_cost
+            self.db_rows += rows
         return self
 
     def response_body(self) -> str:

@@ -226,8 +226,9 @@ class CacheDirectory:
     def lookup(self, fragment_id: FragmentID, now: float) -> Optional[DirectoryEntry]:
         """Run-time directory probe.
 
-        Returns the entry on a *fresh* hit (recording the access), ``None``
-        on a miss.  A TTL-expired entry is invalidated on the spot — lazy
+        Returns the entry on a *fresh* hit (recording the access, and
+        telling the policy unless its index is dormant), ``None`` on a
+        miss.  A TTL-expired entry is invalidated on the spot — lazy
         expiry, so no background sweeper is required for correctness (one
         exists anyway for memory hygiene; see :meth:`expire_stale`).
         """
@@ -249,7 +250,9 @@ class CacheDirectory:
             return None
         entry.last_access = now
         entry.hits += 1
-        self.policy.on_access(entry)
+        policy = self.policy
+        if not policy.dormant:
+            policy.on_access(entry)
         stats.hits += 1
         if self.insight is not None:
             self.insight.record_access(fragment_id, hit=True)

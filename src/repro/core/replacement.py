@@ -60,8 +60,9 @@ class ReplacementPolicy:
     ages into the older generations.  Nothing is kept until the first
     ``select_victim`` call, which builds the index from ``entries``
     (:meth:`_build`) and ignores them after that.  Until then ``_heap`` is
-    ``None`` and the hooks do nothing, so a directory that never fills pays
-    one no-op call per access.
+    ``None`` and the hooks do nothing; :attr:`dormant` says so, and the
+    directory skips ``on_access`` while it is set, so a directory that
+    never fills pays no call per access.
     """
 
     name = "abstract"
@@ -75,7 +76,15 @@ class ReplacementPolicy:
     #: rebuilt.
     SLACK = 32
 
+    #: Whether ``on_access`` does nothing yet, so the directory may skip
+    #: it.  Set by :meth:`__init__` and cleared when the first
+    #: ``select_victim`` builds the index.  The class default is ``False``
+    #: (call the hook): a subclass that never runs :meth:`__init__` keeps
+    #: its own state and still receives every hook.
+    dormant = False
+
     def __init__(self) -> None:
+        self.dormant = True
         self._heap: Optional[list] = None  # built by the first select_victim
         self._entries: list = []  # dpc_key -> its indexed entry, or None
         self._keys: list = []     # dpc_key -> the entry's current key
@@ -156,6 +165,7 @@ class ReplacementPolicy:
         heap = self._heap
         if heap is None:
             self._build(entries)
+            self.dormant = False
             heap = self._heap
         slots = self._entries
         keys = self._keys
@@ -225,11 +235,11 @@ class DecayedFrequencyPolicy(ReplacementPolicy):
     its next request would come back as cold as a one-shot fragment.
 
     As in every policy, nothing is kept until the first
-    ``select_victim`` call (a directory that never fills pays one no-op
-    call per access).  That call replays one access per entry, in LRU order
-    (oldest first), and fixes ``capacity`` to the number of entries it
-    indexes, which is the directory's capacity: the first selection comes
-    when the freeList runs dry.
+    ``select_victim`` call (a directory that never fills skips the
+    dormant ``on_access``).  That call replays one access per entry, in
+    LRU order (oldest first), and fixes ``capacity`` to the number of
+    entries it indexes, which is the directory's capacity: the first
+    selection comes when the freeList runs dry.
     """
 
     name = "lrfu"

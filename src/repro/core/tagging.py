@@ -9,7 +9,8 @@ identifier to each cacheable fragment, along with the appropriate metadata
 
 :class:`TagRegistry` is the initialization-phase artifact: a per-site map of
 block name -> cacheability metadata (TTL, data dependencies).  The run-time
-"API around the code block" is ``ScriptContext.block``
+"API around the code block" is ``ScriptContext.block``, or
+``ScriptContext.write_blocks`` for a page's whole plan of blocks
 (:mod:`repro.appserver.scripts`), which looks each block's tag up here.
 
 The monitor protocol is ``process_block(fragment_id, describe, generate)``.

@@ -496,7 +496,7 @@ class Testbed:
         # One draw per cacheable block, in page order: the plan's tagged
         # ("frag") blocks are the page's cacheable pool fragments.
         plan = self.page_script.plan(int(request.param("pageID", "0")))
-        for name, _, pool_index in plan:
+        for name, _, _, pool_index in plan:
             if name == "frag" and self._hit_rng.random() < 1.0 - h:
                 touch_fragment(self.services, pool_index)
 

@@ -47,15 +47,15 @@ class Firewall:
 
     def scan(self, message: WireMessage) -> float:
         """Scan a message; returns the time spent scanning (seconds)."""
-        self.bytes_scanned += message.payload_bytes
-        self.messages_scanned += 1
-        return message.payload_bytes * self.scan_cost_per_byte
+        return self.scan_bytes(message.payload_bytes)
 
     def scan_bytes(self, nbytes: int) -> float:
-        """Scan a raw byte count (used when no message object exists)."""
+        """Scan one message of ``nbytes`` bytes (when no message object
+        exists); returns the time spent scanning (seconds)."""
         if nbytes < 0:
             raise ConfigurationError("cannot scan a negative byte count")
         self.bytes_scanned += nbytes
+        self.messages_scanned += 1
         return nbytes * self.scan_cost_per_byte
 
     @property

@@ -429,17 +429,16 @@ class OverloadHarness:
     def _page_freshness(self, request) -> Iterator[Tuple[FragmentID, bool]]:
         """``(fragment_id, fresh)`` per cacheable block of the page (peeks only).
 
-        The page's tagged (``"frag"``) blocks are read off its block plan,
-        each id built as the serve path builds it.
+        The page's tagged (``"frag"``) blocks and their ids are read off
+        its block plan, which the serve path writes.
         """
         testbed = self.testbed
         directory = testbed.monitor.directory
         plan = testbed.page_script.plan(int(request.param("pageID", "0")))
         now = testbed.clock.now()
-        for name, params, _ in plan:
+        for name, _, fragment_id, _ in plan:
             if name != "frag":
                 continue
-            fragment_id = FragmentID.create(name, params)
             entry = directory.peek(fragment_id)
             yield fragment_id, entry is not None and entry.fresh(now)
 

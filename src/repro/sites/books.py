@@ -12,7 +12,9 @@ The paper's motivating scenarios all live here:
 * the Personal Greeting / Recommended Products pair derived from one
   user-profile object — the semantic interdependence argument (§3.2.2).
 
-Every view emission goes through the tagging API, so the same site runs
+Every view emission goes through the tagging API (each script collects its
+page's blocks in page order and writes them in one
+``ScriptContext.write_blocks`` call), so the same site runs
 uncached (baseline), behind a DPC, behind a page-level cache, or behind an
 ESI-style assembler — that is what the comparison benches exercise.
 """
@@ -22,7 +24,14 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..appserver import ApplicationServer, DynamicScript, ScriptContext, SiteServices
+from ..appserver import (
+    NO_PARAMS,
+    ApplicationServer,
+    DynamicScript,
+    PlannedBlock,
+    ScriptContext,
+    SiteServices,
+)
 from ..cms import (
     CONTENT_TABLE,
     ContentRepository,
@@ -30,7 +39,7 @@ from ..cms import (
     ProfileStore,
     PROFILE_TABLE,
 )
-from ..core.fragments import Dependency
+from ..core.fragments import Dependency, FragmentID
 from ..database import Database, schema
 
 PRODUCTS_TABLE = "products"
@@ -131,6 +140,18 @@ def render_cart_status(session) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: The ids of the tagged blocks without params, built once: a plan
+#: carries them as they are.
+_NAVBAR_ID = FragmentID.create("navbar")
+_PROMOS_ID = FragmentID.create("promos")
+
+
+def _navbar_html(services: SiteServices) -> str:
+    """The navigation bar over the catalog's current categories."""
+    products = services.db.table(PRODUCTS_TABLE)
+    return render_navbar(sorted({str(row["category"]) for row in products.scan()}))
+
+
 class CatalogScript(DynamicScript):
     """``/catalog.jsp?categoryID=X`` — the paper's canonical page.
 
@@ -154,60 +175,59 @@ class CatalogScript(DynamicScript):
         )
 
         ctx.write("<html><head><title>%s | BooksOnline</title></head><body>" % category)
+        plan: List[PlannedBlock] = []
         for slot in services.personalization.layout_for(profile):
             if slot == "navigation":
-                ctx.block(
-                    "navbar",
-                    {},
-                    lambda: render_navbar(
-                        sorted(
-                            {
-                                str(row["category"])
-                                for row in services.db.table(PRODUCTS_TABLE).scan()
-                            }
-                        )
-                    ),
+                plan.append(
+                    ("navbar", NO_PARAMS, _NAVBAR_ID, lambda: _navbar_html(services))
                 )
             elif slot == "greeting":
-                ctx.block(
+                plan.append((
                     "greeting",
                     {"user": user_id or ""},
+                    None,
                     lambda: render_greeting(
                         services.personalization.greeting_for(profile)
                     ),
-                )
+                ))
             elif slot == "main":
-                ctx.block(
+                plan.append((
                     "category_listing",
                     {"categoryID": category},
+                    None,
                     lambda: render_listing(
                         category,
                         services.db.table(PRODUCTS_TABLE).lookup("category", category),
                     ),
-                )
+                ))
             elif slot == "recommendations":
-                ctx.block(
+                plan.append((
                     "recommendations",
                     {"user": user_id or ""},
+                    None,
                     lambda: render_recommendations(
                         services.personalization.recommendations_for(profile)
                     ),
-                )
+                ))
             elif slot == "promos" and profile.show_promos:
                 # The show/hide decision is per-request layout logic made at
                 # the origin; the fragment itself is user-independent.  An
                 # under-parameterized fragmentID here (keying user-dependent
                 # content by {}) would serve wrong pages — the tagging rule
                 # is: every output-affecting input joins the parameter list.
-                ctx.block(
+                plan.append((
                     "promos",
-                    {},
+                    NO_PARAMS,
+                    _PROMOS_ID,
                     lambda: render_promos(
                         services.personalization.promos_for(profile)
                     ),
-                )
+                ))
         # Per-session state: deliberately untagged (never cacheable).
-        ctx.block("cart_status", {}, lambda: render_cart_status(ctx.session))
+        plan.append(
+            ("cart_status", NO_PARAMS, None, lambda: render_cart_status(ctx.session))
+        )
+        ctx.write_blocks(plan)
         ctx.write("</body></html>")
 
 
@@ -228,33 +248,28 @@ class ProductScript(DynamicScript):
         )
 
         ctx.write("<html><body>")
-        ctx.block(
-            "navbar",
-            {},
-            lambda: render_navbar(
-                sorted(
-                    {
-                        str(row["category"])
-                        for row in services.db.table(PRODUCTS_TABLE).scan()
-                    }
-                )
+        ctx.write_blocks((
+            ("navbar", NO_PARAMS, _NAVBAR_ID, lambda: _navbar_html(services)),
+            (
+                "greeting",
+                {"user": user_id or ""},
+                None,
+                lambda: render_greeting(
+                    services.personalization.greeting_for(profile)
+                ),
             ),
-        )
-        ctx.block(
-            "greeting",
-            {"user": user_id or ""},
-            lambda: render_greeting(services.personalization.greeting_for(profile)),
-        )
-        ctx.block(
-            "product_detail",
-            {"productID": product_id},
-            lambda: render_product(
-                services.db.table(PRODUCTS_TABLE).get(product_id)
-                or {"title": "Unknown", "description": "", "price": 0.0},
-                services.db.table(REVIEWS_TABLE).lookup("product_id", product_id),
+            (
+                "product_detail",
+                {"productID": product_id},
+                None,
+                lambda: render_product(
+                    services.db.table(PRODUCTS_TABLE).get(product_id)
+                    or {"title": "Unknown", "description": "", "price": 0.0},
+                    services.db.table(REVIEWS_TABLE).lookup("product_id", product_id),
+                ),
             ),
-        )
-        ctx.block("cart_status", {}, lambda: render_cart_status(ctx.session))
+            ("cart_status", NO_PARAMS, None, lambda: render_cart_status(ctx.session)),
+        ))
         ctx.write("</body></html>")
 
 
@@ -286,19 +301,6 @@ class CartScript(DynamicScript):
         ctx.session.put("cart_list", cart)
         ctx.session.put("cart_items", len(cart))
 
-        ctx.write("<html><body>")
-        ctx.block(
-            "navbar",
-            {},
-            lambda: render_navbar(
-                sorted(
-                    {
-                        str(row["category"])
-                        for row in services.db.table(PRODUCTS_TABLE).scan()
-                    }
-                )
-            ),
-        )
         # Cart contents: untagged, per-session, regenerated every time.
         def render_cart() -> str:
             rows = []
@@ -320,8 +322,12 @@ class CartScript(DynamicScript):
                 % ("".join(rows), total)
             )
 
-        ctx.block("cart_contents", {}, render_cart)
-        ctx.block("cart_status", {}, lambda: render_cart_status(ctx.session))
+        ctx.write("<html><body>")
+        ctx.write_blocks((
+            ("navbar", NO_PARAMS, _NAVBAR_ID, lambda: _navbar_html(services)),
+            ("cart_contents", NO_PARAMS, None, render_cart),
+            ("cart_status", NO_PARAMS, None, lambda: render_cart_status(ctx.session)),
+        ))
         ctx.write("</body></html>")
 
 
@@ -340,42 +346,38 @@ class HomeScript(DynamicScript):
             ttl=60.0,
         )
         ctx.write("<html><body>")
+        plan: List[PlannedBlock] = []
         for slot in services.personalization.layout_for(profile):
             if slot == "navigation":
-                ctx.block(
-                    "navbar",
-                    {},
-                    lambda: render_navbar(
-                        sorted(
-                            {
-                                str(row["category"])
-                                for row in services.db.table(PRODUCTS_TABLE).scan()
-                            }
-                        )
-                    ),
+                plan.append(
+                    ("navbar", NO_PARAMS, _NAVBAR_ID, lambda: _navbar_html(services))
                 )
             elif slot == "greeting":
-                ctx.block(
+                plan.append((
                     "greeting",
                     {"user": user_id or ""},
+                    None,
                     lambda: render_greeting(
                         services.personalization.greeting_for(profile)
                     ),
-                )
+                ))
             elif slot == "recommendations":
-                ctx.block(
+                plan.append((
                     "recommendations",
                     {"user": user_id or ""},
+                    None,
                     lambda: render_recommendations(
                         services.personalization.recommendations_for(profile)
                     ),
-                )
+                ))
             elif slot == "promos" and profile.show_promos:
-                ctx.block(
+                plan.append((
                     "promos",
-                    {},
+                    NO_PARAMS,
+                    _PROMOS_ID,
                     lambda: render_promos(services.personalization.promos_for(profile)),
-                )
+                ))
+        ctx.write_blocks(plan)
         ctx.write("</body></html>")
 
 

@@ -21,7 +21,13 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
-from ..appserver import ApplicationServer, DynamicScript, ScriptContext, SiteServices
+from ..appserver import (
+    ApplicationServer,
+    DynamicScript,
+    PlannedBlock,
+    ScriptContext,
+    SiteServices,
+)
 from ..cms import CONTENT_TABLE, ContentRepository, PersonalizationEngine, ProfileStore, PROFILE_TABLE
 from ..core.fragments import Dependency
 from ..database import Database, schema
@@ -140,43 +146,49 @@ class QuotePageScript(DynamicScript):
         )
 
         ctx.write('<html><body class="quote-page">')
-        ctx.block(
-            "greeting",
-            {"user": user_id or ""},
-            lambda: (
-                '<div class="greeting">Hello, %s</div>' % profile.display_name
-                if profile.registered
-                else ""
+        ctx.write_blocks((
+            (
+                "greeting",
+                {"user": user_id or ""},
+                None,
+                lambda: (
+                    '<div class="greeting">Hello, %s</div>' % profile.display_name
+                    if profile.registered
+                    else ""
+                ),
             ),
-        )
-        ctx.block(
-            "price_quote",
-            {"symbol": symbol},
-            lambda: render_quote(
-                services.db.table(QUOTES_TABLE).get(symbol)
-                or {"symbol": symbol, "price": 0.0, "change_pct": 0.0}
+            (
+                "price_quote",
+                {"symbol": symbol},
+                None,
+                lambda: render_quote(
+                    services.db.table(QUOTES_TABLE).get(symbol)
+                    or {"symbol": symbol, "price": 0.0, "change_pct": 0.0}
+                ),
             ),
-        )
-        ctx.block(
-            "headlines",
-            {"symbol": symbol},
-            lambda: render_headlines(
-                symbol, services.repository.by_category(symbol, kind="headline")
+            (
+                "headlines",
+                {"symbol": symbol},
+                None,
+                lambda: render_headlines(
+                    symbol, services.repository.by_category(symbol, kind="headline")
+                ),
             ),
-        )
-        ctx.block(
-            "historical",
-            {"symbol": symbol},
-            lambda: render_history(
-                services.db.table(HISTORY_TABLE).get(symbol)
-                or {
-                    "pe_ratio": 0.0,
-                    "eps": 0.0,
-                    "week52_high": 0.0,
-                    "week52_low": 0.0,
-                }
+            (
+                "historical",
+                {"symbol": symbol},
+                None,
+                lambda: render_history(
+                    services.db.table(HISTORY_TABLE).get(symbol)
+                    or {
+                        "pe_ratio": 0.0,
+                        "eps": 0.0,
+                        "week52_high": 0.0,
+                        "week52_low": 0.0,
+                    }
+                ),
             ),
-        )
+        ))
         ctx.write("</body></html>")
 
 
@@ -204,41 +216,48 @@ class PortfolioScript(DynamicScript):
             watchlist = [s for s in str(account["watchlist"]).split(",") if s]
 
         ctx.write("<html><body>")
-        ctx.block(
-            "greeting",
-            {"user": user_id},
-            lambda: (
-                '<div class="greeting">Hello, %s</div>' % profile.display_name
-                if profile.registered
-                else ""
+        plan: List[PlannedBlock] = [
+            (
+                "greeting",
+                {"user": user_id},
+                None,
+                lambda: (
+                    '<div class="greeting">Hello, %s</div>' % profile.display_name
+                    if profile.registered
+                    else ""
+                ),
             ),
-        )
-        # Account summary: private per-user data; cacheable per-user with a
-        # dependency on the account row.
-        ctx.block(
-            "account_summary",
-            {"user": user_id},
-            lambda: render_account_summary(account),
-        )
+            # Account summary: private per-user data; cacheable per-user
+            # with a dependency on the account row.
+            (
+                "account_summary",
+                {"user": user_id},
+                None,
+                lambda: render_account_summary(account),
+            ),
+        ]
         # One quote fragment per watched symbol: fragments are shared across
         # every user watching that symbol — high reuse despite a fully
         # personalized page, the core win of granular caching.
         for symbol in watchlist:
-            ctx.block(
+            plan.append((
                 "price_quote",
                 {"symbol": symbol},
+                None,
                 lambda symbol=symbol: render_quote(
                     services.db.table(QUOTES_TABLE).get(symbol)
                     or {"symbol": symbol, "price": 0.0, "change_pct": 0.0}
                 ),
-            )
-        ctx.block(
+            ))
+        plan.append((
             "market_headlines",
             {},
+            None,
             lambda: render_headlines(
                 "MARKET", services.repository.by_category("MARKET", kind="headline")
             ),
-        )
+        ))
+        ctx.write_blocks(plan)
         ctx.write("</body></html>")
 
 

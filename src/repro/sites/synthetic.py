@@ -15,10 +15,11 @@ instead of poking cache internals.
 
 Everything about a page except its rows is fixed by the parameters, so the
 script plans each page once: on a page's first request it records the
-page's blocks as ``(block name, read-only params, pool index)``, and later
-requests only walk that plan.  Every block still goes through
-``ScriptContext.block``, and a generated block still reads its live row,
-so content, rows read and costs are those of an unplanned page.
+page's blocks as ``(block name, read-only params, fragment id, pool
+index)``, and each request hands that plan to
+``ScriptContext.write_blocks`` in one call.  A generated block still reads
+its live row, so content, rows read and costs are those of an unplanned
+page.
 """
 
 from __future__ import annotations
@@ -28,10 +29,16 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..appserver import ApplicationServer, DynamicScript, ScriptContext, SiteServices
-from ..core.fragments import Dependency
+from ..appserver import (
+    ApplicationServer,
+    DynamicScript,
+    PlannedBlock,
+    ScriptContext,
+    SiteServices,
+)
+from ..core.fragments import Dependency, FragmentID
 from ..database import Database, schema
 from ..errors import ConfigurationError
 
@@ -141,10 +148,6 @@ def fragment_content(pool_index: int, version: int, size: int) -> str:
     return prefix + _padding(size - len(prefix))
 
 
-#: One block of a planned page: ``(block name, read-only params, pool index)``.
-PlannedBlock = Tuple[str, Mapping[str, object], int]
-
-
 class SyntheticPageScript(DynamicScript):
     """``/page.jsp?pageID=i`` — emits the page's fragments, nothing else.
 
@@ -162,37 +165,41 @@ class SyntheticPageScript(DynamicScript):
         self._plans: Dict[int, Tuple[PlannedBlock, ...]] = {}
 
     def plan(self, page_id: int) -> Tuple[PlannedBlock, ...]:
-        """Page ``page_id``'s blocks in page order, built once per page."""
+        """Page ``page_id``'s blocks in page order, built once per page.
+
+        Each is ``(block name, read-only params, fragment id, pool
+        index)``, the id built once with ``FragmentID.create``.
+        """
         plan = self._plans.get(page_id)
         if plan is None:
             params = self.params
-            plan = self._plans[page_id] = tuple(
-                (
-                    "frag" if params.is_cacheable(pool_index) else "frag_nc",
-                    MappingProxyType({"id": pool_index}),
-                    pool_index,
+            blocks = []
+            for pool_index in params.pool_indexes_for_page(page_id):
+                name = "frag" if params.is_cacheable(pool_index) else "frag_nc"
+                block_params = MappingProxyType({"id": pool_index})
+                blocks.append(
+                    (
+                        name,
+                        block_params,
+                        FragmentID.create(name, block_params),
+                        pool_index,
+                    )
                 )
-                for pool_index in params.pool_indexes_for_page(page_id)
-            )
+            plan = self._plans[page_id] = tuple(blocks)
         return plan
 
     def run(self, ctx: ScriptContext) -> None:
-        """Emit the page's fragments through the tagging API."""
+        """Emit the page's fragments: its plan, in one call."""
         plan = self.plan(int(ctx.request.param("pageID", "0")))
         table = ctx.services.db.table(SYNTHETIC_TABLE)
         size = self.params.fragment_size
-        pool_index = 0
 
-        # One generator serves the whole page: it reads ``pool_index``
-        # from the loop below when the block it belongs to runs it.
-        def generate() -> str:
+        def generate(pool_index: int) -> str:
             row = table.get(pool_index)
             version = int(row["version"]) if row is not None else 0
             return fragment_content(pool_index, version, size)
 
-        block = ctx.block
-        for name, block_params, pool_index in plan:
-            block(name, block_params, generate)
+        ctx.write_blocks(plan, generate)
 
 
 def build_services(params: SyntheticParams) -> SiteServices:

@@ -18,7 +18,12 @@ each page's cacheable blocks off its block plan, instead of testing
 every pool fragment's cacheability on each arrival, brings fig4 to 199.9
 and churn to 224.7.  Dropping the proxy's scanner object and the
 per-literal byte counts of its scan brings the three to 85.5, 195.8 and
-222.0.  Each budget is the current count plus at most 2 frames of slack.
+222.0.  Writing each page's blocks in one ``ScriptContext.write_blocks``
+call (the synthetic plan, and the BooksOnline blocks without params,
+carrying each block's id), reading the clock's ``_now`` in the monitor
+and skipping a dormant policy's ``on_access`` brings them to 71.7, 145.4
+and 206.7.  Each budget is the current count
+plus at most 2 frames of slack.
 
 Run this file as a script to print the current counts.
 """
@@ -45,7 +50,7 @@ WARM = 2000
 COUNTED = 2000
 
 #: Mean frames per request each case may spend.
-BUDGETS = {"books": 87.0, "fig4": 197.5, "churn": 223.5}
+BUDGETS = {"books": 73.5, "fig4": 147.0, "churn": 208.0}
 
 
 def count_frames(run_one, operations) -> float:

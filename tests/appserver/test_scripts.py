@@ -8,7 +8,7 @@ from repro.appserver.http import HttpRequest
 from repro.appserver.scripts import ScriptContext, SiteServices
 from repro.appserver.session import Session
 from repro.core.bem import BackEndMonitor
-from repro.core.fragments import Dependency
+from repro.core.fragments import Dependency, FragmentID
 from repro.core.tagging import TagRegistry
 from repro.core.template import (
     GetInstruction,
@@ -149,10 +149,12 @@ class TestCachedPage:
 
 class TestBlockPath:
     def test_warm_hit_calls_process_block_directly(self, registry):
-        """No writer layer sits between ``ScriptContext.block`` and the
-        monitor: the frame calling ``process_block`` is ``block`` itself."""
+        """No writer layer sits between the page writer's one loop and the
+        monitor: the frame calling ``process_block`` is ``write_blocks``,
+        for a block and for a planned call alike."""
         bem = BackEndMonitor(capacity=8)
         page(registry, bem).block("navbar", {}, lambda: "NAV")
+        page(registry, bem).block("listing", {"cat": "a"}, lambda: "LIST")
         callers = []
         process_block = bem.process_block
 
@@ -163,8 +165,36 @@ class TestBlockPath:
         bem.process_block = spy
         ctx = page(registry, bem)
         ctx.block("navbar", {}, lambda: "never")
-        assert ctx.hits == 1
-        assert callers == [ScriptContext.block.__code__]
+        ctx.write_blocks(
+            (
+                ("navbar", {}, FragmentID.create("navbar", {}), "n"),
+                ("listing", {"cat": "a"}, None, "l"),
+            ),
+            lambda arg: "never",
+        )
+        assert ctx.hits == 3
+        assert callers == [ScriptContext.write_blocks.__code__] * 3
+
+
+class TestPlannedBlocks:
+    def test_a_planned_id_is_what_the_monitor_sees(self, registry):
+        """A plan's id reaches the monitor as is, not rebuilt (this one is
+        equal to, but not, the interned id ``FragmentID.create`` returns)."""
+        bem = BackEndMonitor(capacity=8)
+        fragment_id = FragmentID("listing", (("cat", "a"),))
+        assert fragment_id is not FragmentID.create("listing", {"cat": "a"})
+        seen = []
+        process_block = bem.process_block
+
+        def spy(fid, describe, generate):
+            seen.append(fid)
+            return process_block(fid, describe, generate)
+
+        bem.process_block = spy
+        page(registry, bem).write_blocks(
+            (("listing", {"cat": "a"}, fragment_id, lambda: "L"),)
+        )
+        assert seen[0] is fragment_id
 
 
 class TestCostAccounting:

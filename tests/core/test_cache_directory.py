@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.cache_directory import CacheDirectory, FreeList
 from repro.core.fragments import FragmentID, FragmentMetadata
-from repro.core.replacement import FifoPolicy, LruPolicy, make_policy
+from repro.core.replacement import (
+    FifoPolicy,
+    LruPolicy,
+    ReplacementPolicy,
+    make_policy,
+)
 from repro.errors import ConfigurationError, DirectoryFullError
 
 
@@ -198,6 +203,72 @@ class TestReplacement:
             directory.insert(fid("f", i=i), META, 1, now=float(i))
             assert directory.valid_count() <= 3
             directory.check_invariants()
+
+
+class CountingLru(LruPolicy):
+    """LRU that counts the ``on_access`` calls it receives."""
+
+    def __init__(self):
+        super().__init__()
+        self.accesses = 0
+
+    def on_access(self, entry):
+        self.accesses += 1
+        super().on_access(entry)
+
+
+class CountingOracle(ReplacementPolicy):
+    """A policy that keeps its own state and never runs the base
+    ``__init__``, as the scan oracles of the property tests do."""
+
+    def __init__(self):
+        self.accesses = 0
+
+    def on_insert(self, entry):
+        pass
+
+    def on_access(self, entry):
+        self.accesses += 1
+
+    def on_remove(self, entry):
+        pass
+
+    def select_victim(self, entries, now):
+        return min(entries, key=lambda e: (e.last_access, e.dpc_key), default=None)
+
+
+class TestDormantAccessHook:
+    """A policy's index is dormant until its first victim selection; the
+    directory skips ``on_access`` until then."""
+
+    def test_no_access_hook_before_the_first_eviction(self):
+        policy = CountingLru()
+        directory = CacheDirectory(2, policy=policy)
+        directory.insert(fid("a"), META, 1, now=0.0)
+        directory.insert(fid("b"), META, 1, now=1.0)
+        for t in range(3):
+            assert directory.lookup(fid("a"), now=2.0 + t) is not None
+        assert policy.dormant
+        assert policy.accesses == 0
+        directory.insert(fid("c"), META, 1, now=5.0)  # the first eviction: b
+        assert directory.stats.evictions == 1
+        assert not policy.dormant
+        directory.lookup(fid("a"), now=6.0)
+        directory.lookup(fid("c"), now=7.0)
+        directory.lookup(fid("b"), now=8.0)  # a miss: no hook
+        assert policy.accesses == 2
+        directory.insert(fid("d"), META, 1, now=9.0)  # evicts a, the LRU
+        assert directory.lookup(fid("a"), now=10.0) is None
+        directory.check_invariants()
+
+    def test_a_policy_without_the_base_init_sees_every_hit(self):
+        policy = CountingOracle()
+        directory = CacheDirectory(2, policy=policy)
+        directory.insert(fid("a"), META, 1, now=0.0)
+        for t in range(3):
+            directory.lookup(fid("a"), now=1.0 + t)
+        assert not policy.dormant
+        assert policy.accesses == 3
 
 
 class RemovalLog:

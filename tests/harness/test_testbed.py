@@ -103,6 +103,18 @@ class TestDpcMode:
         assert whole.run().dpc_scanned_bytes == whole.dpc.bytes_scanned
         assert whole.dpc.bytes_scanned == warmed.dpc.bytes_scanned
 
+    def test_firewall_counts_two_messages_per_request(self):
+        """Each Figure 4 request crosses the firewall twice, inbound and
+        outbound; the firewall is reset at the warm-up cut, so a run of N
+        measured requests reads 2N."""
+        for mode in ("dpc", "no_cache"):
+            testbed = Testbed(TestbedConfig(mode=mode, **FAST))
+            testbed.run()
+            assert testbed.firewall.messages_scanned == 2 * FAST["requests"]
+            whole = Testbed(TestbedConfig(mode=mode, requests=120, warmup_requests=0))
+            whole.run()
+            assert whole.firewall.messages_scanned == 2 * 120
+
     def test_response_times_faster_with_dpc(self):
         common = dict(target_hit_ratio=0.9, **FAST)
         dpc = run_testbed(TestbedConfig(mode="dpc", **common))

@@ -29,6 +29,7 @@ class TestFirewall:
         firewall = Firewall()
         firewall.scan_bytes(123)
         assert firewall.bytes_scanned == 123
+        assert firewall.messages_scanned == 1
 
     def test_scan_negative_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.appserver import HttpRequest
 from repro.core.bem import BackEndMonitor
+from repro.core.fragments import FragmentID
 from repro.errors import ConfigurationError
 from repro.network.clock import SimulatedClock
 from repro.network.latency import FREE
@@ -161,10 +162,11 @@ class TestPagePlan:
         script = SyntheticPageScript(params)
         for page_id in range(params.num_pages):
             plan = script.plan(page_id)
-            assert [k for _, _, k in plan] == params.pool_indexes_for_page(page_id)
-            for name, block_params, k in plan:
+            assert [k for _, _, _, k in plan] == params.pool_indexes_for_page(page_id)
+            for name, block_params, fragment_id, k in plan:
                 assert name == ("frag" if params.is_cacheable(k) else "frag_nc")
                 assert dict(block_params) == {"id": k}
+                assert fragment_id is FragmentID.create(name, block_params)
 
     def test_plan_is_built_once_and_read_only(self):
         script = SyntheticPageScript(SyntheticParams())
