@@ -104,8 +104,9 @@ class DynamicProxyCache:
         self.capacity = capacity
         self.template_config = template_config
         self._slots: List[Optional[str]] = [None] * capacity
-        #: LRU parse cache: SET-free wire string -> its part skeleton.  A
-        #: warm proxy repeatedly receives identical GET-only wire forms;
+        #: LRU parse cache: SET-free wire string -> its part skeleton,
+        #: bounded by entries and by the wires' total UTF-8 bytes.  A warm
+        #: proxy repeatedly receives identical GET-only wire forms;
         #: re-scanning them is avoidable interpreter cost.  The cache only
         #: affects *how* a page's parts are found — scanned-byte
         #: accounting, stats, and assembled pages are byte-identical.
@@ -179,7 +180,11 @@ class DynamicProxyCache:
         (:meth:`_scan`).  A SET-free wire the proxy has already scanned is
         served from the LRU parse cache, which keeps its part skeleton:
         the text parts, and the part index and dpcKey of each GET.  The
-        scan-cost counter (:attr:`DpcStats.bytes_scanned`) is charged the
+        cache holds at most 256 wires and 1 MiB of them in total, so a
+        large wire form pushes out older ones sooner than a small one;
+        a scanned wire is put with the UTF-8 size measured here, never
+        measured again.  The scan-cost counter
+        (:attr:`DpcStats.bytes_scanned`) is charged the
         response's UTF-8 bytes before assembly, whether or not the wire
         was cached and whether or not its assembly raises: the bytes did
         cross the proxy and were matched, by the scan or against the
@@ -323,7 +328,7 @@ class DynamicProxyCache:
             skeleton = parts.copy()
             for index, _ in gets:
                 skeleton[index] = None  # never pin slot content
-            self.parse_cache.put(wire, (tuple(skeleton), tuple(gets)))
+            self.parse_cache.put(wire, (tuple(skeleton), tuple(gets)), wire_bytes)
         if failure is not None:
             stored, key, content = failure
             for set_key, set_content in sets[:stored]:

@@ -40,7 +40,8 @@ the client, and each end makes one pass over it:
   (:func:`tag_matcher`), inside
   :meth:`~repro.core.dpc.DynamicProxyCache.process_response`;
 * :class:`TemplateCache` is the proxy's LRU parse cache, keyed on the wire
-  string, for the SET-free wire forms a warm proxy sees again.
+  string, for the SET-free wire forms a warm proxy sees again; it is
+  bounded by entry count and by the cached wires' total UTF-8 bytes.
 
 :class:`Template` and its instruction classes are the decoded view: the
 ESI capture, the BEM's dead-letter recovery (which parses an undelivered
@@ -373,8 +374,14 @@ class TemplateCache:
     SET-bearing wire carries fresh fragment content and never repeats, so
     caching it would only pin its payload.
 
-    Capacity is bounded (LRU eviction) and single wire strings larger than
-    ``max_wire_bytes`` (UTF-8 bytes) are never cached.
+    Two bounds hold after every :meth:`put`: at most ``maxsize`` entries,
+    and at most ``max_wire_bytes`` UTF-8 bytes of cached wires in total
+    (:attr:`wire_bytes`).  Least-recently-used entries are evicted until
+    both hold.  Pages whose non-cacheable content rides inline make large
+    wires that rarely repeat, so the byte budget keeps such a cache from
+    growing with wire size rather than with reuse; small wires fill the
+    entry bound first.  A single wire larger than the budget is never
+    cached.
 
     Most wires the DPC probes carry a SET and can never be here, and
     probing hashes the whole wire.  So the cache also counts its wires by
@@ -389,42 +396,61 @@ class TemplateCache:
             raise ConfigurationError("max_wire_bytes must be positive")
         self.maxsize = maxsize
         self.max_wire_bytes = max_wire_bytes
-        self._entries: "OrderedDict[str, object]" = OrderedDict()
+        #: wire -> (entry, the wire's UTF-8 bytes), oldest first.
+        self._entries: "OrderedDict[str, Tuple[object, int]]" = OrderedDict()
         self._lengths: Dict[int, int] = {}  # len(wire) -> cached wires that long
+        #: UTF-8 bytes of the cached wires, in total.
+        self.wire_bytes = 0
         self.hits = 0
         self.misses = 0
 
     def get(self, wire: str) -> Optional[object]:
         """The cached entry for ``wire``, refreshed to most-recently-used."""
-        entry = self._entries.get(wire) if len(wire) in self._lengths else None
-        if entry is None:
+        cached = self._entries.get(wire) if len(wire) in self._lengths else None
+        if cached is None:
             self.misses += 1
             return None
         self._entries.move_to_end(wire)
         self.hits += 1
-        return entry
+        return cached[0]
 
-    def put(self, wire: str, entry: object) -> None:
-        """Remember the entry for ``wire``, evicting the LRU entry if full."""
-        if utf8_len(wire) > self.max_wire_bytes:
+    def put(self, wire: str, entry: object, wire_bytes: Optional[int] = None) -> None:
+        """Remember the entry for ``wire`` as most-recently-used, evicting
+        LRU entries until both bounds hold.
+
+        ``wire_bytes`` is the wire's UTF-8 size, measured here when the
+        caller has not already measured it.
+        """
+        if wire_bytes is None:
+            wire_bytes = utf8_len(wire)
+        if wire_bytes > self.max_wire_bytes:
             return
         entries = self._entries
         lengths = self._lengths
-        if wire not in entries:
+        total = self.wire_bytes + wire_bytes
+        cached = entries.get(wire)
+        if cached is None:
             lengths[len(wire)] = lengths.get(len(wire), 0) + 1
-        entries[wire] = entry
+        else:
+            total -= cached[1]
+        entries[wire] = (entry, wire_bytes)
         entries.move_to_end(wire)
-        while len(entries) > self.maxsize:
-            size = len(entries.popitem(last=False)[0])
-            if lengths[size] == 1:
-                del lengths[size]
+        # The new wire is last and fits the budget alone, so it stays.
+        while len(entries) > self.maxsize or total > self.max_wire_bytes:
+            old, (_, size) = entries.popitem(last=False)
+            total -= size
+            length = len(old)
+            if lengths[length] == 1:
+                del lengths[length]
             else:
-                lengths[size] -= 1
+                lengths[length] -= 1
+        self.wire_bytes = total
 
     def clear(self) -> None:
         """Drop every cached entry (e.g. on a proxy restart)."""
         self._entries.clear()
         self._lengths.clear()
+        self.wire_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)

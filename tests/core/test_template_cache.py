@@ -11,6 +11,7 @@ from repro.core import fragments
 from repro.core.bem import BackEndMonitor
 from repro.core.dpc import DynamicProxyCache
 from repro.core.fragments import FragmentID
+from repro.core import template as template_module
 from repro.core.template import Template, TemplateCache, parse_template
 from repro.database import Database
 from repro.errors import ConfigurationError
@@ -75,6 +76,69 @@ class TestTemplateCache:
         cache.clear()
         assert len(cache) == 0
 
+    def test_byte_budget_evicts_before_the_entry_bound(self):
+        cache = TemplateCache(maxsize=10, max_wire_bytes=10)
+        cache.put("aaaa", 1)
+        cache.put("bbbb", 2)
+        assert cache.get("aaaa") == 1   # refresh 'aaaa'
+        cache.put("cccc", 3)            # 12 bytes > 10: one LRU eviction
+        assert list(cache._entries) == ["aaaa", "cccc"]
+        assert cache.wire_bytes == 8
+        assert cache.get("bbbb") is None
+        cache.put("dddddddddd", 4)      # exactly the budget: evicts the rest
+        assert list(cache._entries) == ["dddddddddd"]
+        assert cache.wire_bytes == 10
+
+    def test_entry_bound_still_binds_under_the_byte_budget(self):
+        cache = TemplateCache(maxsize=2, max_wire_bytes=1 << 20)
+        for wire in ("a", "b", "c"):
+            cache.put(wire, wire)
+        assert list(cache._entries) == ["b", "c"]
+        assert cache.wire_bytes == 2
+
+    def test_re_putting_a_cached_wire_counts_its_bytes_once(self):
+        cache = TemplateCache(maxsize=4, max_wire_bytes=10)
+        cache.put("aaaa", 1)
+        cache.put("bbbb", 2)
+        cache.put("aaaa", 3)            # replaces, refreshes, no new bytes
+        assert cache.wire_bytes == 8
+        assert list(cache._entries) == ["bbbb", "aaaa"]
+        assert cache.get("aaaa") == 3
+        assert cache._lengths == {4: 2}
+        cache.put("cc", 4)              # 10 bytes: both still fit
+        assert len(cache) == 3
+
+    def test_clear_resets_the_byte_total(self):
+        cache = TemplateCache(maxsize=4, max_wire_bytes=8)
+        cache.put("aaaa", 1)
+        cache.put("bbbb", 2)
+        cache.clear()
+        assert cache.wire_bytes == 0
+        cache.put("cccc", 3)
+        cache.put("dddd", 4)            # a stale total would evict 'cccc'
+        assert list(cache._entries) == ["cccc", "dddd"]
+        assert cache.wire_bytes == 8
+
+    def test_non_ascii_wire_counts_utf8_bytes_in_the_total(self):
+        cache = TemplateCache(maxsize=4, max_wire_bytes=7)
+        cache.put("ééé", 1)             # 3 characters, 6 UTF-8 bytes
+        assert cache.wire_bytes == 6
+        cache.put("ab", 2)              # 8 bytes > 7: 'ééé' goes
+        assert list(cache._entries) == ["ab"]
+        assert cache.wire_bytes == 2
+
+    def test_a_measured_wire_is_not_measured_again(self, monkeypatch):
+        cache = TemplateCache(max_wire_bytes=8)
+
+        def unexpected(text):
+            raise AssertionError("wire measured twice")
+
+        monkeypatch.setattr(template_module, "utf8_len", unexpected)
+        cache.put("ééé", 1, 6)
+        assert cache.wire_bytes == 6
+        with pytest.raises(AssertionError):
+            cache.put("ab", 2)
+
     def test_invalid_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             TemplateCache(maxsize=0)
@@ -124,19 +188,24 @@ class TestLengthIndex:
     )
     @settings(max_examples=300, deadline=None)
     def test_length_counts_match_a_plain_dict_oracle(self, ops, maxsize, limit):
-        """Through puts, LRU evictions, oversized skips and clears, the
-        counts are exactly the lengths of the cached wires, and every probe
-        answers and counts as the plain LRU dict does."""
+        """Through puts, LRU evictions by entry count and by total bytes,
+        oversized skips and clears, the counts are exactly the lengths of
+        the cached wires, the byte total is their UTF-8 size, and every
+        probe answers and counts as the plain LRU dict does."""
         cache = TemplateCache(maxsize=maxsize, max_wire_bytes=limit)
         oracle = {}  # wire -> plan, in LRU order (oldest first)
         hits = misses = 0
+
+        def oracle_bytes():
+            return sum(len(w.encode("utf-8")) for w in oracle)
+
         for op, wire in ops:
             if op == "put":
                 cache.put(wire, (wire,))
                 if len(wire.encode("utf-8")) <= limit:
                     oracle.pop(wire, None)
                     oracle[wire] = (wire,)
-                    while len(oracle) > maxsize:
+                    while len(oracle) > maxsize or oracle_bytes() > limit:
                         del oracle[next(iter(oracle))]
             elif op == "get":
                 expected = oracle.pop(wire, None)
@@ -151,6 +220,7 @@ class TestLengthIndex:
                 oracle.clear()
             assert list(cache._entries) == list(oracle)
             assert cache._lengths == Counter(len(w) for w in oracle)
+            assert cache.wire_bytes == oracle_bytes()
             assert (cache.hits, cache.misses) == (hits, misses)
 
 
@@ -197,6 +267,19 @@ class TestDpcParseCache:
         assert gets == ((1, 1), (3, 2))
         assert dpc.process_response(wire).html == "afragbx"
 
+    def test_scan_puts_the_wire_with_the_size_it_measured(self, monkeypatch):
+        dpc = DynamicProxyCache(capacity=16)
+        dpc.process_response(Template().set(1, "frag é").serialize())
+        wire = Template().literal("é").get(1).serialize()
+        calls = []
+        measure = template_module.utf8_len
+        monkeypatch.setattr(
+            template_module, "utf8_len", lambda text: calls.append(text) or measure(text)
+        )
+        dpc.process_response(wire)
+        assert calls == []
+        assert dpc.parse_cache.wire_bytes == len(wire.encode("utf-8"))
+
     def test_clear_drops_parse_cache(self):
         dpc = DynamicProxyCache(capacity=16)
         dpc.process_response(Template().set(1, "frag").serialize())
@@ -204,6 +287,7 @@ class TestDpcParseCache:
         assert len(dpc.parse_cache) >= 1
         dpc.clear()
         assert len(dpc.parse_cache) == 0
+        assert dpc.parse_cache.wire_bytes == 0
 
 
 class TestFragmentIdMemo:
