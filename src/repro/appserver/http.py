@@ -49,11 +49,6 @@ class HttpRequest:
     #: bounded queue reserves).  The proxy marks predicted cache hits
     #: priority so cheap traffic keeps flowing through a flash crowd.
     priority: int = 0
-    #: Trace context (:class:`repro.telemetry.TraceContext`) stamped by an
-    #: enabled tracer so downstream components can attach spans to the
-    #: right tree.  Excluded from equality/repr: tracing a request must
-    #: not change how caches and queues treat it.
-    trace: Optional[object] = field(default=None, compare=False, repr=False)
     #: The request URL — what a page-level proxy cache keys on.  Keys and
     #: values percent-encode ``%&=?``, as fragment ids do, so two parameter
     #: maps never share a URL.  Rendered once, at construction.

@@ -54,9 +54,11 @@ class SiteServices:
 #: serves every such block).
 NO_PARAMS: Mapping[str, object] = MappingProxyType({})
 
-#: One block of a page's plan: ``(name, params, fragment_id, arg)``; see
-#: :meth:`ScriptContext.write_blocks`.
-PlannedBlock = Tuple[str, Mapping[str, object], Optional[FragmentID], object]
+#: One block of a page's plan: ``(name, params, fragment_id, generate)``;
+#: see :meth:`ScriptContext.write_blocks`.
+PlannedBlock = Tuple[
+    str, Mapping[str, object], Optional[FragmentID], Callable[[], str]
+]
 
 
 class _Describe:
@@ -72,21 +74,6 @@ class _Describe:
 
     def __call__(self) -> FragmentMetadata:
         return self.tag.metadata_for(self.params)
-
-
-class _Generate:
-    """The generator a plan with a shared ``generate(arg)`` hands its
-    monitor: ``generate`` bound to the current block's ``arg``.
-
-    One per such :meth:`ScriptContext.write_blocks` call, re-aimed at each
-    cacheable block, so a block costs no closure.  A nested plan gets its
-    own, so it cannot re-aim the outer plan's.
-    """
-
-    __slots__ = ("generate", "arg")
-
-    def __call__(self) -> str:
-        return self.generate(self.arg)
 
 
 class ScriptContext:
@@ -179,30 +166,24 @@ class ScriptContext:
             params = NO_PARAMS
         return self.write_blocks(((name, params, None, generate),))
 
-    def write_blocks(
-        self,
-        plan: Iterable[PlannedBlock],
-        generate: Optional[Callable[[object], str]] = None,
-    ) -> "ScriptContext":
+    def write_blocks(self, plan: Iterable[PlannedBlock]) -> "ScriptContext":
         """Execute a page's blocks in plan order, with costing.
 
-        Each item is ``(name, params, fragment_id, arg)``.  The block's
-        generator is ``arg`` itself (a zero-argument callable) when
-        ``generate`` is ``None``, and ``generate(arg)`` otherwise.
+        Each item is ``(name, params, fragment_id, generate)``, where
+        ``generate`` is the block's zero-argument generator and
         ``fragment_id`` is the block's ``FragmentID.create(name, params)``,
         or ``None`` to have it built only if the block reaches the monitor.
 
         A generator runs only when its content cannot be served from the
         DPC.  Untagged names behave as non-cacheable blocks and never reach
         the monitor.  A cacheable block goes to ``bem.process_block`` with
-        the context's one :class:`_Describe` and its generator (for a
-        shared ``generate``, the call's one :class:`_Generate`), both
-        aimed at that block; whether it ran is read off the returned
-        instruction (a ``GET`` is a hit).  A generator may write text,
-        blocks or a plan of its own: the literal run is flushed only after
-        the monitor returns, and every counter is updated in place, so a
-        nested write lands where the block-by-block writer puts it and a
-        generator that raises leaves the page as written so far.
+        the context's one :class:`_Describe`, aimed at that block, and its
+        generator; whether it ran is read off the returned instruction (a
+        ``GET`` is a hit).  A generator may write text, blocks or a plan of
+        its own: the literal run is flushed only after the monitor
+        returns, and every counter is updated in place, so a nested write
+        lands where the block-by-block writer puts it and a generator that
+        raises leaves the page as written so far.
 
         A hit is charged just the directory probe.  A block that ran is
         charged its output bytes (measured once, with ``utf8_len``) and
@@ -216,31 +197,23 @@ class ScriptContext:
         parts = self._parts
         run = self._run
         describe = self._describe
-        if generate is not None:
-            aimed = _Generate()
-            aimed.generate = generate
         get_tags = self._get_tags
         hit_cost = self._hit_cost
         cost_model = self.cost_model
-        for name, params, fragment_id, arg in plan:
+        for name, params, fragment_id, generate in plan:
             tag = lookup_tag(name)
             self.blocks += 1
             rows_before = reads.rows
             if tag is None or not tag.cacheable or bem is None:
-                content = arg() if generate is None else generate(arg)
+                content = generate()
                 if content:
                     run.append(content)
             else:
                 describe.tag = tag
                 describe.params = params
-                if generate is None:
-                    block_generate = arg
-                else:
-                    aimed.arg = arg
-                    block_generate = aimed
                 if fragment_id is None:
                     fragment_id = FragmentID.create(name, params)
-                instruction = bem.process_block(fragment_id, describe, block_generate)
+                instruction = bem.process_block(fragment_id, describe, generate)
                 # The run is flushed only now: a generator may have written.
                 if run:
                     parts.append(escape_literal("".join(run)))

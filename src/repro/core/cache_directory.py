@@ -229,8 +229,10 @@ class CacheDirectory:
         Returns the entry on a *fresh* hit (recording the access, and
         telling the policy unless its index is dormant), ``None`` on a
         miss.  A TTL-expired entry is invalidated on the spot — lazy
-        expiry, so no background sweeper is required for correctness (one
-        exists anyway for memory hygiene; see :meth:`expire_stale`).
+        expiry, so no background sweeper is required for correctness.
+        :meth:`expire_stale` sweeps every expired entry at once, but nothing
+        on the serve path calls it, so an expired entry nobody asks for
+        keeps its slot until it is evicted or invalidated.
         """
         stats = self.stats
         stats.lookups += 1

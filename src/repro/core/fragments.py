@@ -15,7 +15,7 @@ identical.
 
 A :class:`FragmentID` is that ``(name, parameterList)`` pair as a tuple;
 the directory keys on the pair, and the ``greeting?user=bob`` string is
-rendered only where a string is read (reports, ESI ``src``, span export).
+rendered only where a string is read (reports, ESI ``src``).
 Every cacheable block of every request asks for its id, so
 :meth:`FragmentID.create` interns the common shapes: a repeated block gets
 the same id object back from a bounded table instead of a fresh

@@ -9,10 +9,8 @@ collects — same rows, same order, same rendering, but one naming scheme
 (:data:`repro.telemetry.METRIC_NAMES`) and no duplicated bookkeeping.
 
 :class:`DeploymentSnapshot` survives as a read-only facade over the
-registry (``get``/``names``/``render``/``rows``).  The deprecated ``add``
-method and the ``objects.memoized`` → ``bem.objects.memoized`` resolution
-alias completed their deprecation cycle and were removed; use
-:meth:`~repro.telemetry.MetricsRegistry.record` and the canonical name.
+registry (``get``/``names``/``render``/``rows``).  A new counter is a row
+in its component's ``metric_rows()``, under its canonical dotted name.
 """
 
 from __future__ import annotations
@@ -47,14 +45,11 @@ class DeploymentSnapshot:
 
     def get(self, name: str) -> object:
         """Look up a metric by canonical name; raises KeyError if absent."""
-        for row_name, value in self.registry.collect():
-            if row_name == name:
-                return value
-        raise KeyError(name)
+        return self.registry.get(name)
 
     def names(self) -> List[str]:
         """All metric names, in collection order."""
-        return [name for name, _ in self.registry.collect()]
+        return self.registry.names()
 
     def render(self) -> str:
         """ASCII table of every collected metric."""

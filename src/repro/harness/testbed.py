@@ -481,7 +481,7 @@ class Testbed:
         if not tracer._enabled:
             return self.path.serve(request)[0]
         with tracer.request_span(request, mode=self.config.mode) as root:
-            html, assembled = self.path.serve(tracer.propagate(request))
+            html, assembled = self.path.serve(request)
             if assembled is not None:
                 root.annotate(
                     hit=assembled.fragments_get > 0 and assembled.fragments_set == 0
@@ -496,9 +496,9 @@ class Testbed:
         # One draw per cacheable block, in page order: the plan's tagged
         # ("frag") blocks are the page's cacheable pool fragments.
         plan = self.page_script.plan(int(request.param("pageID", "0")))
-        for name, _, _, pool_index in plan:
+        for name, params, _, _ in plan:
             if name == "frag" and self._hit_rng.random() < 1.0 - h:
-                touch_fragment(self.services, pool_index)
+                touch_fragment(self.services, params["id"])
 
     # -- monitor introspection ----------------------------------------------------
 

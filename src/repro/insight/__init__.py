@@ -15,7 +15,7 @@ live deployment:
   "would more DPC slots have helped?".
 * :mod:`~repro.insight.slo` — declarative **SLOs with multi-window
   burn-rate alerting** on the virtual clock, fed from existing metric
-  streams, exporting typed alerts through the telemetry JSON conventions.
+  streams, firing typed alerts.
 * :mod:`~repro.insight.doctor` — ``python -m repro doctor``, which runs a
   deliberately pathological deployment and renders a diagnosis report
   (top miss causes, slot-count recommendation, firing SLOs, per-span-kind
@@ -31,14 +31,7 @@ of a full attachment is gated under 5% by
 from .layer import CONTENT_INVALIDATION_REASONS, InsightLayer
 from .ledger import MISS_CAUSES, MissCauseLedger
 from .mattson import ReuseDistanceProfiler, simulate_lru
-from .slo import (
-    SloAlert,
-    SloEngine,
-    SloObjective,
-    alerts_from_json_lines,
-    alerts_to_json_lines,
-    objective_from_spec,
-)
+from .slo import SloAlert, SloEngine, SloObjective
 
 __all__ = [
     # layer
@@ -54,7 +47,4 @@ __all__ = [
     "SloAlert",
     "SloEngine",
     "SloObjective",
-    "alerts_from_json_lines",
-    "alerts_to_json_lines",
-    "objective_from_spec",
 ]

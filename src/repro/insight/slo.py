@@ -19,9 +19,7 @@ recipe):
 Windows are measured on the **virtual clock** — the same simulated seconds
 every harness advances — so runs are deterministic and alert timestamps
 line up with span trees and bucket series.  Fired alerts are typed
-(:class:`SloAlert`) and export through the same JSON-lines conventions as
-:mod:`repro.telemetry.export` (:func:`alerts_to_json_lines` /
-:func:`alerts_from_json_lines` round-trip byte-identically).
+(:class:`SloAlert`).
 
 Percentile objectives need no special machinery: "p95 latency ≤ T" is
 exactly "at least 95% of per-request samples are ≤ T", i.e. a per-sample
@@ -30,9 +28,8 @@ threshold of ``T`` with ``compliance_target=0.95``.
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -94,14 +91,6 @@ class SloObjective:
         return value >= self.threshold
 
 
-def objective_from_spec(spec: Dict[str, object]) -> SloObjective:
-    """Build an objective from a plain-dict declaration (config files)."""
-    try:
-        return SloObjective(**spec)  # type: ignore[arg-type]
-    except TypeError as exc:
-        raise ConfigurationError("bad SLO spec %r: %s" % (spec, exc)) from None
-
-
 @dataclass(frozen=True)
 class SloAlert:
     """One burn-rate alert, typed and timestamped on the virtual clock."""
@@ -142,11 +131,6 @@ class SloEngine:
         for state in self._states:
             self._by_metric.setdefault(state.objective.metric, []).append(state)
         self.alerts: List[SloAlert] = []
-
-    @classmethod
-    def from_specs(cls, specs: List[Dict[str, object]]) -> "SloEngine":
-        """Build an engine from plain-dict objective declarations."""
-        return cls([objective_from_spec(spec) for spec in specs])
 
     @property
     def objectives(self) -> List[SloObjective]:
@@ -267,24 +251,3 @@ class SloEngine:
             ("slo.alerts_active", sum(1 for s in self._states if s.active)),
         ]
 
-
-# -- alert export (telemetry.export conventions) ----------------------------
-
-
-def alerts_to_json_lines(alerts: List[SloAlert]) -> str:
-    """One JSON object per alert, keys sorted — same shape rules as
-    :func:`repro.telemetry.export.to_json_lines`."""
-    return "\n".join(
-        json.dumps(asdict(alert), sort_keys=True) for alert in alerts
-    )
-
-
-def alerts_from_json_lines(text: str) -> List[SloAlert]:
-    """Parse :func:`alerts_to_json_lines` output back into typed alerts."""
-    alerts: List[SloAlert] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        alerts.append(SloAlert(**json.loads(line)))
-    return alerts

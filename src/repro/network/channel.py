@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..errors import ChannelClosed, ConfigurationError, NetworkError
-from ..telemetry.tracing import NULL_TRACER, TraceContext
+from ..telemetry.tracing import NULL_TRACER
 from .clock import SimulatedClock
 from .message import ProtocolOverheadModel, WireMessage
 from .sniffer import Sniffer
@@ -204,13 +204,11 @@ class Channel:
         return extra_delay
 
     def _trace(self, message: WireMessage, seconds: float, status: str = "ok") -> None:
-        """Record the ``channel.transfer`` leaf and stamp the message with it."""
-        span = self.tracer.leaf(
+        """Record the ``channel.transfer`` leaf."""
+        self.tracer.leaf(
             "channel.transfer", seconds, status,
             {"channel": self.name, "kind": message.kind},
         )
-        if message.trace is None:
-            message.trace = TraceContext(span.trace_id, span)
 
     def _validate_endpoints(self, message: WireMessage) -> None:
         """Messages with named endpoints must match the channel's ends."""

@@ -113,7 +113,7 @@ class WireMessage:
     hot serve path, and slot storage keeps that allocation dict-free.
     """
 
-    __slots__ = ("kind", "payload_bytes", "source", "destination", "trace")
+    __slots__ = ("kind", "payload_bytes", "source", "destination")
 
     def __init__(
         self,
@@ -121,7 +121,6 @@ class WireMessage:
         payload_bytes: int,
         source: str = "",
         destination: str = "",
-        trace: Optional[object] = None,
     ) -> None:
         if kind not in ("request", "response"):
             raise ConfigurationError(
@@ -133,9 +132,6 @@ class WireMessage:
         self.payload_bytes = payload_bytes
         self.source = source
         self.destination = destination
-        #: Trace context (:class:`repro.telemetry.TraceContext`) stamped by
-        #: the sending channel when tracing is enabled; ``None`` otherwise.
-        self.trace = trace
 
     def packets(self, overhead: Optional[ProtocolOverheadModel] = None) -> int:
         """Packets this message occupies on a link under an overhead model.
@@ -161,7 +157,6 @@ class WireMessage:
             and self.payload_bytes == other.payload_bytes
             and self.source == other.source
             and self.destination == other.destination
-            and self.trace == other.trace
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

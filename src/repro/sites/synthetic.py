@@ -15,8 +15,8 @@ instead of poking cache internals.
 
 Everything about a page except its rows is fixed by the parameters, so the
 script plans each page once: on a page's first request it records the
-page's blocks as ``(block name, read-only params, fragment id, pool
-index)``, and each request hands that plan to
+page's blocks as ``(block name, read-only params, fragment id,
+generator)``, and each request hands that plan to
 ``ScriptContext.write_blocks`` in one call.  A generated block still reads
 its live row, so content, rows read and costs are those of an unplanned
 page.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +39,7 @@ from ..appserver import (
     SiteServices,
 )
 from ..core.fragments import Dependency, FragmentID
-from ..database import Database, schema
+from ..database import Database, Table, schema
 from ..errors import ConfigurationError
 
 SYNTHETIC_TABLE = "synthetic_data"
@@ -148,6 +148,17 @@ def fragment_content(pool_index: int, version: int, size: int) -> str:
     return prefix + _padding(size - len(prefix))
 
 
+def _read_fragment(table: Table, size: int, pool_index: int) -> str:
+    """Pool fragment ``pool_index`` at its row's current version.
+
+    A plan item's generator is this function with its arguments bound, so
+    generating a block runs one Python frame of the script's own.
+    """
+    row = table.get(pool_index)
+    version = int(row["version"]) if row is not None else 0
+    return fragment_content(pool_index, version, size)
+
+
 class SyntheticPageScript(DynamicScript):
     """``/page.jsp?pageID=i`` — emits the page's fragments, nothing else.
 
@@ -158,8 +169,10 @@ class SyntheticPageScript(DynamicScript):
 
     path = "/page.jsp"
 
-    def __init__(self, params: SyntheticParams) -> None:
+    def __init__(self, params: SyntheticParams, table: Table) -> None:
         self.params = params
+        #: The services' synthetic table, which every generator reads.
+        self.table = table
         #: Each requested page's blocks, planned on its first request.
         #: Page ids are range-checked, so at most ``num_pages`` plans.
         self._plans: Dict[int, Tuple[PlannedBlock, ...]] = {}
@@ -167,12 +180,16 @@ class SyntheticPageScript(DynamicScript):
     def plan(self, page_id: int) -> Tuple[PlannedBlock, ...]:
         """Page ``page_id``'s blocks in page order, built once per page.
 
-        Each is ``(block name, read-only params, fragment id, pool
-        index)``, the id built once with ``FragmentID.create``.
+        Each is ``(block name, read-only params, fragment id,
+        generator)``: the params are ``{"id": pool index}``, the id is
+        built once with ``FragmentID.create`` and the generator reads the
+        fragment's row when it runs.
         """
         plan = self._plans.get(page_id)
         if plan is None:
             params = self.params
+            table = self.table
+            size = params.fragment_size
             blocks = []
             for pool_index in params.pool_indexes_for_page(page_id):
                 name = "frag" if params.is_cacheable(pool_index) else "frag_nc"
@@ -182,7 +199,7 @@ class SyntheticPageScript(DynamicScript):
                         name,
                         block_params,
                         FragmentID.create(name, block_params),
-                        pool_index,
+                        partial(_read_fragment, table, size, pool_index),
                     )
                 )
             plan = self._plans[page_id] = tuple(blocks)
@@ -190,16 +207,7 @@ class SyntheticPageScript(DynamicScript):
 
     def run(self, ctx: ScriptContext) -> None:
         """Emit the page's fragments: its plan, in one call."""
-        plan = self.plan(int(ctx.request.param("pageID", "0")))
-        table = ctx.services.db.table(SYNTHETIC_TABLE)
-        size = self.params.fragment_size
-
-        def generate(pool_index: int) -> str:
-            row = table.get(pool_index)
-            version = int(row["version"]) if row is not None else 0
-            return fragment_content(pool_index, version, size)
-
-        ctx.write_blocks(plan, generate)
+        ctx.write_blocks(self.plan(int(ctx.request.param("pageID", "0"))))
 
 
 def build_services(params: SyntheticParams) -> SiteServices:
@@ -229,7 +237,9 @@ def build_server(
     if services is None:
         services = build_services(params)
     server = ApplicationServer(services, **server_kwargs)
-    server.register(SyntheticPageScript(params))
+    server.register(
+        SyntheticPageScript(params, services.db.table(SYNTHETIC_TABLE))
+    )
     return server
 
 

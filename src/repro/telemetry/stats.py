@@ -1,15 +1,15 @@
-"""Small statistical helpers shared by harnesses and benchmarks.
+"""The sample percentile shared by harnesses and benchmarks.
 
-One home for the sample statistics that used to be re-implemented (with
-subtly different rank conventions) in the overload harness, the testbed
-result, and benchmark scripts.  Everything here is dependency-free and
-operates on plain lists of floats.
+One home for the quantile that used to be re-implemented (with subtly
+different rank conventions) in the overload harness, the testbed result,
+and benchmark scripts.  It is dependency-free and operates on plain lists
+of floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -24,30 +24,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     ordered = sorted(values)
     index = min(len(ordered) - 1, max(0, math.ceil(q * len(ordered)) - 1))
     return ordered[index]
-
-
-def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 when empty."""
-    if not values:
-        return 0.0
-    return sum(values) / len(values)
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """Count/mean/median/tail summary of a sample, as a plain dict.
-
-    Keys: ``count``, ``mean``, ``p50``, ``p95``, ``p99``, ``max``.  An
-    empty sample yields all zeros, so callers can render the summary
-    unconditionally.
-    """
-    if not values:
-        return {"count": 0, "mean": 0.0, "p50": 0.0, "p95": 0.0,
-                "p99": 0.0, "max": 0.0}
-    return {
-        "count": len(values),
-        "mean": mean(values),
-        "p50": percentile(values, 0.50),
-        "p95": percentile(values, 0.95),
-        "p99": percentile(values, 0.99),
-        "max": max(values),
-    }

@@ -27,8 +27,6 @@ annotated onto the same trees.
 
 Tracing is **zero-cost when disabled**: ``Tracer.span()`` on a disabled
 tracer returns one shared no-op context manager and allocates nothing.
-Trace context propagates across component boundaries on
-``HttpRequest.trace`` / ``WireMessage.trace`` as a :class:`TraceContext`.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ class Span:
         if exc_type is not None and self.status == "ok":
             self.status = exc_type.__name__
         tracer = self._tracer
-        if tracer is None or not tracer._enabled:
+        if tracer is None:
             return False
         self.end = tracer._now()
         stack = tracer._stack
@@ -105,11 +103,6 @@ class Span:
     def annotate(self, **meta: object) -> "Span":
         """Attach free-form key/value metadata; returns self for chaining."""
         self.meta.update(meta)
-        return self
-
-    def set_status(self, status: str) -> "Span":
-        """Override the span's outcome status (``ok`` by default)."""
-        self.status = status
         return self
 
     def walk(self) -> Iterator["Span"]:
@@ -159,10 +152,6 @@ class NullSpan:
         """Discard the annotations; stay chainable like :meth:`Span.annotate`."""
         return self
 
-    def set_status(self, status: str) -> "NullSpan":
-        """Discard the status; stay chainable like :meth:`Span.set_status`."""
-        return self
-
 
 NULL_SPAN = NullSpan()
 
@@ -182,28 +171,12 @@ class _NullScope:
 NULL_SCOPE = _NullScope()
 
 
-class TraceContext:
-    """The propagatable identity of an in-flight trace.
-
-    Carried on ``HttpRequest.trace`` and ``WireMessage.trace`` so any
-    component holding only the message can still annotate the right tree.
-    """
-
-    __slots__ = ("trace_id", "span")
-
-    def __init__(self, trace_id: str, span: Span) -> None:
-        self.trace_id = trace_id
-        self.span = span
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "TraceContext(%r)" % self.trace_id
-
-
 class Tracer:
     """Opens and closes spans against a shared simulated clock.
 
-    ``enabled=False`` (the default) makes every tracing call a shared
-    no-op; flipping it on costs one :class:`Span` allocation per stage.
+    ``enabled`` is fixed at construction.  ``enabled=False`` (the default)
+    makes every tracing call a shared no-op; an enabled tracer costs one
+    :class:`Span` allocation per stage.
     Completed root spans are retained in ``traces`` (a bounded deque) and
     the most recent one is always reachable as ``last_root`` so harnesses
     can annotate outcomes after the fact.
@@ -223,24 +196,6 @@ class Tracer:
         self.spans_opened = 0
         self.traces_completed = 0
         self._next_trace_id = 0
-
-    # -- switching ----------------------------------------------------------
-
-    @property
-    def enabled(self) -> bool:
-        """Whether spans are being recorded."""
-        return self._enabled
-
-    def enable(self) -> None:
-        """Start recording spans (requires a clock)."""
-        if self.clock is None:
-            raise ConfigurationError("an enabled tracer needs a clock")
-        self._enabled = True
-
-    def disable(self) -> None:
-        """Stop recording; any open spans are abandoned."""
-        self._enabled = False
-        self._stack = []
 
     # -- span lifecycle -----------------------------------------------------
 
@@ -321,37 +276,6 @@ class Tracer:
         self.spans_opened += 1
         return span
 
-    # -- context ------------------------------------------------------------
-
-    @property
-    def current(self) -> Optional[Span]:
-        """The innermost open span, if tracing is on and a trace is open."""
-        if not self._enabled or not self._stack:
-            return None
-        return self._stack[-1]
-
-    def current_context(self) -> Optional[TraceContext]:
-        """A propagatable :class:`TraceContext` for the current span."""
-        stack = self._stack
-        if not self._enabled or not stack:
-            return None
-        span = stack[-1]
-        return TraceContext(span.trace_id, span)
-
-    def propagate(self, request):
-        """Stamp the active trace context onto an ``HttpRequest``.
-
-        Returns the request unchanged when tracing is off (the zero-cost
-        path); otherwise sets the request's ``trace`` side-channel field in
-        place — it is excluded from comparison/repr exactly so tracing
-        never changes request identity — and returns the same object.
-        """
-        context = self.current_context()
-        if context is None or getattr(request, "trace", None) is not None:
-            return request
-        object.__setattr__(request, "trace", context)
-        return request
-
     def annotate_last(self, **meta: object) -> None:
         """Attach metadata to the most recently completed trace root."""
         if self._enabled and self.last_root is not None:
@@ -373,8 +297,7 @@ class Tracer:
 
 
 #: A permanently disabled tracer components can default to, so call sites
-#: read ``with self.tracer.span(...)`` without None checks.  Never enable
-#: it — it is shared process-wide.
+#: read ``with self.tracer.span(...)`` without None checks.
 NULL_TRACER = Tracer(clock=None, enabled=False, max_traces=1)
 
 

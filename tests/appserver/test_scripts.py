@@ -167,10 +167,9 @@ class TestBlockPath:
         ctx.block("navbar", {}, lambda: "never")
         ctx.write_blocks(
             (
-                ("navbar", {}, FragmentID.create("navbar", {}), "n"),
-                ("listing", {"cat": "a"}, None, "l"),
-            ),
-            lambda arg: "never",
+                ("navbar", {}, FragmentID.create("navbar", {}), lambda: "never"),
+                ("listing", {"cat": "a"}, None, lambda: "never"),
+            )
         )
         assert ctx.hits == 3
         assert callers == [ScriptContext.write_blocks.__code__] * 3

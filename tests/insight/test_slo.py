@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.insight.slo import (
-    SloEngine,
-    SloObjective,
-    alerts_from_json_lines,
-    alerts_to_json_lines,
-    objective_from_spec,
-)
+from repro.insight.slo import SloEngine, SloObjective
 
 
 def availability(**overrides):
@@ -46,15 +40,6 @@ class TestObjective:
     def test_validation(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             availability(**overrides)
-
-    def test_objective_from_spec(self):
-        objective = objective_from_spec(dict(
-            name="slo.x", metric="a.b", comparator="<=", threshold=2.0,
-        ))
-        assert objective.threshold == 2.0
-        with pytest.raises(ConfigurationError, match="bad SLO spec"):
-            objective_from_spec(dict(name="slo.x", bogus=1))
-
 
 class TestEngine:
     def test_duplicate_names_rejected(self):
@@ -129,12 +114,3 @@ class TestEngine:
         for name, _ in engine.metric_rows():
             assert name in METRIC_NAMES, name
 
-
-class TestAlertExport:
-    def test_json_lines_round_trip(self):
-        engine = SloEngine([availability()])
-        for step in range(20):
-            engine.observe("request.served", 0.0, now=step * 0.1)
-        text = alerts_to_json_lines(engine.alerts)
-        assert alerts_from_json_lines(text) == engine.alerts
-        assert alerts_from_json_lines("") == []

@@ -188,7 +188,7 @@ class TestTracedSends:
                 pass
         return root
 
-    def test_delivered_send_is_a_timed_leaf_stamped_on_the_message(self):
+    def test_delivered_send_is_a_timed_leaf(self):
         channel, sniffer = self.traced_channel()
         message = response_message(100, source="origin", destination="external")
         root = self.send_in_trace(channel, message)
@@ -196,8 +196,7 @@ class TestTracedSends:
         assert (leaf.name, leaf.status, leaf.children) == ("channel.transfer", "ok", [])
         assert leaf.meta == {"channel": "link", "kind": "response"}
         assert leaf.duration == pytest.approx(0.01)
-        assert message.trace.span is leaf
-        assert message.trace.trace_id == root.trace_id
+        assert leaf.trace_id == root.trace_id
         assert sniffer.total().messages == 1
 
     def test_dropped_send_is_a_zero_second_dropped_leaf(self):
@@ -211,7 +210,6 @@ class TestTracedSends:
         root = self.send_in_trace(channel, message)
         (leaf,) = root.children
         assert (leaf.name, leaf.status, leaf.duration) == ("channel.transfer", "dropped", 0.0)
-        assert message.trace.span is leaf
         assert channel.messages_dropped == 1
         assert channel.messages_sent == 0
         assert sniffer.total().messages == 0
@@ -233,5 +231,4 @@ class TestTracedSends:
         channel.send(message)
         root = channel.tracer.last_root
         assert root.name == "channel.transfer"
-        assert message.trace.span is root
         assert channel.tracer.traces_completed == 1

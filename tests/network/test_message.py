@@ -122,13 +122,6 @@ class TestWireMessage:
         with pytest.raises(AttributeError):
             message.unknown_attribute = 1
 
-    def test_trace_stays_assignable(self):
-        """Channels stamp trace context after construction."""
-        message = response_message(10)
-        assert message.trace is None
-        message.trace = object()
-        assert message.trace is not None
-
     def test_equality_by_fields(self):
         assert request_message(5, "a", "b") == request_message(5, "a", "b")
         assert request_message(5, "a", "b") != request_message(5, "a", "c")

@@ -13,10 +13,9 @@ and uncached blocks) collects as a run escaped once before the next tag.
 
 The page writer's one loop, :meth:`ScriptContext.write_blocks`, is also
 checked against itself: a program written block by block (``block`` is a
-plan of one) and as plans cut at random points, in both plan forms (a
-zero-argument generator per item, or one shared ``generate(arg)``), must
-leave the same body and bit-identical counters and costs, also when a
-generator raises mid-plan.
+plan of one) and as plans cut at random points, with and without each
+item's fragment id, must leave the same body and bit-identical counters
+and costs, also when a generator raises mid-plan.
 
 Programs are random sequences of writes, hits, misses (some whose
 generator writes text, a nested block or a nested plan of its own),
@@ -63,7 +62,6 @@ steps = st.one_of(
         st.just("nested_plan"),
         keys,
         st.lists(inner_block, min_size=1, max_size=3),
-        st.booleans(),
         text,
     ),
     st.tuples(st.just("untagged"), text),
@@ -71,9 +69,8 @@ steps = st.one_of(
 )
 
 #: How one step is written in the planned form: whether a plan ends before
-#: it, whether a plan starting at it uses a shared ``generate(arg)``, and
-#: whether its item carries its fragment id.
-layouts = st.tuples(st.booleans(), st.booleans(), st.booleans())
+#: it, and whether its item carries its fragment id.
+layouts = st.tuples(st.booleans(), st.booleans())
 
 
 class Boom(Exception):
@@ -130,19 +127,12 @@ def _reading(ctx, content):
     return generate
 
 
-def _inner_plan(ctx, tag, inner, shared):
-    """Write ``inner`` as one plan, in the shared or per-item form."""
-    items = [
+def _inner_plan(ctx, tag, inner):
+    """Write ``inner`` as one plan."""
+    ctx.write_blocks([
         ("cached", {"i": "%s.%d" % (tag, j)}, None, _reading(ctx, content))
         for j, (_, _, content) in enumerate(inner)
-    ]
-    if shared:
-        ctx.write_blocks(
-            [(name, params, fid, j) for j, (name, params, fid, _) in enumerate(items)],
-            lambda j: items[j][3](),
-        )
-    else:
-        ctx.write_blocks(items)
+    ])
 
 
 def write(program, monitor, layout=None):
@@ -205,8 +195,8 @@ def write(program, monitor, layout=None):
 
             else:
 
-                def generate(index=index, inner=inner, shared=step[3], content=content):
-                    _inner_plan(ctx, index, inner, shared)
+                def generate(index=index, inner=inner, content=content):
+                    _inner_plan(ctx, index, inner)
                     return _reading(ctx, content)()
 
             ops.append(("cached", {"i": index}, generate))
@@ -248,30 +238,19 @@ def write(program, monitor, layout=None):
 def _write_planned(ctx, ops, layout):
     """Write ``ops`` as plans cut where ``layout`` says."""
     plan = []
-    shared = False
 
     def flush():
-        if not plan:
-            return
-        if shared:
-            gens = [item[3] for item in plan]
-            ctx.write_blocks(
-                [(name, params, fid, j) for j, (name, params, fid, _) in enumerate(plan)],
-                lambda j: gens[j](),
-            )
-        else:
+        if plan:
             ctx.write_blocks(list(plan))
-        plan.clear()
+            plan.clear()
 
-    for op, (cut, shared_form, pass_id) in zip(ops, layout):
+    for op, (cut, pass_id) in zip(ops, layout):
         if isinstance(op, str):
             flush()
             ctx.write(op)
             continue
         if cut:
             flush()
-        if not plan:
-            shared = shared_form
         name, params, generate = op
         fragment_id = FragmentID.create(name, params) if pass_id else None
         plan.append((name, params, fragment_id, generate))
@@ -331,29 +310,6 @@ def test_plans_write_what_blocks_write(config, planned):
     by_block, _, _ = write(program, monitor())
     by_plan, _, _ = write(program, monitor(), layout)
     assert counters(by_plan) == counters(by_block)
-
-
-def test_a_nested_plan_does_not_reaim_the_outer_generator():
-    """An outer plan in the shared form whose generator writes a nested
-    shared-form plan: the outer blocks after it still run the outer
-    ``generate``."""
-    monitor = ScriptedMonitor(TemplateConfig())
-    monitor.script.extend([("miss", 1), ("miss", 2), ("miss", 3)])
-    ctx = _context(monitor)
-
-    def outer(arg):
-        if arg == "first":
-            ctx.write_blocks([("cached", {"i": "in"}, None, "x")], lambda arg: "IN")
-        return arg.upper()
-
-    ctx.write_blocks(
-        [("cached", {"i": 0}, None, "first"), ("cached", {"i": 1}, None, "second")],
-        outer,
-    )
-    assert ctx.response_body() == (
-        "<~S:0002~>IN<~E:0002~><~S:0001~>FIRST<~E:0001~>"
-        "<~S:0003~>SECOND<~E:0003~>"
-    )
 
 
 def test_a_raising_generator_leaves_the_page_as_written():

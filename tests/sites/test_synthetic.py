@@ -12,6 +12,7 @@ from repro.network.clock import SimulatedClock
 from repro.network.latency import FREE
 from repro.sites.synthetic import (
     _FILLER,
+    SYNTHETIC_TABLE,
     SyntheticPageScript,
     SyntheticParams,
     build_server,
@@ -155,28 +156,40 @@ class TestSyntheticServing:
         assert response.meta["hits"] == 3
 
 
+def page_script(params):
+    """The page script over a fresh synthetic table."""
+    return SyntheticPageScript(
+        params, build_services(params).db.table(SYNTHETIC_TABLE)
+    )
+
+
 class TestPagePlan:
     def test_plan_is_the_page_in_order(self):
         params = SyntheticParams(num_pages=3, fragments_per_page=4, cacheability=0.5,
-                                 pool_size=5)
-        script = SyntheticPageScript(params)
+                                 pool_size=5, fragment_size=32)
+        script = page_script(params)
+        script.table.update({"version": 7}, key=2)
         for page_id in range(params.num_pages):
             plan = script.plan(page_id)
-            assert [k for _, _, _, k in plan] == params.pool_indexes_for_page(page_id)
-            for name, block_params, fragment_id, k in plan:
+            indexes = [block_params["id"] for _, block_params, _, _ in plan]
+            assert indexes == params.pool_indexes_for_page(page_id)
+            for name, block_params, fragment_id, generate in plan:
+                k = block_params["id"]
                 assert name == ("frag" if params.is_cacheable(k) else "frag_nc")
                 assert dict(block_params) == {"id": k}
                 assert fragment_id is FragmentID.create(name, block_params)
+                version = 7 if k == 2 else 0
+                assert generate() == fragment_content(k, version, 32)
 
     def test_plan_is_built_once_and_read_only(self):
-        script = SyntheticPageScript(SyntheticParams())
+        script = page_script(SyntheticParams())
         plan = script.plan(2)
         assert script.plan(2) is plan
         with pytest.raises(TypeError):
             plan[0][1]["id"] = 99
 
     def test_page_out_of_range_builds_no_plan(self):
-        script = SyntheticPageScript(SyntheticParams())
+        script = page_script(SyntheticParams())
         with pytest.raises(ConfigurationError):
             script.plan(10)
         assert script._plans == {}

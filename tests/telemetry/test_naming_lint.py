@@ -111,17 +111,3 @@ class TestSourceLint:
             "provider instead): %s" % offenders
         )
 
-    def test_registry_record_is_confined_to_the_shim(self):
-        """``.record(`` on a registry is the legacy escape hatch; only the
-        telemetry package and the monitoring shim may call it."""
-        allowed = {"telemetry", "harness"}
-        offenders = []
-        for path in self.source_files():
-            if path.parent.name in allowed:
-                continue
-            for lineno, line in enumerate(
-                path.read_text().splitlines(), start=1
-            ):
-                if "registry.record(" in line or "reg.record(" in line:
-                    offenders.append("%s:%d" % (path.relative_to(SRC_ROOT), lineno))
-        assert offenders == [], offenders

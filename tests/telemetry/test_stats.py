@@ -1,8 +1,6 @@
-"""The unified percentile/mean/summarize helpers."""
+"""The unified percentile helper."""
 
-import pytest
-
-from repro.telemetry.stats import mean, percentile, summarize
+from repro.telemetry.stats import percentile
 
 
 class TestPercentile:
@@ -36,20 +34,3 @@ class TestPercentile:
         assert bucket.p50 == percentile(values, 0.50)
         assert bucket.p99 == percentile(values, 0.99)
 
-
-class TestMeanAndSummarize:
-    def test_mean(self):
-        assert mean([]) == 0.0
-        assert mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_summarize_empty_is_all_zeros(self):
-        summary = summarize([])
-        assert summary == {"count": 0, "mean": 0.0, "p50": 0.0,
-                           "p95": 0.0, "p99": 0.0, "max": 0.0}
-
-    def test_summarize_values(self):
-        summary = summarize([4.0, 1.0, 3.0, 2.0])
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["p50"] == 2.0
-        assert summary["max"] == 4.0
