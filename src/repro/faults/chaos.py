@@ -42,6 +42,7 @@ from ..errors import (
     ProxyUnavailableError,
     RecoveryError,
 )
+from ..harness.replay import CounterMarks, hit_counters, hit_ratio
 from ..harness.testbed import Testbed, TestbedConfig
 from ..network import WireMessage
 from .degradation import DegradationStats, GracefulDegrader
@@ -92,10 +93,7 @@ class ChaosBucket:
     @property
     def hit_ratio(self) -> float:
         """Fragment hit ratio over this bucket's cacheable accesses."""
-        total = self.hits + self.misses
-        if total == 0:
-            return 0.0
-        return self.hits / total
+        return hit_ratio(self.hits, self.misses)
 
 
 @dataclass
@@ -159,9 +157,7 @@ def summarize_recovery(
         for b in result.buckets
         if b.start_request >= result.warmup_requests and b.start_time < fault_at
     ]
-    pre_hits = sum(b.hits for b in pre)
-    pre_total = pre_hits + sum(b.misses for b in pre)
-    steady = pre_hits / pre_total if pre_total else 0.0
+    steady = hit_ratio(sum(b.hits for b in pre), sum(b.misses for b in pre))
     post = [b for b in result.buckets if b.start_time >= fault_at]
     dip = min((b.hit_ratio for b in post), default=steady)
     recovered_at = None
@@ -198,12 +194,10 @@ class ChaosHarness:
             dpc=self.testbed.dpc,
             channel=self.testbed.origin_link,
         )
-        self._current: Optional[ChaosBucket] = None
-        self._marks = (0, 0, 0)
         # Every origin-link message goes through the retry policy, and the
         # schedule fires at each arrival ahead of any later hook.
         self.testbed.path.transfer = self._transfer
-        self.testbed.pre_request_hooks.append(self._tick_faults)
+        self.testbed.replay.before.append(self._tick_faults)
 
     # -- the run loop --------------------------------------------------------
 
@@ -211,24 +205,46 @@ class ChaosHarness:
         """Replay the workload under the fault schedule."""
         tb, config = self.testbed, self.config
         total = config.testbed.warmup_requests + config.testbed.requests
-        workload = tb.build_workload().materialize(total)
         result = ChaosResult(
             requests=total, warmup_requests=config.testbed.warmup_requests
         )
+        degraded, recovery = self.degrader.stats, self.resync.stats
+        marks = CounterMarks(
+            dict(
+                hit_counters(tb.monitor),
+                wire_bytes=lambda: tb.sniffer.total_wire_bytes,
+                bypassed=lambda: degraded.bypassed_requests,
+                failed=lambda: degraded.failed_requests,
+                incorrect=lambda: result.incorrect_pages,
+                # Fail-stop recoveries plus resyncs detected on traffic.
+                recoveries=lambda: recovery.epoch_resyncs
+                + recovery.anti_entropy_sweeps,
+            ),
+            every=config.bucket_requests,
+        )
 
-        for index, timed in enumerate(workload):
-            if index % config.bucket_requests == 0:
-                self._open_bucket(result, index)
-            tb.arrive(index, timed)
-            bucket = self._current
+        def step(index: int, timed, start: float) -> str:
+            tb.arrive(timed)
             try:
-                html, kind = self._serve(timed.request, bucket)
+                html, kind = self._serve(timed.request)
             except ProxyUnavailableError:
                 self.degrader.record_failure()
                 html, kind = None, "failed"
-            self._account(result, bucket, timed.request, html, kind)
+            if kind == "recovered":
+                result.recovered_requests += 1
+            if kind in ("assembled", "recovered") and config.check_correctness:
+                result.pages_checked += 1
+                if html != tb.render_oracle(timed.request):
+                    result.incorrect_pages += 1
+            return kind
 
-        self._close_bucket(result)
+        tb.replay.run(tb.build_workload(), total, step, marks)
+
+        result.buckets = [
+            ChaosBucket(number, start.index, start.at, end.index - start.index,
+                        **marks.growth(number))
+            for number, (start, end) in enumerate(marks.windows())
+        ]
         result.recovery_events = list(self.resync.stats.events)
         result.recovery = self.resync.stats
         result.degradation = self.degrader.stats
@@ -238,7 +254,7 @@ class ChaosHarness:
 
     # -- per-request fault-aware pipeline ------------------------------------
 
-    def _serve(self, request, bucket: ChaosBucket) -> Tuple[Optional[str], str]:
+    def _serve(self, request) -> Tuple[Optional[str], str]:
         """One request under faults, beneath a trace root.
 
         The whole fault-aware pipeline — bypass, retries, fail-stop
@@ -247,13 +263,11 @@ class ChaosHarness:
         a root whose status records the escaping error.
         """
         with self.testbed.tracer.request_span(request, harness="chaos") as root:
-            html, kind = self._serve_inner(request, bucket)
+            html, kind = self._serve_inner(request)
             root.annotate(kind=kind, epoch=self.testbed.monitor.epoch)
             return html, kind
 
-    def _serve_inner(
-        self, request, bucket: ChaosBucket
-    ) -> Tuple[Optional[str], str]:
+    def _serve_inner(self, request) -> Tuple[Optional[str], str]:
         tb = self.testbed
         if self.schedule.proxy_down(tb.clock.now()):
             if not self.config.bypass_when_down:
@@ -270,7 +284,6 @@ class ChaosHarness:
             # longer holds.  Run recovery, then retry the request once.
             with tb.tracer.span("faults.recover", trigger="assembly_error"):
                 self.resync.recover(tb.clock.now())
-            bucket.recoveries += 1
             try:
                 assembled = self._serve_assembled(request)
             except AssemblyError as exc:
@@ -285,13 +298,12 @@ class ChaosHarness:
             self.degrader.record_failure()
             return None, "failed"
         # Epoch detection on normal returning traffic.
-        if self.resync.observe_epoch(assembled.epoch, tb.clock.now()) is not None:
-            bucket.recoveries += 1
+        self.resync.observe_epoch(assembled.epoch, tb.clock.now())
         return assembled.html, "assembled"
 
-    def _tick_faults(self, testbed: Testbed, index: int, timed) -> None:
-        """Pre-request hook: fire the fault transitions due at this arrival."""
-        self.schedule.tick(self.context, testbed.clock.now())
+    def _tick_faults(self, index: int, timed) -> None:
+        """Before-hook: fire the fault transitions due at this arrival."""
+        self.schedule.tick(self.context, self.testbed.clock.now())
 
     def _transfer(self, message: WireMessage) -> float:
         """The path's link transfer, retried under the seeded policy."""
@@ -319,50 +331,6 @@ class ChaosHarness:
         path.outbound(page_bytes, html, bypass=True)
         self.degrader.record_bypass(page_bytes)
         return html
-
-    # -- accounting ----------------------------------------------------------
-
-    def _account(self, result, bucket, request, html, kind) -> None:
-        bucket.requests += 1
-        if kind == "bypass":
-            bucket.bypassed += 1
-            return
-        if kind == "failed":
-            bucket.failed += 1
-            return
-        if kind == "recovered":
-            result.recovered_requests += 1
-        if self.config.check_correctness:
-            result.pages_checked += 1
-            if html != self.testbed.render_oracle(request):
-                result.incorrect_pages += 1
-                bucket.incorrect += 1
-
-    def _open_bucket(self, result: ChaosResult, index: int) -> None:
-        self._close_bucket(result)
-        stats = self.testbed.monitor.stats
-        self._marks = (
-            stats.fragment_hits,
-            stats.fragment_misses,
-            self.testbed.sniffer.total_wire_bytes,
-        )
-        self._current = ChaosBucket(
-            index=len(result.buckets),
-            start_request=index,
-            start_time=self.testbed.clock.now(),
-        )
-
-    def _close_bucket(self, result: ChaosResult) -> None:
-        if self._current is None:
-            return
-        stats = self.testbed.monitor.stats
-        hits0, misses0, wire0 = self._marks
-        bucket = self._current
-        bucket.hits = stats.fragment_hits - hits0
-        bucket.misses = stats.fragment_misses - misses0
-        bucket.wire_bytes = self.testbed.sniffer.total_wire_bytes - wire0
-        result.buckets.append(bucket)
-        self._current = None
 
 
 def run_chaos(config: ChaosConfig) -> ChaosResult:

@@ -39,6 +39,7 @@ from ..network.latency import GenerationCostModel
 from ..sites import synthetic
 from ..sites.synthetic import SyntheticParams
 from ..workload import DeterministicProcess, WorkloadGenerator, synthetic_pages
+from .replay import CounterMarks, Replay, hit_counters, hit_ratio
 
 DEPLOYMENTS = ("origin_only", "reverse_proxy", "forward_proxy")
 
@@ -71,6 +72,8 @@ class EdgeExperimentConfig:
     lan: LinkParameters = field(default_factory=lambda: LAN)
 
     def __post_init__(self) -> None:
+        if self.requests <= 0 or self.warmup_requests < 0:
+            raise ConfigurationError("request counts must be sensible")
         if self.deployment not in DEPLOYMENTS:
             raise ConfigurationError(
                 "deployment must be one of %s" % (DEPLOYMENTS,)
@@ -175,34 +178,29 @@ def run_edge_experiment(config: EdgeExperimentConfig) -> EdgeExperimentResult:
         pages=synthetic_pages(config.synthetic.num_pages),
         arrivals=DeterministicProcess(rate=20.0),
         seed=config.seed,
-    ).materialize(config.warmup_requests + config.requests)
-
+    )
     times: List[float] = []
-    hits_at_cut = misses_at_cut = 0
-    for index, timed in enumerate(workload):
-        if index == config.warmup_requests:
-            deployment.wan_sniffer.reset()
-            if deployment.bem is not None:
-                hits_at_cut = deployment.bem.stats.fragment_hits
-                misses_at_cut = deployment.bem.stats.fragment_misses
-        deployment.clock.advance_to(timed.at)
-        start = deployment.clock.now()
+    marks = CounterMarks(
+        hit_counters(deployment.bem),
+        first=config.warmup_requests,
+        resets=(deployment.wan_sniffer,),
+    )
+
+    def step(index: int, timed, start: float) -> None:
         deployment.serve(timed.request)
         if index >= config.warmup_requests:
             times.append(deployment.clock.now() - start)
 
-    hit_ratio = 0.0
-    if deployment.bem is not None:
-        hits = deployment.bem.stats.fragment_hits - hits_at_cut
-        misses = deployment.bem.stats.fragment_misses - misses_at_cut
-        if hits + misses:
-            hit_ratio = hits / (hits + misses)
+    Replay(deployment.clock).run(
+        workload, config.warmup_requests + config.requests, step, marks
+    )
+    grown = marks.growth()
     return EdgeExperimentResult(
         deployment=config.deployment,
-        mean_response_time=sum(times) / len(times) if times else 0.0,
+        mean_response_time=sum(times) / len(times),
         wan_payload_bytes=deployment.wan_sniffer.total_payload_bytes,
         wan_wire_bytes=deployment.wan_sniffer.total_wire_bytes,
-        measured_hit_ratio=hit_ratio,
+        measured_hit_ratio=hit_ratio(grown["hits"], grown["misses"]),
     )
 
 

@@ -26,6 +26,7 @@ from ..network.latency import GenerationCostModel
 from ..sites import books
 from ..workload import PageSpec, UserPopulation, WorkloadGenerator
 from ..workload.arrivals import PoissonProcess
+from .replay import CounterMarks, Replay, hit_counters, hit_ratio
 from .testbed import Figure4Path
 
 
@@ -45,6 +46,8 @@ class RealisticConfig:
     correctness_every: int = 10
 
     def __post_init__(self) -> None:
+        if self.requests <= 0 or self.warmup_requests < 0:
+            raise ConfigurationError("request counts must be sensible")
         if not 0.0 <= self.update_probability <= 1.0:
             raise ConfigurationError("update_probability must be in [0, 1]")
 
@@ -116,21 +119,11 @@ def run_realistic(config: RealisticConfig) -> RealisticResult:
     path = Figure4Path(clock, server, dpc, cost_model=cost_model)
     update_rng = random.Random(config.seed + 99)
     product_ids = [str(k) for k in services.db.table(books.PRODUCTS_TABLE).keys()]
-
-    workload = _build_workload(config, services).materialize(
-        config.warmup_requests + config.requests
-    )
+    warmup = config.warmup_requests
     result = RealisticResult(cached=config.cached, requests=config.requests)
-    hits_at_cut = misses_at_cut = 0
+    marks = CounterMarks(hit_counters(bem), first=warmup, resets=(path.sniffer,))
 
-    for index, timed in enumerate(workload):
-        if index == config.warmup_requests:
-            path.sniffer.reset()
-            if bem is not None:
-                hits_at_cut = bem.stats.fragment_hits
-                misses_at_cut = bem.stats.fragment_misses
-        clock.advance_to(timed.at)
-
+    def step(index: int, timed, start: float) -> str:
         # Background catalog churn (same rng in both modes -> paired runs).
         if update_rng.random() < config.update_probability:
             product = update_rng.choice(product_ids)
@@ -138,33 +131,26 @@ def run_realistic(config: RealisticConfig) -> RealisticResult:
                 {"price": round(update_rng.uniform(3.0, 80.0), 2)},
                 key=product,
             )
-            if index >= config.warmup_requests:
+            if index >= warmup:
                 result.catalog_updates += 1
-
-        start = clock.now()
         html, _ = path.serve(timed.request)
-        elapsed = clock.now() - start
-
-        if index >= config.warmup_requests:
-            result.response_times.append(elapsed)
-            if (
-                config.correctness_every
-                and (index - config.warmup_requests) % config.correctness_every
-                == 0
-            ):
+        if index >= warmup:
+            result.response_times.append(clock.now() - start)
+            every = config.correctness_every
+            if every and (index - warmup) % every == 0:
                 result.pages_checked += 1
-                oracle = server.render_reference_page(timed.request)
-                if html != oracle:
+                if html != server.render_reference_page(timed.request):
                     result.pages_incorrect += 1
+        return html
 
+    Replay(clock).run(
+        _build_workload(config, services), warmup + config.requests, step, marks
+    )
     responses = path.sniffer.counters("response")
     result.origin_payload_bytes = responses.payload_bytes
     result.origin_wire_bytes = responses.wire_bytes
-    if bem is not None:
-        hits = bem.stats.fragment_hits - hits_at_cut
-        misses = bem.stats.fragment_misses - misses_at_cut
-        if hits + misses:
-            result.measured_hit_ratio = hits / (hits + misses)
+    grown = marks.growth()
+    result.measured_hit_ratio = hit_ratio(grown["hits"], grown["misses"])
     return result
 
 

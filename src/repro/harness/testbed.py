@@ -14,10 +14,11 @@ configuration (``no_cache``, ``dpc``, or ``backend``) and returns byte
 counts, measured hit ratio, and response-time statistics.
 
 This module holds the only implementation of the Figure 4 request path,
-:class:`Figure4Path`, and the only per-arrival step,
+:class:`Figure4Path`, and the testbed's per-arrival work,
 :meth:`Testbed.arrive`.  The testbed, the chaos harness
 (:mod:`repro.faults.chaos`) and the overload harness
-(:mod:`repro.overload.harness`) use both; the BooksOnline run
+(:mod:`repro.overload.harness`) use both, each as the per-request step of
+the testbed's :class:`~repro.harness.replay.Replay`; the BooksOnline run
 (:mod:`repro.harness.realistic`) serves through the path.  A harness adds
 its own policy around the two legs of the path instead of copying them.
 
@@ -63,6 +64,7 @@ from ..workload import (
     WorkloadGenerator,
     synthetic_pages,
 )
+from .replay import CounterMarks, Replay, hit_counters, hit_ratio
 
 MODES = ("no_cache", "dpc", "backend")
 
@@ -350,12 +352,9 @@ class Testbed:
 
         self._hit_rng = random.Random(config.seed + 1)
 
-        #: Injector hook points: callables invoked as ``hook(testbed, index,
-        #: timed)`` by :meth:`arrive`, after the clock reaches the arrival
-        #: and before the hit-ratio churn, in registration order.  The chaos
-        #: harness (:mod:`repro.faults.chaos`) registers its fault-schedule
-        #: tick here first; the testbed itself stays fault-unaware.
-        self.pre_request_hooks: List = []
+        #: The replay every run over this testbed goes through (the
+        #: testbed's, chaos's and overload's); hooks register on it.
+        self.replay = Replay(self.clock)
 
     def _build_monitor(self, template_config: TemplateConfig):
         config = self.config
@@ -388,49 +387,38 @@ class Testbed:
     def run(self) -> TestbedResult:
         """Replay the workload; returns post-warmup measurements."""
         config = self.config
-        total = config.warmup_requests + config.requests
-        workload = self.build_workload().materialize(total)
-
+        warmup = config.warmup_requests
         result = TestbedResult(mode=config.mode, requests=config.requests)
-        hits_at_cut = misses_at_cut = 0
-        invalidated_at_cut = scanned_at_cut = 0
+        monitor, dpc = self.monitor, self.dpc
+        counters = hit_counters(monitor)
+        if monitor is not None:
+            counters["invalidated"] = lambda: monitor.invalidation.fragments_invalidated
+        if dpc is not None:
+            counters["scanned"] = lambda: dpc.bytes_scanned
+        marks = CounterMarks(
+            counters, first=warmup, resets=(self.sniffer, self.firewall)
+        )
 
-        for index, timed in enumerate(workload):
-            measuring = index >= config.warmup_requests
-            if index == config.warmup_requests:
-                self.sniffer.reset()
-                self.firewall.reset()
-                if self.dpc is not None:
-                    scanned_at_cut = self.dpc.bytes_scanned
-                hits_at_cut, misses_at_cut = self._monitor_hit_counts()
-                invalidated_at_cut = self._monitor_invalidations()
-
-            self.arrive(index, timed)
-            start = self.clock.now()
+        def step(index: int, timed: TimedRequest, start: float) -> str:
+            self.arrive(timed)
             html = self.serve_once(timed.request)
             elapsed = self.clock.now() - start
             self.tracer.annotate_last(elapsed_s=elapsed)
-
-            if measuring:
+            if index >= warmup:
                 result.response_times.append(elapsed)
-                if (
-                    config.correctness_every
-                    and (index - config.warmup_requests) % config.correctness_every == 0
-                ):
+                every = config.correctness_every
+                if every and (index - warmup) % every == 0:
                     result.pages_checked += 1
-                    oracle = self.render_oracle(timed.request)
-                    if html != oracle:
+                    if html != self.render_oracle(timed.request):
                         result.pages_incorrect += 1
+            return html
 
-        hits, misses = self._monitor_hit_counts()
-        window_hits = hits - hits_at_cut
-        window_misses = misses - misses_at_cut
-        if window_hits + window_misses:
-            result.measured_hit_ratio = window_hits / (window_hits + window_misses)
-        result.fragments_invalidated = (
-            self._monitor_invalidations() - invalidated_at_cut
-        )
+        self.replay.run(self.build_workload(), warmup + config.requests, step, marks)
 
+        grown = marks.growth()
+        result.measured_hit_ratio = hit_ratio(grown["hits"], grown["misses"])
+        result.fragments_invalidated = grown.get("invalidated", 0)
+        result.dpc_scanned_bytes = grown.get("scanned", 0)
         responses = self.sniffer.counters("response")
         requests_ = self.sniffer.counters("request")
         result.response_payload_bytes = responses.payload_bytes
@@ -438,8 +426,6 @@ class Testbed:
         result.request_payload_bytes = requests_.payload_bytes
         result.request_wire_bytes = requests_.wire_bytes
         result.firewall_bytes = self.firewall.bytes_scanned
-        if self.dpc is not None:
-            result.dpc_scanned_bytes = self.dpc.bytes_scanned - scanned_at_cut
         return result
 
     # -- per-request pipeline -----------------------------------------------------
@@ -456,15 +442,14 @@ class Testbed:
         """
         return self.server.render_reference_page(request)
 
-    def arrive(self, index: int, timed: TimedRequest) -> None:
-        """The per-arrival step every harness runs before serving.
+    def arrive(self, timed: TimedRequest) -> None:
+        """The testbed's per-arrival work ahead of serving.
 
-        Advances the clock to the arrival instant, runs the
-        ``pre_request_hooks`` in order, then applies the hit-ratio churn.
+        Advances the clock to the arrival instant (the replay has already
+        done so; a driver serving requests one by one has not), then
+        applies the hit-ratio churn.
         """
         self.clock.advance_to(timed.at)
-        for hook in self.pre_request_hooks:
-            hook(self, index, timed)
         self._churn_fragments(timed.request)
 
     def serve_once(self, request: HttpRequest) -> str:
@@ -499,21 +484,6 @@ class Testbed:
         for name, params, _, _ in plan:
             if name == "frag" and self._hit_rng.random() < 1.0 - h:
                 touch_fragment(self.services, params["id"])
-
-    # -- monitor introspection ----------------------------------------------------
-
-    def _monitor_hit_counts(self):
-        if self.monitor is None:
-            return 0, 0
-        return (
-            self.monitor.stats.fragment_hits,
-            self.monitor.stats.fragment_misses,
-        )
-
-    def _monitor_invalidations(self) -> int:
-        if self.monitor is None:
-            return 0
-        return self.monitor.invalidation.fragments_invalidated
 
 
 def run_testbed(config: TestbedConfig) -> TestbedResult:

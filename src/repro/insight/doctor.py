@@ -229,22 +229,21 @@ def run_diagnosis(scenario: DoctorScenario) -> Diagnosis:
     # synchronously so the harness never sees a desynced GET; the dropped
     # entries become fault_quarantine misses.
     wipe_at = scenario.wipe_index()
-    fired: List[int] = []
 
-    def wipe_and_resync(tb, index, timed) -> None:
-        if index == wipe_at and not fired:
-            fired.append(index)
-            tb.dpc.clear()
-            ResyncProtocol(tb.monitor, tb.dpc).resync(
-                tb.dpc.epoch, tb.clock.now()
+    def wipe_and_resync(index, timed) -> None:
+        if index == wipe_at:
+            testbed.dpc.clear()
+            ResyncProtocol(testbed.monitor, testbed.dpc).resync(
+                testbed.dpc.epoch, testbed.clock.now()
             )
 
-    testbed.pre_request_hooks.append(wipe_and_resync)
+    testbed.replay.before.append(wipe_and_resync)
 
     # SLO sample streams, fed per request on the virtual clock.
     slo = _slo_engine(scenario)
 
-    def feed_slo(index, timed, outcome, predicted_hit) -> None:
+    def feed_slo(index, timed, served) -> None:
+        outcome, predicted_hit = served
         now = testbed.clock.now()
         served = outcome in ("fresh", "stale")
         slo.observe("request.served", 1.0 if served else 0.0, now)
@@ -254,7 +253,7 @@ def run_diagnosis(scenario: DoctorScenario) -> Diagnosis:
         if served:
             slo.observe("request.elapsed_s", now - timed.at, now)
 
-    harness.request_observers.append(feed_slo)
+    testbed.replay.after.append(feed_slo)
 
     result = harness.run()
 

@@ -10,7 +10,6 @@ from .clock import EventQueue, SimulatedClock
 from .firewall import (
     DEFAULT_SCAN_COST_PER_BYTE,
     Firewall,
-    ScanCostMeter,
     dpc_is_preferable,
     scan_cost_no_cache,
     scan_cost_with_cache,
@@ -32,7 +31,6 @@ __all__ = [
     "SimulatedClock",
     "EventQueue",
     "Firewall",
-    "ScanCostMeter",
     "DEFAULT_SCAN_COST_PER_BYTE",
     "dpc_is_preferable",
     "scan_cost_no_cache",

@@ -9,14 +9,15 @@ and observes that the DPC must *also* scan every response byte for tags
 
 Result 1: the dynamic proxy cache wins on scan cost iff B_NC > 2 * B_C.
 
-:class:`Firewall` meters bytes it scans; :class:`ScanCostMeter` aggregates
-firewall and DPC scanning so experiments can report the Figure 3(a) / 6
-"firewall savings" curve from measured traffic.
+:class:`Firewall` meters the bytes it scans.  Measured runs report the
+firewall's bytes and the DPC's tag-scan bytes over the measured window as
+``TestbedResult.firewall_bytes`` and ``dpc_scanned_bytes``
+(:mod:`repro.harness.testbed`); the equations below price them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ConfigurationError
 from .message import WireMessage
@@ -74,41 +75,6 @@ class Firewall:
             ("firewall.bytes_scanned", self.bytes_scanned),
             ("firewall.messages_scanned", self.messages_scanned),
         ]
-
-
-@dataclass
-class ScanCostMeter:
-    """Aggregates scanning work for the Section 5 cost comparison.
-
-    ``firewall_bytes`` are scanned once at cost ``y``/byte; ``dpc_bytes``
-    (template bytes the DPC scans for tags) are scanned at cost ``z``/byte.
-    The paper sets z == y; both are configurable so the assumption itself
-    can be stress-tested (see the ablation benches).
-    """
-
-    y_per_byte: float = DEFAULT_SCAN_COST_PER_BYTE
-    z_per_byte: float = DEFAULT_SCAN_COST_PER_BYTE
-    firewall_bytes: int = 0
-    dpc_bytes: int = 0
-    _extra: dict = field(default_factory=dict)
-
-    def charge_firewall(self, nbytes: int) -> None:
-        """Account bytes scanned by the firewall (cost y/byte)."""
-        self.firewall_bytes += nbytes
-
-    def charge_dpc_scan(self, nbytes: int) -> None:
-        """Account bytes scanned by the DPC for tags (cost z/byte)."""
-        self.dpc_bytes += nbytes
-
-    @property
-    def total_cost(self) -> float:
-        """Combined scan cost across firewall and DPC passes."""
-        return self.firewall_bytes * self.y_per_byte + self.dpc_bytes * self.z_per_byte
-
-    def reset(self) -> None:
-        """Zero both byte counters."""
-        self.firewall_bytes = 0
-        self.dpc_bytes = 0
 
 
 def scan_cost_no_cache(b_nc: float, y: float = 1.0) -> float:

@@ -39,6 +39,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..core.fragments import FragmentID
 from ..errors import ConfigurationError, DeadlineExceededError, QueueFullError
 from ..faults.degradation import DegradationStats, GracefulDegrader
+from ..harness.replay import CounterMarks
 from ..harness.testbed import Testbed, TestbedConfig
 from ..telemetry.stats import percentile
 from .accounting import DropLedger
@@ -234,41 +235,54 @@ class OverloadHarness:
                     capacity=config.stale_capacity,
                     max_age_s=config.stale_max_age_s,
                 )
-        self._current: Optional[OverloadBucket] = None
-        self._fresh_pages = 0  # drives the every-Nth oracle check
         self._stale_serves_mark = 0
-        #: Per-request observers, called as ``observer(index, timed,
-        #: outcome, predicted_hit)`` after each request is accounted.  The
-        #: doctor CLI uses these to feed SLO sample streams; the harness
-        #: itself stays SLO-unaware.
-        self.request_observers: List = []
+        #: Every delivered page's response time; each bucket takes its slice.
+        self._delivered: List[float] = []
 
     # -- the run loop --------------------------------------------------------
 
     def run(self) -> OverloadResult:
         """Replay the workload through the protected pipeline."""
         tb, config = self.testbed, self.config
-        total = config.testbed.warmup_requests + config.testbed.requests
-        workload = tb.build_workload().materialize(total)
         result = OverloadResult(
             mode=config.testbed.mode,
             warmup_requests=config.testbed.warmup_requests,
         )
+        marks = CounterMarks(
+            {
+                "fresh": lambda: result.completed_fresh,
+                "stale": lambda: result.completed_stale,
+                "shed": lambda: result.shed,
+                "timed_out": lambda: result.timed_out,
+                "delivered": lambda: len(self._delivered),
+                "queue_depth": lambda: self.app_queue.depth(tb.clock.now()),
+            },
+            every=config.bucket_requests,
+        )
 
-        for index, timed in enumerate(workload):
-            if index % config.bucket_requests == 0:
-                self._open_bucket(result, index)
-            tb.arrive(index, timed)
+        def step(index: int, timed, start: float) -> Tuple[str, bool]:
+            tb.arrive(timed)
             outcome, html, predicted_hit = self._serve(timed)
             self._account(result, index, timed, outcome, html, predicted_hit)
             if outcome in ("shed", "timed_out"):
                 self._note_shed_fragments(timed.request)
-            for observer in self.request_observers:
-                observer(index, timed, outcome, predicted_hit)
             if self.degrader is not None:
                 self.degrader.revalidate_due()
+            return outcome, predicted_hit
 
-        self._close_bucket(result)
+        total = config.testbed.warmup_requests + config.testbed.requests
+        tb.replay.run(tb.build_workload(), total, step, marks)
+
+        for number, (start, end) in enumerate(marks.windows()):
+            grown = marks.growth(number)
+            result.buckets.append(OverloadBucket(
+                number, start.index, start.at, end.index - start.index,
+                **{outcome: grown[outcome] for outcome in OUTCOMES},
+                queue_depth=end.counts["queue_depth"],
+                response_times=self._delivered[
+                    start.counts["delivered"]:end.counts["delivered"]
+                ],
+            ))
         self.ledger.sync_channel(tb.origin_link)
         result.ledger = self.ledger
         result.app_queue = self.app_queue.stats
@@ -459,27 +473,23 @@ class OverloadHarness:
         predicted_hit: bool,
     ) -> None:
         tb, config = self.testbed, self.config
-        bucket = self._current
         measuring = index >= config.testbed.warmup_requests
         result.offered += 1
-        bucket.requests += 1
         if predicted_hit:
             result.predicted_hits += 1
         else:
             result.predicted_misses += 1
         if outcome in ("fresh", "stale"):
             elapsed = tb.clock.now() - timed.at
-            bucket.response_times.append(elapsed)
+            self._delivered.append(elapsed)
             if measuring:
                 result.response_times.append(elapsed)
             tb.tracer.annotate_last(elapsed_s=elapsed)
         if outcome == "fresh":
             result.completed_fresh += 1
-            bucket.fresh += 1
-            self._fresh_pages += 1
             if (
                 config.correctness_every
-                and self._fresh_pages % config.correctness_every == 0
+                and result.completed_fresh % config.correctness_every == 0
             ):
                 result.pages_checked += 1
                 if html != tb.render_oracle(timed.request):
@@ -490,30 +500,12 @@ class OverloadHarness:
                 self.stale_cache.put(timed.request.url, html, tb.clock.now())
         elif outcome == "stale":
             result.completed_stale += 1
-            bucket.stale += 1
         elif outcome == "shed":
             result.shed += 1
-            bucket.shed += 1
             if predicted_hit:
                 result.hits_shed += 1
         else:
             result.timed_out += 1
-            bucket.timed_out += 1
-
-    def _open_bucket(self, result: OverloadResult, index: int) -> None:
-        self._close_bucket(result)
-        self._current = OverloadBucket(
-            index=len(result.buckets),
-            start_request=index,
-            start_time=self.testbed.clock.now(),
-        )
-
-    def _close_bucket(self, result: OverloadResult) -> None:
-        if self._current is None:
-            return
-        self._current.queue_depth = self.app_queue.depth(self.testbed.clock.now())
-        result.buckets.append(self._current)
-        self._current = None
 
 
 def run_overload(config: OverloadConfig) -> OverloadResult:

@@ -137,7 +137,7 @@ def synthetic_frames(params: SyntheticParams, capacity: int, hit_ratio: float) -
 
     def serve(index):
         timed = workload[index]
-        testbed.arrive(index, timed)
+        testbed.arrive(timed)
         testbed.serve_once(timed.request)
 
     for index in range(WARM):

@@ -91,8 +91,8 @@ def test_fig4_cache_never_exceeds_its_byte_budget():
         )
     )
     check = BudgetCheck(testbed.dpc)
-    for index, timed in enumerate(testbed.build_workload().materialize(REQUESTS)):
-        testbed.arrive(index, timed)
+    for timed in testbed.build_workload().materialize(REQUESTS):
+        testbed.arrive(timed)
         testbed.serve_once(timed.request)
     assert check.responses == REQUESTS
     cache, unbudgeted = check.cache, check.reference.parse_cache

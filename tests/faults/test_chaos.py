@@ -183,10 +183,10 @@ class TestArrivalStep:
             )
         )
 
-        def hook(testbed, index, timed):
-            log.append(("hook", index, testbed.clock.now()))
+        def hook(index, timed):
+            log.append(("hook", index, harness.testbed.clock.now()))
 
-        harness.testbed.pre_request_hooks.append(hook)
+        harness.testbed.replay.before.append(hook)
 
         harness.run()
 

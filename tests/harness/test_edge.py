@@ -17,6 +17,12 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             EdgeExperimentConfig(deployment="cdn")
 
+    def test_rejects_an_empty_measured_window(self):
+        with pytest.raises(ConfigurationError):
+            EdgeExperimentConfig(requests=0)
+        with pytest.raises(ConfigurationError):
+            EdgeExperimentConfig(warmup_requests=-1)
+
 
 class TestDeploymentComparison:
     @pytest.fixture(scope="class")

@@ -18,6 +18,15 @@ class TestConfig:
             RealisticConfig(update_probability=1.5)
 
 
+    def test_rejects_an_empty_measured_window(self):
+        """With no request after the warm-up cut there is no window to
+        report; the warm-up traffic must not be reported in its place."""
+        with pytest.raises(ConfigurationError):
+            RealisticConfig(requests=0)
+        with pytest.raises(ConfigurationError):
+            RealisticConfig(warmup_requests=-1)
+
+
 class TestPairedRun:
     @pytest.fixture(scope="class")
     def pair(self):

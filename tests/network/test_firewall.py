@@ -5,7 +5,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.network.firewall import (
     Firewall,
-    ScanCostMeter,
     dpc_is_preferable,
     scan_cost_no_cache,
     scan_cost_with_cache,
@@ -62,17 +61,3 @@ class TestScanCostEquations:
         assert dpc_is_preferable(2001.0, 1000.0)
         assert not dpc_is_preferable(2000.0, 1000.0)
         assert not dpc_is_preferable(1999.0, 1000.0)
-
-
-class TestScanCostMeter:
-    def test_total_cost_combines_both_scans(self):
-        meter = ScanCostMeter(y_per_byte=1.0, z_per_byte=2.0)
-        meter.charge_firewall(10)
-        meter.charge_dpc_scan(5)
-        assert meter.total_cost == pytest.approx(10 + 10)
-
-    def test_reset(self):
-        meter = ScanCostMeter()
-        meter.charge_firewall(10)
-        meter.reset()
-        assert meter.total_cost == 0.0
